@@ -100,7 +100,8 @@ _compute_options = [
                  help="Parallel rank workers (default: BETTI_WORKERS "
                       "environment variable, else the CPU count)."),
     click.option("--memory-cap", type=int, default=None,
-                 help="Per-matrix memory cap in bytes."),
+                 help="Refuse any block whose dense form exceeds this "
+                      "many bytes."),
 ]
 
 

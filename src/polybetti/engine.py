@@ -35,8 +35,18 @@ from .polygon import (LatticePolygon, Point, canonical_form, interior_hull,
 from .table import BettiTable
 
 
+class BlockFailed(ResourceExceeded):
+    """The rank job of one block of a strand entry failed; names the
+    block's bidegree."""
+
+    def __init__(self, message: str, bidegree: Point):
+        super().__init__(message)
+        self.bidegree = bidegree
+
+
 class TableAborted(ResourceExceeded):
-    """A rank job blew the budget; carries whatever was finished."""
+    """A rank job blew the budget or lost its worker; carries whatever
+    was finished and the bidegree of the block that failed."""
 
     def __init__(self, message: str, strand: str, ell: int, bidegree: Point,
                  partial_b: dict, partial_c: dict, checkpoint: str | None):
@@ -81,6 +91,30 @@ def options_key(prime: PrimeModulus, options: EngineOptions) -> str:
          "symmetry": options.use_symmetry}, sort_keys=True))
 
 
+def _read_log(path: str) -> tuple[list[dict], int]:
+    """The records of a line-delimited JSON log, and the byte length of
+    the lines they came from.  A last line that is unfinished (no
+    newline) or unparsable is what an interrupted write leaves, and is
+    ignored; a bad line before it raises."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    records: list[dict] = []
+    size = 0
+    for i, line in enumerate(lines):
+        last = i == len(lines) - 1
+        if last and not line.endswith(b"\n"):
+            break
+        if line.strip():
+            try:
+                records.append(json.loads(line))
+            except ValueError:
+                if last:
+                    break
+                raise
+        size += len(line)
+    return records, size
+
+
 class CheckpointStore:
     """Append-only line-delimited record store for finished rank blocks.
 
@@ -92,22 +126,18 @@ class CheckpointStore:
         self.path = path
         self.header = header
         self.records: dict[tuple[str, int, Point], tuple[int, int, int]] = {}
-        if os.path.exists(path) and os.path.getsize(path) > 0:
-            with open(path) as fh:
-                first = json.loads(fh.readline())
-                if first != header:
-                    raise ValueError(
-                        f"checkpoint {path} belongs to a different run: "
-                        f"{first} != {header}")
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    rec = json.loads(line)
-                    key = (rec["strand"], rec["ell"],
-                           tuple(rec["bidegree"]))
-                    self.records[key] = (rec["orbit_size"], rec["cols"],
-                                         rec["rank"])
+        lines, size = _read_log(path) if os.path.exists(path) else ([], 0)
+        if lines:
+            if lines[0] != header:
+                raise ValueError(
+                    f"checkpoint {path} belongs to a different run: "
+                    f"{lines[0]} != {header}")
+            for rec in lines[1:]:
+                key = (rec["strand"], rec["ell"], tuple(rec["bidegree"]))
+                self.records[key] = (rec["orbit_size"], rec["cols"],
+                                     rec["rank"])
+            with open(path, "rb+") as fh:
+                fh.truncate(size)   # appends start after the last whole line
             self._fh = open(path, "a")
         else:
             self._fh = open(path, "w")
@@ -258,8 +288,9 @@ def strand_value(poly: LatticePolygon, strand: str, ell: int,
     outcomes = rank_batch([m for *_, m in todo], budget)
     for (rep, members, cols, _), out in zip(todo, outcomes):
         if not out.ok:
-            raise ResourceExceeded(
-                f"strand {strand} position {ell} bidegree {rep}: {out.error}")
+            raise BlockFailed(
+                f"strand {strand} position {ell} bidegree {rep}: {out.error}",
+                rep)
         if store:
             store.record(strand, ell, rep, len(members), cols, out.rank)
         done.append((rep, members, cols, out.rank))
@@ -482,10 +513,10 @@ def betti_table(poly: LatticePolygon, prime: PrimeModulus | int = 40009,
                 out = strand_value(poly, strand, pos, prime, plan,
                                    use_symmetry=strategy.use_symmetry,
                                    budget=options.budget, store=store)
-            except ResourceExceeded as exc:
+            except BlockFailed as exc:
                 raise TableAborted(
-                    str(exc), strand, pos, (0, 0), dict(b_vals), dict(c_vals),
-                    options.checkpoint) from exc
+                    str(exc), strand, pos, exc.bidegree, dict(b_vals),
+                    dict(c_vals), options.checkpoint) from exc
             vals, tags, rigs = ((b_vals, b_tag, b_rig) if strand == "b"
                                 else (c_vals, c_tag, c_rig))
             vals[pos], tags[pos], rigs[pos] = out.value, "computed", \

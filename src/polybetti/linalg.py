@@ -1,26 +1,52 @@
 """Exact sparse linear algebra over a prime field.
 
 Only ranks are ever needed downstream; kernels are sized as
-``n_cols - rank`` and never materialized.  The eliminator is a hybrid:
-Markowitz-pivoted sparse elimination while the matrix stays sparse,
-switching to dense row reduction once fill-in makes that cheaper.
+``n_cols - rank`` and never materialized.  Every block goes through one
+kernel, ``rank``: singleton rows and columns are taken as pivots that
+only delete (structured Gaussian elimination), Markowitz pivots follow
+while the matrix stays sparse, and once fill passes DENSE_FILL_CUTOFF
+the remainder goes to dense row reduction with delayed reduction mod p.
 """
 from __future__ import annotations
 
 import heapq
 import os
-import random
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
 
-DENSE_DIM_CUTOFF = 256
 DENSE_FILL_CUTOFF = 0.20
 
 
 class ResourceExceeded(RuntimeError):
     """A rank task would exceed the configured memory budget."""
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin to the bases 2, 3, 5 and 7, exact for
+    n < 3,215,031,751 and so for every modulus below 2^31."""
+    bases = (2, 3, 5, 7)
+    if n < 2:
+        return False
+    for q in bases:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -32,8 +58,7 @@ class PrimeModulus:
     def __post_init__(self):
         if not (2 <= self.p < 2 ** 31):
             raise ValueError(f"modulus {self.p} out of range")
-        from sympy import isprime
-        if not isprime(self.p):
+        if not is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
 
     def inv(self, x: int) -> int:
@@ -93,249 +118,209 @@ class SparseMatrixFp:
 
 
 def dense_rank_mod(a: np.ndarray, p: int) -> int:
-    """Row-reduction rank of an int64 array mod p."""
-    a = np.ascontiguousarray(a % p, dtype=np.int64)
+    """Row-reduction rank of an integer array mod p.
+
+    The array is reduced with at least as many rows as columns, so there
+    are at most ``cols`` pivot steps.  A step reduces mod p only its
+    pivot column and pivot row and subtracts their products, each below
+    (p - 1)^2, from the trailing block unreduced; the trailing block is
+    reduced in full every ``period`` steps, which keeps int64 exact for
+    every p < 2^31.
+    """
+    view = a.T if a.shape[0] < a.shape[1] else a
+    a = np.empty(view.shape, dtype=np.int64)
+    np.remainder(view, p, out=a)
     n_rows, n_cols = a.shape
-    r = 0
+    period = (2 ** 63 - 1 - p) // (p - 1) ** 2 - 1
+    r = pending = 0
     for c in range(n_cols):
         if r == n_rows:
             break
-        nz = np.nonzero(a[r:, c])[0]
+        col = a[r:, c] % p
+        nz = np.flatnonzero(col)
         if nz.size == 0:
             continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r, c:] = (a[r, c:] * inv) % p
-        below = np.nonzero(a[r + 1:, c])[0]
+        piv = int(nz[0])
+        if piv:
+            a[[r, r + piv]] = a[[r + piv, r]]
+        # after the swap the pivot sits at offset 0 and offset piv is zero
+        below = nz[1:]
         if below.size:
-            idx = below + r + 1
-            a[idx, c:] = (a[idx, c:] - a[idx, c][:, None] * a[r, c:]) % p
+            inv = pow(int(col[piv]), p - 2, p)
+            factors = col[below] * inv % p
+            a[below + r, c + 1:] -= factors[:, None] * (a[r, c + 1:] % p)
+            pending += 1
+            if pending == period:
+                a[r + 1:, c + 1:] %= p
+                pending = 0
         r += 1
     return r
 
 
-def _densify_bytes(n_rows: int, n_cols: int) -> int:
-    return 8 * n_rows * n_cols
+class _Eliminator:
+    """Destructive elimination of one block.
 
-
-class _SparseEliminator:
-    """Destructive Markowitz elimination with a densification escape hatch."""
+    Singleton columns and rows are pivots that cost no arithmetic and
+    make no fill: taking one only deletes its row or its column.  They
+    are taken first and whenever an elimination creates one.  Otherwise
+    the pivot is a Markowitz choice, until fill passes DENSE_FILL_CUTOFF
+    and the remainder goes to ``dense_rank_mod``.
+    """
 
     def __init__(self, m: SparseMatrixFp):
         self.p = m.modulus.p
-        self.rows: dict[int, dict[int, int]] = {}
-        self.col_rows: dict[int, set[int]] = {}
+        rows: dict[int, dict[int, int]] = {}
+        col_rows: dict[int, set[int]] = {}
         for c, col in enumerate(m.columns):
+            if not col:
+                continue
+            col_rows[c] = {r for r, _ in col}
             for r, v in col:
-                self.rows.setdefault(r, {})[c] = v
-                self.col_rows.setdefault(c, set()).add(r)
+                row = rows.get(r)
+                if row is None:
+                    rows[r] = {c: v}
+                else:
+                    row[c] = v
+        self.rows, self.col_rows = rows, col_rows
         self.nnz = m.nnz
         self.rank = 0
-        self._heap = [(len(rs), c) for c, rs in self.col_rows.items()]
-        heapq.heapify(self._heap)
+        self.single_cols = [c for c, rs in col_rows.items() if len(rs) == 1]
+        self.single_rows = [r for r, row in rows.items() if len(row) == 1]
+        # (count, column), built after the first structural pass and kept
+        # lazily: a popped entry that undercounts is pushed again with the
+        # true count; one that overcounts only makes the choice approximate
+        self.heap: list[tuple[int, int]] = []
 
-    def _pick_pivot(self) -> tuple[int, int] | None:
-        """Entry minimizing (row nnz - 1)(col nnz - 1) among light columns."""
-        candidates: list[int] = []
-        seen: set[int] = set()
-        taken: list[tuple[int, int]] = []
-        while self._heap and len(candidates) < 16:
-            cnt, c = heapq.heappop(self._heap)
-            rs = self.col_rows.get(c)
-            if not rs or c in seen:
+    def _drop_row(self, r: int) -> None:
+        row = self.rows.pop(r)
+        self.nnz -= len(row)
+        for c in row:
+            rs = self.col_rows[c]
+            rs.discard(r)
+            if len(rs) == 1:
+                self.single_cols.append(c)
+            elif not rs:
+                del self.col_rows[c]
+
+    def _drop_col(self, c: int) -> None:
+        rs = self.col_rows.pop(c)
+        self.nnz -= len(rs)
+        for r in rs:
+            row = self.rows[r]
+            del row[c]
+            if len(row) == 1:
+                self.single_rows.append(r)
+            elif not row:
+                del self.rows[r]
+
+    def _structural(self) -> None:
+        """Take every singleton pivot, including those it uncovers."""
+        while self.single_cols or self.single_rows:
+            if self.single_cols:
+                c = self.single_cols.pop()
+                rs = self.col_rows.get(c)
+                if rs is None or len(rs) != 1:
+                    continue
+                self._drop_row(next(iter(rs)))
+            else:
+                r = self.single_rows.pop()
+                row = self.rows.get(r)
+                if row is None or len(row) != 1:
+                    continue
+                self._drop_col(next(iter(row)))
+            self.rank += 1
+
+    def _pick_pivot(self) -> tuple[int, int]:
+        """Markowitz on the lightest column: its entry in the lightest
+        row.  Searching more columns did not reduce the work."""
+        heap, col_rows, rows = self.heap, self.col_rows, self.rows
+        while True:
+            cnt, c = heapq.heappop(heap)
+            rs = col_rows.get(c)
+            if rs is None:
                 continue
-            if cnt != len(rs):
-                heapq.heappush(self._heap, (len(rs), c))
+            if len(rs) > cnt:
+                heapq.heappush(heap, (len(rs), c))
                 continue
-            seen.add(c)
-            candidates.append(c)
-            taken.append((cnt, c))
-        for item in taken:
-            heapq.heappush(self._heap, item)
-        if not candidates:
-            return None
-        best = None
-        for c in candidates:
-            col_cnt = len(self.col_rows[c])
-            for r in self.col_rows[c]:
-                score = (len(self.rows[r]) - 1) * (col_cnt - 1)
-                if best is None or score < best[0]:
-                    best = (score, r, c)
-        assert best is not None
-        return best[1], best[2]
+            return min(rs, key=lambda r: len(rows[r])), c
 
     def _eliminate(self, pr: int, pc: int) -> None:
-        p = self.p
-        piv_row = self.rows.pop(pr)
-        inv = pow(piv_row[pc], p - 2, p)
+        p, rows, col_rows = self.p, self.rows, self.col_rows
+        single_rows = self.single_rows
+        piv_row = rows.pop(pr)
+        nnz = self.nnz - len(piv_row)
         for c in piv_row:
-            self.col_rows[c].discard(pr)
-        self.nnz -= len(piv_row)
-        targets = list(self.col_rows.pop(pc))
-        for r in targets:
-            row = self.rows[r]
-            factor = (row.pop(pc) * inv) % p
-            self.nnz -= 1
-            for c, v in piv_row.items():
-                if c == pc:
+            col_rows[c].discard(pr)
+        inv = pow(piv_row.pop(pc), p - 2, p)
+        piv = list(piv_row.items())
+        for r in col_rows.pop(pc):
+            row = rows[r]
+            factor = row.pop(pc) * inv % p
+            nnz -= 1
+            for c, v in piv:
+                old = row.get(c)
+                if old is None:
+                    row[c] = -factor * v % p
+                    col_rows[c].add(r)
+                    nnz += 1
                     continue
-                new = (row.get(c, 0) - factor * v) % p
+                new = (old - factor * v) % p
                 if new:
-                    if c not in row:
-                        self.col_rows[c].add(r)
-                        heapq.heappush(self._heap, (len(self.col_rows[c]), c))
-                        self.nnz += 1
                     row[c] = new
-                elif c in row:
+                else:
                     del row[c]
-                    self.col_rows[c].discard(r)
-                    self.nnz -= 1
-            if not row:
-                del self.rows[r]
+                    col_rows[c].discard(r)
+                    nnz -= 1
+            if len(row) == 1:
+                single_rows.append(r)
+            elif not row:
+                del rows[r]
+        for c in piv_row:
+            n = len(col_rows[c])
+            if n == 1:
+                self.single_cols.append(c)
+            elif not n:
+                del col_rows[c]
+        self.nnz = nnz
         self.rank += 1
 
-    def _should_densify(self) -> bool:
-        nr, nc = len(self.rows), len(self.col_rows)
-        if nr == 0 or nc == 0:
-            return False
-        if min(nr, nc) < DENSE_DIM_CUTOFF:
-            return True
-        return self.nnz > DENSE_FILL_CUTOFF * nr * nc
+    def _dense_remainder(self) -> int:
+        row_ids = {r: i for i, r in enumerate(self.rows)}
+        col_ids = {c: i for i, c in enumerate(self.col_rows)}
+        a = np.zeros((len(row_ids), len(col_ids)), dtype=np.int64)
+        for r, row in self.rows.items():
+            i = row_ids[r]
+            for c, v in row.items():
+                a[i, col_ids[c]] = v
+        return dense_rank_mod(a, self.p)
 
-    def run(self, memory_cap: int | None, allow_densify: bool = True) -> int:
-        while self.rows:
-            self.col_rows = {c: rs for c, rs in self.col_rows.items() if rs}
-            if not self.col_rows:
-                break
-            if allow_densify and self._should_densify():
-                nr, nc = len(self.rows), len(self.col_rows)
-                need = _densify_bytes(nr, nc)
-                if memory_cap is not None and need > memory_cap:
-                    raise ResourceExceeded(
-                        f"densifying a {nr}x{nc} block needs {need} bytes, "
-                        f"cap is {memory_cap}")
-                row_ids = {r: i for i, r in enumerate(self.rows)}
-                col_ids = {c: i for i, c in enumerate(self.col_rows)}
-                a = np.zeros((nr, nc), dtype=np.int64)
-                for r, row in self.rows.items():
-                    for c, v in row.items():
-                        a[row_ids[r], col_ids[c]] = v
-                return self.rank + dense_rank_mod(a, self.p)
-            piv = self._pick_pivot()
-            if piv is None:
-                break
-            self._eliminate(*piv)
-        return self.rank
+    def run(self) -> int:
+        while True:
+            self._structural()
+            nr, nc = len(self.rows), len(self.col_rows)
+            if not nc:
+                return self.rank
+            if self.nnz > DENSE_FILL_CUTOFF * nr * nc:
+                return self.rank + self._dense_remainder()
+            if not self.heap:
+                self.heap = [(len(rs), c) for c, rs in self.col_rows.items()]
+                heapq.heapify(self.heap)
+            self._eliminate(*self._pick_pivot())
 
 
-def rank(m: SparseMatrixFp, method: str = "auto",
-         memory_cap: int | None = None, seed: int = 0) -> int:
+def rank(m: SparseMatrixFp, memory_cap: int | None = None) -> int:
     """Rank of m over its prime field.
 
-    ``method`` is one of "auto" (hybrid sparse/dense), "dense",
-    "sparse" (no dense escape), or "wiedemann" (probabilistic black-box
-    audit backend: correct with high probability for large p).
+    A block whose dense form (8 bytes an entry) exceeds ``memory_cap``
+    is refused before any work; no later step allocates an array larger
+    than that dense form.
     """
-    if m.n_rows == 0 or m.n_cols == 0 or m.nnz == 0:
-        return 0
-    if method == "wiedemann":
-        return _wiedemann_rank(m, seed)
-    if method == "dense" or (method == "auto"
-                             and min(m.n_rows, m.n_cols) < DENSE_DIM_CUTOFF):
-        need = _densify_bytes(m.n_rows, m.n_cols)
-        if memory_cap is not None and need > memory_cap:
-            raise ResourceExceeded(
-                f"dense {m.n_rows}x{m.n_cols} needs {need} bytes, "
-                f"cap is {memory_cap}")
-        return dense_rank_mod(m.to_dense(), m.modulus.p)
-    if method == "sparse":
-        return _SparseEliminator(m).run(memory_cap, allow_densify=False)
-    if method != "auto":
-        raise ValueError(f"unknown rank method {method!r}")
-    return _SparseEliminator(m).run(memory_cap)
-
-
-def _apply(m: SparseMatrixFp, vec: np.ndarray, p: int) -> np.ndarray:
-    out = np.zeros(m.n_rows, dtype=np.int64)
-    for c, col in enumerate(m.columns):
-        x = int(vec[c])
-        if x == 0:
-            continue
-        for r, v in col:
-            out[r] = (out[r] + v * x) % p
-    return out
-
-
-def _apply_t(m: SparseMatrixFp, vec: np.ndarray, p: int) -> np.ndarray:
-    out = np.zeros(m.n_cols, dtype=np.int64)
-    for c, col in enumerate(m.columns):
-        acc = 0
-        for r, v in col:
-            acc += v * int(vec[r])
-        out[c] = acc % p
-    return out
-
-
-def _berlekamp_massey(seq: list[int], p: int) -> list[int]:
-    """Minimal LFSR polynomial of the sequence, lowest degree first."""
-    c = [1]
-    b = [1]
-    L, m, bb = 0, 1, 1
-    for n, s in enumerate(seq):
-        d = s
-        for i in range(1, L + 1):
-            d = (d + c[i] * seq[n - i]) % p
-        if d == 0:
-            m += 1
-            continue
-        coef = (d * pow(bb, p - 2, p)) % p
-        t = list(c)
-        c = c + [0] * (len(b) + m - len(c)) if len(b) + m > len(c) else c
-        for i, bv in enumerate(b):
-            c[i + m] = (c[i + m] - coef * bv) % p
-        if 2 * L <= n:
-            L = n + 1 - L
-            b, bb, m = t, d, 1
-        else:
-            m += 1
-    return c[:L + 1]
-
-
-def _wiedemann_rank(m: SparseMatrixFp, seed: int, trials: int = 3) -> int:
-    """Monte Carlo rank via the minimal polynomial of a preconditioned
-    square black box; returns the maximum estimate over trials."""
-    p = m.modulus.p
-    rng = random.Random(seed)
-    n = m.n_cols
-    best = 0
-    for _ in range(trials):
-        d1 = np.array([rng.randrange(1, p) for _ in range(m.n_rows)],
-                      dtype=np.int64)
-        d2 = np.array([rng.randrange(1, p) for _ in range(n)], dtype=np.int64)
-        u = np.array([rng.randrange(p) for _ in range(n)], dtype=np.int64)
-        v = np.array([rng.randrange(p) for _ in range(n)], dtype=np.int64)
-
-        def box(x: np.ndarray) -> np.ndarray:
-            y = (x * d2) % p
-            y = _apply(m, y, p)
-            y = (y * d1) % p
-            y = _apply_t(m, y, p)
-            return (y * d2) % p
-
-        seq = []
-        w = v.copy()
-        for _ in range(2 * n + 2):
-            seq.append(int((u * w % p).sum() % p))
-            w = box(w)
-        minpoly = _berlekamp_massey(seq, p)
-        deg = len(minpoly) - 1
-        # reversed characteristic convention: constant term sits at index L
-        drops_x = deg >= 1 and minpoly[deg] == 0
-        est = deg - 1 if drops_x else deg
-        best = max(best, est)
-    return best
+    need = 8 * m.n_rows * m.n_cols
+    if memory_cap is not None and need > memory_cap:
+        raise ResourceExceeded(
+            f"a dense {m.n_rows}x{m.n_cols} block needs {need} bytes, "
+            f"cap is {memory_cap}")
+    return _Eliminator(m).run()
 
 
 @dataclass(frozen=True)
@@ -367,9 +352,18 @@ def _rank_task(args) -> tuple[int | None, str | None]:
         return None, str(exc)
 
 
+def _result(future) -> tuple[int | None, str | None]:
+    try:
+        return future.result()
+    except BrokenProcessPool:
+        return None, "worker process died"
+
+
 def rank_batch(tasks: list[SparseMatrixFp],
                budget: ComputeBudget | None = None) -> list[RankOutcome]:
-    """Ranks in input order; a failed task is marked, the others finish."""
+    """Ranks in input order.  A task over the memory cap is marked failed
+    and the others finish; if a worker process dies, every task it left
+    unfinished is marked failed."""
     budget = budget or ComputeBudget()
     args = [(m, budget.memory_cap) for m in tasks]
     if budget.max_workers <= 1 or len(tasks) <= 1:
@@ -377,7 +371,8 @@ def rank_batch(tasks: list[SparseMatrixFp],
     else:
         try:
             with ProcessPoolExecutor(max_workers=budget.max_workers) as pool:
-                results = list(pool.map(_rank_task, args, chunksize=1))
+                futures = [pool.submit(_rank_task, a) for a in args]
+                results = [_result(f) for f in futures]
         except (OSError, PermissionError):
             # sandboxes without process spawning fall back to serial
             results = [_rank_task(a) for a in args]

@@ -2,13 +2,31 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 from click.testing import CliRunner
 
 from conftest import REFERENCE_TABLES
+from polybetti import linalg
 from polybetti.cli import main
 from polybetti.table import parse_ascii
+
+_real_rank_task = linalg._rank_task
+_DYING = {"flag": None, "parent": None}
+
+
+def _die_once(args):
+    """Pool task stand-in: the first task started in a worker process
+    kills that process; every other task runs normally."""
+    if os.getpid() != _DYING["parent"]:
+        try:
+            os.close(os.open(_DYING["flag"], os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            pass
+        else:
+            os._exit(1)
+    return _real_rank_task(args)
 
 
 @pytest.fixture()
@@ -133,6 +151,26 @@ def test_table_checkpoint_resume_identical(runner, tmp_path):
     clash = invoke(runner, "table", "--model", "Upsilon_2",
                    "--checkpoint", path, "--prime", "3")
     assert clash.exit_code == 2
+
+
+def test_table_worker_death_aborts_with_checkpoint(runner, tmp_path,
+                                                   monkeypatch):
+    path = str(tmp_path / "ck.jsonl")
+    monkeypatch.setitem(_DYING, "flag", str(tmp_path / "died"))
+    monkeypatch.setitem(_DYING, "parent", os.getpid())
+    monkeypatch.setattr(linalg, "_rank_task", _die_once)
+    r = invoke(runner, "table", "--model", "Upsilon_3", "--workers", "2",
+               "--checkpoint", path)
+    assert os.path.exists(tmp_path / "died")
+    assert r.exit_code == 3
+    assert "worker process died" in r.stderr
+    assert "partial progress kept" in r.stderr
+    monkeypatch.setattr(linalg, "_rank_task", _real_rank_task)
+    resumed = invoke(runner, "table", "--model", "Upsilon_3",
+                     "--workers", "1", "--checkpoint", path)
+    assert resumed.exit_code == 0
+    n, b, c, _, _ = parse_ascii(resumed.stdout)
+    assert (b, c) == REFERENCE_TABLES["Upsilon_3"]
 
 
 def test_table_memory_cap_aborts_with_checkpoint(runner, tmp_path):

@@ -11,9 +11,10 @@ from polybetti.engine import (CheckpointStore, EngineOptions, Kp1Report,
                               plan_strategy, polygon_key, run_audits,
                               strand_value, support_region_check, verify_kp1,
                               verify_prune_monotonicity)
-from polybetti.koszul import (EMPTY_PLAN, SupportTriple, enumerate_basis,
-                              linear_strand_spec, middle_profile,
-                              total_middle)
+from polybetti.koszul import (EMPTY_PLAN, SupportTriple, coboundary_matrix,
+                              enumerate_basis, linear_strand_spec,
+                              middle_profile, total_middle,
+                              twisted_strand_spec)
 from polybetti.linalg import ComputeBudget, PrimeModulus
 from polybetti.polygon import (AffineUnimodularMap, from_vertices,
                                named_polygon, parse_polygon)
@@ -250,11 +251,36 @@ def test_aborted_run_keeps_partials_and_resumes(tmp_path, prime):
     assert (exc.strand, exc.ell) == ("c", 6)
     assert exc.partial_b == {8: 0}
     assert exc.partial_c == {8: 0, 7: 0}
+    # the failing block is named: a bidegree of c6 too large for the cap
+    spec = twisted_strand_spec(poly, 6,
+                               plan_strategy(poly, prime, tight).removal_c)
+    assert middle_profile(spec).get(exc.bidegree, 0) > 0
+    block = coboundary_matrix(spec, exc.bidegree, prime, "right")
+    assert 8 * block.n_rows * block.n_cols > 5_000
     relaxed = EngineOptions(checkpoint=path,
                             budget=ComputeBudget(max_workers=1))
     table = betti_table(poly, prime, relaxed)
     b, c = REFERENCE_TABLES["Upsilon_3"]
     assert (table.b, table.c) == (b, c)
+
+
+def test_resume_after_torn_final_line(tmp_path, prime):
+    poly = named_polygon("Upsilon_3")
+    path = tmp_path / "torn.jsonl"
+    opts = EngineOptions(checkpoint=str(path),
+                         budget=ComputeBudget(max_workers=1))
+    betti_table(poly, prime, opts)
+    data = path.read_bytes()
+    path.write_bytes(data[:-20])          # an interrupted final write
+    table = betti_table(poly, prime, opts)
+    assert (table.b, table.c) == REFERENCE_TABLES["Upsilon_3"]
+    # the torn record was cut off and written again in full
+    assert path.read_bytes() == data
+    # a bad line before the last one is not a torn write
+    lines = data.splitlines(keepends=True)
+    path.write_bytes(b"".join(lines[:2] + [b"{\n"] + lines[2:]))
+    with pytest.raises(ValueError):
+        betti_table(poly, prime, opts)
 
 
 def test_verify_kp1_spec_examples(prime, serial_options):

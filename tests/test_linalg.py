@@ -2,25 +2,32 @@
 from __future__ import annotations
 
 import io
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polybetti import linalg
 from polybetti.linalg import (ComputeBudget, PrimeModulus, ResourceExceeded,
                               SparseMatrixFp, dense_rank_mod, dump_matrix,
-                              load_matrix, rank, rank_batch)
+                              is_prime, load_matrix, rank, rank_batch)
 
 P40009 = PrimeModulus(40009)
 
 
-def exact_rank(entries, n_rows, n_cols):
-    """Fraction-free Gaussian elimination over the rationals."""
-    m = [[Fraction(0)] * n_cols for _ in range(n_rows)]
+def exact_rank(entries, n_rows, n_cols, p=None):
+    """Gaussian elimination over the rationals, or with Python ints over
+    the field with p elements when p is given."""
+    zero = Fraction(0) if p is None else 0
+    m = [[zero] * n_cols for _ in range(n_rows)]
     for r, c, v in entries:
         m[r][c] += v
+    if p is not None:
+        m = [[x % p for x in row] for row in m]
     rank_ = 0
     row = 0
     for col in range(n_cols):
@@ -30,8 +37,12 @@ def exact_rank(entries, n_rows, n_cols):
         m[row], m[piv] = m[piv], m[row]
         for r in range(n_rows):
             if r != row and m[r][col]:
-                f = m[r][col] / m[row][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
+                if p is None:
+                    f = m[r][col] / m[row][col]
+                    m[r] = [a - f * b for a, b in zip(m[r], m[row])]
+                else:
+                    f = m[r][col] * pow(m[row][col], p - 2, p) % p
+                    m[r] = [(a - f * b) % p for a, b in zip(m[r], m[row])]
         row += 1
         rank_ += 1
     return rank_
@@ -50,6 +61,24 @@ def build(entries, p=40009, n_rows=8, n_cols=8):
     entries = [(r, c, v) for (r, c), v in merged.items() if v % p]
     return SparseMatrixFp.from_entries(n_rows, n_cols, entries,
                                        PrimeModulus(p)), entries
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(10 ** 5) if is_prime(n)] == \
+        [n for n in range(10 ** 5) if _trial_division(n)]
+
+
+def test_is_prime_near_modulus_cap():
+    """The primes from 2147483549 to 2^31 - 1 and their odd neighbours."""
+    odd = range(2147483547, 2 ** 31 + 2, 2)
+    assert [n for n in odd if is_prime(n)] == \
+        [n for n in odd if _trial_division(n)]
+    assert is_prime(2147483549) and is_prime(2 ** 31 - 1)
+    assert PrimeModulus(2 ** 31 - 1).p == 2147483647
 
 
 def test_prime_modulus_validation():
@@ -111,12 +140,85 @@ def test_rank_methods_agree():
     entries = [(int(r), int(c), 1 if rng.random() < 0.5 else -1)
                for r, c in zip(rng.integers(0, 30, 160),
                                rng.integers(0, 30, 160))]
-    m, _ = build(entries, n_rows=30, n_cols=30)
-    exact = rank(m, method="dense")
-    assert rank(m, method="auto") == exact
-    assert rank(m, method="sparse") == exact
-    estimate = rank(m, method="wiedemann")
-    assert estimate == exact  # whp at p = 40009
+    m, merged = build(entries, n_rows=30, n_cols=30)
+    dense = dense_rank_mod(m.to_dense(), 40009)
+    assert rank(m) == dense
+    assert dense == exact_rank(merged, 30, 30, 40009)
+
+
+@st.composite
+def sign_matrices(draw):
+    """+-1 matrices up to 40x30, from about one entry per column (solved
+    by structural pivots alone) to half full (densified early)."""
+    n_rows = draw(st.integers(1, 40))
+    n_cols = draw(st.integers(1, 30))
+    density = draw(st.sampled_from([0.03, 0.1, 0.2, 0.5]))
+    rng = draw(st.randoms(use_true_random=False))
+    return n_rows, n_cols, [
+        (r, c, rng.choice((1, -1)))
+        for r in range(n_rows) for c in range(n_cols)
+        if rng.random() < density]
+
+
+@settings(max_examples=60, deadline=None)
+@given(sign_matrices(), st.sampled_from([2, 3, 40009]))
+def test_rank_matches_exact_mod_p(shape, p):
+    n_rows, n_cols, entries = shape
+    m = SparseMatrixFp.from_entries(n_rows, n_cols, entries, PrimeModulus(p))
+    assert rank(m) == exact_rank(entries, n_rows, n_cols, p)
+
+
+def _count_dense_calls(monkeypatch):
+    calls = []
+
+    def counted(a, p):
+        calls.append(a.shape)
+        return dense_rank_mod(a, p)
+    monkeypatch.setattr(linalg, "dense_rank_mod", counted)
+    return calls
+
+
+def test_structural_pivots_need_no_dense_step(monkeypatch):
+    calls = _count_dense_calls(monkeypatch)
+    # a bidiagonal band: the last column is a singleton, and taking its
+    # pivot leaves the column before it a singleton
+    n = 40
+    entries = [(i, i, 1) for i in range(n)] + \
+        [(i + 1, i, -1) for i in range(n - 1)]
+    m = SparseMatrixFp.from_entries(n, n, entries, P40009)
+    assert rank(m) == exact_rank(entries, n, n) == n
+    assert calls == []
+
+
+def test_dense_block_reaches_dense_step(monkeypatch):
+    calls = _count_dense_calls(monkeypatch)
+    rng = random.Random(3)
+    entries = [(r, c, rng.choice((1, -1)))
+               for r in range(40) for c in range(30) if rng.random() < 0.5]
+    m = SparseMatrixFp.from_entries(40, 30, entries, P40009)
+    assert rank(m) == exact_rank(entries, 40, 30, 40009)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("p", [40009, 2147483647])
+def test_dense_rank_mod_large_entries(p):
+    """Products near 2^62 and, at p = 2^31 - 1, a full reduction of the
+    trailing block after every step; rank-deficient by construction."""
+    rng = random.Random(p)
+    basis = [[rng.randrange(p) for _ in range(25)] for _ in range(14)]
+    rows = [row[:] for row in basis]
+    for _ in range(16):
+        coef = [rng.randrange(p) for _ in basis]
+        rows.append([sum(k * b[j] for k, b in zip(coef, basis)) % p
+                     for j in range(25)])
+    rng.shuffle(rows)
+    entries = [(i, j, v) for i, row in enumerate(rows)
+               for j, v in enumerate(row) if v]
+    want = exact_rank(entries, 30, 25, p)
+    assert want == 14
+    a = np.array(rows, dtype=np.int64)
+    assert dense_rank_mod(a, p) == want
+    assert dense_rank_mod(a.T, p) == want
 
 
 def test_memory_cap_raises():
