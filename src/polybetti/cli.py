@@ -23,11 +23,11 @@ from .closed_forms import (EmptyInterior, PathologicalPolygon, cg_lower_bound,
                            hering_schenck_zero_region,
                            kp1_predicted_first_zero, minimal_degree_predicate,
                            six_easy_entries, veronese_prediction_entries)
-from .engine import (EngineOptions, TableAborted, betti_table,
+from .engine import (AppendLog, EngineOptions, TableAborted, betti_table,
                      block_dimensions, polygon_key, run_audits, verify_kp1)
 from .linalg import ComputeBudget, PrimeModulus, ResourceExceeded
-from .polygon import (DimensionError, LatticePolygon, classify, interior_hull,
-                      lattice_width, named_polygon, parse_polygon)
+from .polygon import (LatticePolygon, classify, interior_hull, lattice_width,
+                      named_polygon, parse_polygon)
 from .table import render_ascii, to_json_dict
 
 EXIT_INPUT = 2
@@ -301,32 +301,19 @@ def verify_kp1_cmd(corpus_dir, prime, removal, no_symmetry, workers,
         _fail(EXIT_INPUT, str(exc))
     header = {"campaign": "kp1", "prime": moduli[0].p,
               "removal": removal, "symmetry": not no_symmetry}
-    done: dict[str, dict] = {}
-    log_fh = None
+    store = None
     if checkpoint:
-        if os.path.exists(checkpoint) and os.path.getsize(checkpoint):
-            with open(checkpoint) as fh:
-                first = json.loads(fh.readline())
-                if first != header:
-                    _fail(EXIT_INPUT,
-                          f"campaign log {checkpoint} belongs to a "
-                          f"different run: {first} != {header}")
-                for line in fh:
-                    if line.strip():
-                        rec = json.loads(line)
-                        done[rec["key"]] = rec
-            log_fh = open(checkpoint, "a")
-        else:
-            log_fh = open(checkpoint, "w")
-            log_fh.write(json.dumps(header, sort_keys=True) + "\n")
-            log_fh.flush()
+        try:
+            store = AppendLog(checkpoint, header, lambda rec: rec["key"],
+                              sort_keys=True)
+        except ValueError as exc:
+            _fail(EXIT_INPUT, str(exc))
+    done: dict[str, dict] = dict(store.records) if store else {}
 
     def log(key: str, record: dict) -> None:
         done[key] = record
-        if log_fh:
-            log_fh.write(json.dumps({"key": key, **record},
-                                    sort_keys=True) + "\n")
-            log_fh.flush()
+        if store:
+            store.append({"key": key, **record})
 
     names = sorted(os.listdir(corpus_dir))
     counts: dict[str, int] = {}
@@ -376,8 +363,8 @@ def verify_kp1_cmd(corpus_dir, prime, removal, no_symmetry, workers,
                             in rec["report"]["entries"].items()}}}
         click.echo(_kp1_line(name, rec))
         shown += 1
-    if log_fh:
-        log_fh.close()
+    if store:
+        store.close()
     summary = "  ".join(f"{k}={counts[k]}" for k in sorted(counts))
     click.echo(f"polygons: {shown}" + (f"  {summary}" if summary else ""))
     if counts.get("error"):

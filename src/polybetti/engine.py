@@ -35,6 +35,18 @@ from .polygon import (LatticePolygon, Point, canonical_form, interior_hull,
 from .table import BettiTable
 
 
+class InvariantViolation(AssertionError):
+    """An internal consistency check failed; raised explicitly so that
+    the checks survive ``python -O``."""
+
+
+def _require(condition: bool, message: str) -> None:
+    """Raise InvariantViolation(message) unless condition holds; hot
+    loops raise it directly so the message is built only on failure."""
+    if not condition:
+        raise InvariantViolation(message)
+
+
 class BlockFailed(ResourceExceeded):
     """The rank job of one block of a strand entry failed; names the
     block's bidegree."""
@@ -91,51 +103,43 @@ def options_key(prime: PrimeModulus, options: EngineOptions) -> str:
          "symmetry": options.use_symmetry}, sort_keys=True))
 
 
-def _read_log(path: str) -> tuple[list[dict], int]:
-    """The records of a line-delimited JSON log, and the byte length of
-    the lines they came from.  A last line that is unfinished (no
-    newline) or unparsable is what an interrupted write leaves, and is
-    ignored; a bad line before it raises."""
-    with open(path, "rb") as fh:
-        lines = fh.read().splitlines(keepends=True)
-    records: list[dict] = []
-    size = 0
-    for i, line in enumerate(lines):
-        last = i == len(lines) - 1
-        if last and not line.endswith(b"\n"):
-            break
-        if line.strip():
-            try:
-                records.append(json.loads(line))
-            except ValueError:
-                if last:
-                    break
-                raise
-        size += len(line)
-    return records, size
+class AppendLog:
+    """Append-only line-delimited JSON log of finished work.
 
-
-class CheckpointStore:
-    """Append-only line-delimited record store for finished rank blocks.
-
-    The first line pins (polygon, prime, options); a resumed run with a
-    different key refuses the file rather than silently mixing runs.
+    The first line pins a header; a log with a different header belongs
+    to a different run and is refused rather than mixed in.  Records are
+    kept by ``key(record)``.  A last line that is unfinished (no newline)
+    or unparsable is what an interrupted write leaves: it is ignored and
+    cut off before the next append.  A bad line before it raises.
     """
 
-    def __init__(self, path: str, header: dict):
-        self.path = path
-        self.header = header
-        self.records: dict[tuple[str, int, Point], tuple[int, int, int]] = {}
-        lines, size = _read_log(path) if os.path.exists(path) else ([], 0)
-        if lines:
-            if lines[0] != header:
-                raise ValueError(
-                    f"checkpoint {path} belongs to a different run: "
-                    f"{lines[0]} != {header}")
-            for rec in lines[1:]:
-                key = (rec["strand"], rec["ell"], tuple(rec["bidegree"]))
-                self.records[key] = (rec["orbit_size"], rec["cols"],
-                                     rec["rank"])
+    def __init__(self, path: str, header: dict, key, sort_keys: bool = False):
+        self.key = key
+        self.sort_keys = sort_keys
+        lines = []
+        if os.path.exists(path):
+            with open(path, "rb") as fh:
+                lines = fh.read().splitlines(keepends=True)
+        found: list[dict] = []
+        size = 0
+        for i, line in enumerate(lines):
+            last = i == len(lines) - 1
+            if last and not line.endswith(b"\n"):
+                break
+            if line.strip():
+                try:
+                    found.append(json.loads(line))
+                except ValueError as exc:
+                    if last:
+                        break
+                    raise ValueError(f"log {path} line {i + 1}: {exc}") \
+                        from exc
+            size += len(line)
+        if found and found[0] != header:
+            raise ValueError(f"log {path} belongs to a different run: "
+                             f"{found[0]} != {header}")
+        self.records = {key(rec): rec for rec in found[1:]}
+        if found:
             with open(path, "rb+") as fh:
                 fh.truncate(size)   # appends start after the last whole line
             self._fh = open(path, "a")
@@ -144,20 +148,17 @@ class CheckpointStore:
             self._fh.write(json.dumps(header, sort_keys=True) + "\n")
             self._fh.flush()
 
-    def lookup(self, strand: str, ell: int,
-               ab: Point) -> tuple[int, int, int] | None:
-        return self.records.get((strand, ell, ab))
-
-    def record(self, strand: str, ell: int, ab: Point, orbit_size: int,
-               cols: int, rank: int) -> None:
-        self.records[(strand, ell, ab)] = (orbit_size, cols, rank)
-        self._fh.write(json.dumps(
-            {"strand": strand, "ell": ell, "bidegree": list(ab),
-             "orbit_size": orbit_size, "cols": cols, "rank": rank}) + "\n")
+    def append(self, record: dict) -> None:
+        self.records[self.key(record)] = record
+        self._fh.write(json.dumps(record, sort_keys=self.sort_keys) + "\n")
         self._fh.flush()
 
     def close(self) -> None:
         self._fh.close()
+
+
+def _block_key(rec: dict) -> tuple[str, int, Point]:
+    return rec["strand"], rec["ell"], tuple(rec["bidegree"])
 
 
 def _bidegree_actions(poly: LatticePolygon, plan: RemovalPlan,
@@ -196,8 +197,9 @@ def _orbit_partition(bidegrees, actions) -> list[tuple[Point, tuple]]:
             cur = frontier.pop()
             for act in actions:
                 img = act(cur)
-                assert img in universe, \
-                    f"symmetry moved bidegree {cur} outside the region"
+                if img not in universe:
+                    raise InvariantViolation(
+                        f"symmetry moved bidegree {cur} outside the region")
                 if img not in orbit:
                     orbit.add(img)
                     frontier.append(img)
@@ -206,11 +208,18 @@ def _orbit_partition(bidegrees, actions) -> list[tuple[Point, tuple]]:
     return out
 
 
-def orbit_reduce(bidegrees, actions) -> list[tuple[Point, int]]:
-    """(representative, orbit size) pairs; sizes sum to the total."""
-    parts = _orbit_partition(bidegrees, actions)
-    assert sum(len(members) for _, members in parts) == len(set(bidegrees))
-    return [(rep, len(members)) for rep, members in parts]
+def _middle_orbits(poly: LatticePolygon, spec: ComplexSpec,
+                   plan: RemovalPlan, use_symmetry: bool
+                   ) -> tuple[dict[Point, int], list[tuple[Point, tuple]]]:
+    """The middle profile of spec and its nonzero bidegrees, folded into
+    symmetry orbits as (representative, members), or one orbit each
+    when symmetry is off."""
+    profile = middle_profile(spec)
+    bidegs = [ab for ab in sorted(profile, key=order_key) if profile[ab] > 0]
+    if not use_symmetry:
+        return profile, [(ab, (ab,)) for ab in bidegs]
+    actions = _bidegree_actions(poly, plan, spec.translate_degree)
+    return profile, _orbit_partition(bidegs, actions)
 
 
 @dataclass
@@ -248,39 +257,33 @@ def strand_value(poly: LatticePolygon, strand: str, ell: int,
                  prime: PrimeModulus, plan: RemovalPlan = EMPTY_PLAN, *,
                  use_symmetry: bool = True,
                  budget: ComputeBudget | None = None,
-                 store: CheckpointStore | None = None) -> EntryOutcome:
+                 store: AppendLog | None = None) -> EntryOutcome:
     """One strand entry as a sum of per-bidegree kernel dimensions.
 
     Row one subtracts the wedge-space dimension of the injective
     incoming map instead of its rank; row two has no incoming term at
-    all.  Only the outgoing coboundary is ever reduced.
+    all.  Only the outgoing coboundary is ever reduced.  Finished blocks
+    are looked up in and appended to store, keyed by _block_key.
     """
     spec = _production_spec(poly, strand, ell, plan)
-    profile = middle_profile(spec)
-    bidegs = [ab for ab in sorted(profile, key=order_key) if profile[ab] > 0]
+    profile, parts = _middle_orbits(poly, spec, plan, use_symmetry)
     left_prof = side_profile(spec.left) if strand == "b" else {}
     if strand == "c":
-        assert not side_profile(spec.left), "twisted degree-0 term not empty"
-
-    if use_symmetry:
-        actions = _bidegree_actions(poly, plan, spec.translate_degree)
-        parts = _orbit_partition(bidegs, actions)
-    else:
-        parts = [(ab, (ab,)) for ab in bidegs]
+        _require(not side_profile(spec.left),
+                 "twisted degree-0 term not empty")
 
     done: list[tuple[Point, tuple, int, int]] = []   # rep, members, cols, rank
     todo: list[tuple[Point, tuple, int, SparseMatrixFp]] = []
     for rep, members in parts:
         cols = profile[rep]
-        cached = store.lookup(strand, ell, rep) if store else None
+        cached = store.records.get((strand, ell, rep)) if store else None
         if cached is not None:
-            orbit_size, ccols, crank = cached
-            if orbit_size != len(members) or ccols != cols:
+            if cached["orbit_size"] != len(members) or cached["cols"] != cols:
                 raise ValueError(
                     f"checkpoint record for {strand}{ell} at {rep} does not "
-                    f"match this run (size {orbit_size} vs {len(members)}, "
-                    f"cols {ccols} vs {cols})")
-            done.append((rep, members, cols, crank))
+                    f"match this run (size {cached['orbit_size']} vs "
+                    f"{len(members)}, cols {cached['cols']} vs {cols})")
+            done.append((rep, members, cols, cached["rank"]))
         else:
             todo.append((rep, members, cols,
                          coboundary_matrix(spec, rep, prime, "right")))
@@ -292,7 +295,9 @@ def strand_value(poly: LatticePolygon, strand: str, ell: int,
                 f"strand {strand} position {ell} bidegree {rep}: {out.error}",
                 rep)
         if store:
-            store.record(strand, ell, rep, len(members), cols, out.rank)
+            store.append({"strand": strand, "ell": ell, "bidegree": list(rep),
+                          "orbit_size": len(members), "cols": cols,
+                          "rank": out.rank})
         done.append((rep, members, cols, out.rank))
 
     value = 0
@@ -301,8 +306,9 @@ def strand_value(poly: LatticePolygon, strand: str, ell: int,
     all_trivial = True
     for rep, members, cols, rk in sorted(done, key=lambda t: order_key(t[0])):
         block_val = cols - rk - left_prof.get(rep, 0)
-        assert block_val >= 0, \
-            f"negative cohomology at {rep}: {cols} - {rk} - {left_prof.get(rep, 0)}"
+        if block_val < 0:
+            raise InvariantViolation(f"negative cohomology at {rep}: {cols} "
+                                     f"- {rk} - {left_prof.get(rep, 0)}")
         value += len(members) * block_val
         if rk:
             all_trivial = False
@@ -318,15 +324,10 @@ def spec_cohomology(poly: LatticePolygon, spec: ComplexSpec,
                     budget: ComputeBudget | None = None) -> EntryOutcome:
     """Middle cohomology of an arbitrary three-term complex, computing
     both coboundary ranks honestly (audit path, no shortcuts)."""
-    profile = middle_profile(spec)
-    bidegs = [ab for ab in sorted(profile, key=order_key) if profile[ab] > 0]
     if use_symmetry:
-        assert spec.wedge_support == poly.points, \
-            "audit complexes run on unreduced supports"
-        actions = _bidegree_actions(poly, EMPTY_PLAN, spec.translate_degree)
-        parts = _orbit_partition(bidegs, actions)
-    else:
-        parts = [(ab, (ab,)) for ab in bidegs]
+        _require(spec.wedge_support == poly.points,
+                 "audit complexes run on unreduced supports")
+    profile, parts = _middle_orbits(poly, spec, EMPTY_PLAN, use_symmetry)
     mats: list[SparseMatrixFp] = []
     for rep, _ in parts:
         mats.append(coboundary_matrix(spec, rep, prime, "right"))
@@ -345,7 +346,8 @@ def spec_cohomology(poly: LatticePolygon, spec: ComplexSpec,
                     f"{out.error}")
         cols = profile[rep]
         block_val = cols - right_out.rank - left_out.rank
-        assert block_val >= 0
+        if block_val < 0:
+            raise InvariantViolation(f"negative cohomology at {rep}")
         value += len(members) * block_val
         if right_out.rank or left_out.rank:
             all_trivial = False
@@ -391,9 +393,10 @@ class Strategy:
     estimates: dict[tuple[str, int], int]
 
     def __post_init__(self):
-        assert set(self.choices) == set(range(1, self.n - 1))
-        assert all(ch in ("compute_b", "compute_c", "shortcut")
-                   for ch in self.choices.values())
+        _require(set(self.choices) == set(range(1, self.n - 1)),
+                 "every antidiagonal needs a route")
+        _require(all(ch in ("compute_b", "compute_c", "shortcut")
+                     for ch in self.choices.values()), "unknown route")
 
 
 def effective_plans(poly: LatticePolygon,
@@ -408,44 +411,66 @@ def effective_plans(poly: LatticePolygon,
     return (choose_removal(poly, "primal_b"), choose_removal(poly, "dual_c"))
 
 
+def _antidiagonal(n: int, a: int) -> tuple[int | None, int | None]:
+    """Row-one and row-two positions on antidiagonal a of an n-point
+    table; None for a position beyond the table edge."""
+    width = n - 3
+    pb = a if a <= width else None
+    pc = n - 1 - a if 1 <= n - 1 - a <= width else None
+    return pb, pc
+
+
+def _presets(poly: LatticePolygon) -> tuple[dict[int, str], dict[int, str]]:
+    """Zeros known by theorem for a polygon with interior points: the
+    last row-one entry and the boundary-count tail of row two."""
+    width = poly.n_points - 3
+    b_preset = {width: "zero_by_interior"} if width >= 1 else {}
+    c_preset = {j: "zero_by_boundary_count"
+                for j in hering_schenck_zero_region(poly)}
+    return b_preset, c_preset
+
+
+def _choose_side(poly: LatticePolygon, a: int, b_preset: dict,
+                 c_preset: dict, plans: tuple[RemovalPlan, RemovalPlan]
+                 ) -> tuple[str, dict[tuple[str, int], int]]:
+    """Route for antidiagonal a, with the peak-block estimates it used.
+
+    A side that is preset or beyond the table edge makes the antidiagonal
+    a shortcut.  Otherwise the side with the smaller largest bidegree
+    block is computed (peak memory binds before total time); ties go to
+    row two, whose twisted supports are smaller.
+    """
+    pb, pc = _antidiagonal(poly.n_points, a)
+    if pb is None or pb in b_preset or pc is None or pc in c_preset:
+        return "shortcut", {}
+    est_b = peak_block(linear_strand_spec(poly, pb, plans[0]))
+    est_c = peak_block(twisted_strand_spec(poly, pc, plans[1]))
+    return ("compute_c" if est_c <= est_b else "compute_b",
+            {("b", pb): est_b, ("c", pc): est_c})
+
+
 def plan_strategy(poly: LatticePolygon, prime: PrimeModulus,
                   options: EngineOptions | None = None) -> Strategy:
     """Pick the route for every antidiagonal before any matrix exists.
 
     Tables of interior-free polygons are pure closed form.  Otherwise
-    the last row-one entry and the boundary-count tail of row two are
-    preset zeros, their antidiagonal partners follow by difference, and
-    each remaining antidiagonal computes whichever side has the smaller
-    largest bidegree block (peak memory binds before total time); ties
-    go to row two, whose twisted supports are smaller.
+    preset zeros make their antidiagonals shortcuts, and each remaining
+    antidiagonal computes the side _choose_side picks.
     """
     options = options or EngineOptions()
     n = poly.n_points
-    width = n - 3
     anti = range(1, n - 1)
     if not interior_hull(poly).points:
         return Strategy(n, True, {a: "shortcut" for a in anti}, {}, {},
                         EMPTY_PLAN, EMPTY_PLAN, options.use_symmetry, {})
-    plan_b, plan_c = effective_plans(poly, options)
-    b_preset = {width: "zero_by_interior"} if width >= 1 else {}
-    c_preset = {j: "zero_by_boundary_count"
-                for j in hering_schenck_zero_region(poly)}
+    plans = effective_plans(poly, options)
+    b_preset, c_preset = _presets(poly)
     choices: dict[int, str] = {}
     estimates: dict[tuple[str, int], int] = {}
     for a in anti:
-        pb = a if a <= width else None
-        pc = n - 1 - a if 1 <= n - 1 - a <= width else None
-        known_b = pb is None or pb in b_preset
-        known_c = pc is None or pc in c_preset
-        if known_b or known_c:
-            choices[a] = "shortcut"
-            continue
-        est_b = peak_block(linear_strand_spec(poly, pb, plan_b))
-        est_c = peak_block(twisted_strand_spec(poly, pc, plan_c))
-        estimates[("b", pb)] = est_b
-        estimates[("c", pc)] = est_c
-        choices[a] = "compute_c" if est_c <= est_b else "compute_b"
-    return Strategy(n, False, choices, b_preset, c_preset, plan_b, plan_c,
+        choices[a], est = _choose_side(poly, a, b_preset, c_preset, plans)
+        estimates.update(est)
+    return Strategy(n, False, choices, b_preset, c_preset, *plans,
                     options.use_symmetry, estimates)
 
 
@@ -454,19 +479,22 @@ def _validate_table(poly: LatticePolygon, table: BettiTable) -> None:
     n = poly.n_points
     n_int = len(interior_hull(poly).points)
     for ell in range(1, n - 1):
-        assert (table.b_entry(ell) - table.c_entry(n - 1 - ell)
-                == antidiagonal_difference(poly, ell)), \
-            f"antidiagonal difference violated at {ell}"
+        _require(table.b_entry(ell) - table.c_entry(n - 1 - ell)
+                 == antidiagonal_difference(poly, ell),
+                 f"antidiagonal difference violated at {ell}")
     if n - 3 >= 1:
-        assert table.b_entry(1) == math.comb(n - 1, 2) - poly.area2
-    assert any(table.c) == (n_int > 0), "row two must vanish exactly when " \
-        "the interior is empty"
+        _require(table.b_entry(1) == math.comb(n - 1, 2) - poly.area2,
+                 "first row-one entry is not the quadric count")
+    _require(any(table.c) == (n_int > 0),
+             "row two must vanish exactly when the interior is empty")
     if n_int:
-        assert table.c_entry(1) == n_int
-        assert table.c_entry(n_int) != 0 or n_int > n - 3, \
-            "last row-two entry sits at the interior count"
+        _require(table.c_entry(1) == n_int,
+                 "first row-two entry is not the interior count")
+        _require(table.c_entry(n_int) != 0 or n_int > n - 3,
+                 "last row-two entry sits at the interior count")
         for j in range(n_int + 1, n - 2):
-            assert table.c_entry(j) == 0
+            _require(table.c_entry(j) == 0,
+                     f"row-two entry {j} beyond the interior count")
 
 
 def betti_table(poly: LatticePolygon, prime: PrimeModulus | int = 40009,
@@ -482,45 +510,37 @@ def betti_table(poly: LatticePolygon, prime: PrimeModulus | int = 40009,
 
     n = poly.n_points
     width = n - 3
-    b_vals: dict[int, int] = {}
-    c_vals: dict[int, int] = {}
-    b_tag: dict[int, str] = {}
-    c_tag: dict[int, str] = {}
-    b_rig: dict[int, bool] = {}
-    c_rig: dict[int, bool] = {}
+    # position -> (value, provenance tag, rigorous), one dict per row
+    rows: dict[str, dict[int, tuple[int, str, bool]]] = {
+        "b": {pos: (0, tag, True) for pos, tag in strategy.b_preset.items()},
+        "c": {pos: (0, tag, True) for pos, tag in strategy.c_preset.items()}}
     bigraded: dict[tuple[str, int, Point], int] = {}
 
-    for pos, tag in strategy.b_preset.items():
-        b_vals[pos], b_tag[pos], b_rig[pos] = 0, tag, True
-    for pos, tag in strategy.c_preset.items():
-        c_vals[pos], c_tag[pos], c_rig[pos] = 0, tag, True
+    def values(strand: str) -> dict[int, int]:
+        return {pos: v for pos, (v, _, _) in rows[strand].items()}
 
     store = None
     if options.checkpoint:
-        store = CheckpointStore(options.checkpoint, {
+        store = AppendLog(options.checkpoint, {
             "polygon": polygon_key(poly), "prime": prime.p,
-            "options": options_key(prime, options)})
+            "options": options_key(prime, options)}, _block_key)
     try:
-        for a in sorted(strategy.choices):
-            choice = strategy.choices[a]
+        for a, choice in sorted(strategy.choices.items()):
             if choice == "shortcut":
                 continue
-            strand = "b" if choice == "compute_b" else "c"
-            pos = a if strand == "b" else n - 1 - a
-            plan = (strategy.removal_b if strand == "b"
-                    else strategy.removal_c)
+            pb, pc = _antidiagonal(n, a)
+            strand, pos, plan = (("b", pb, strategy.removal_b)
+                                 if choice == "compute_b"
+                                 else ("c", pc, strategy.removal_c))
             try:
                 out = strand_value(poly, strand, pos, prime, plan,
                                    use_symmetry=strategy.use_symmetry,
                                    budget=options.budget, store=store)
             except BlockFailed as exc:
                 raise TableAborted(
-                    str(exc), strand, pos, exc.bidegree, dict(b_vals),
-                    dict(c_vals), options.checkpoint) from exc
-            vals, tags, rigs = ((b_vals, b_tag, b_rig) if strand == "b"
-                                else (c_vals, c_tag, c_rig))
-            vals[pos], tags[pos], rigs[pos] = out.value, "computed", \
-                out.rigorous
+                    str(exc), strand, pos, exc.bidegree, values("b"),
+                    values("c"), options.checkpoint) from exc
+            rows[strand][pos] = (out.value, "computed", out.rigorous)
             if options.keep_bigraded:
                 for ab, v in out.bigraded.items():
                     bigraded[(strand, pos, ab)] = v
@@ -528,49 +548,39 @@ def betti_table(poly: LatticePolygon, prime: PrimeModulus | int = 40009,
         if store:
             store.close()
 
-    # antidiagonal closure: whichever side is still missing follows from
-    # the difference; entries beyond the table edge count as exact zeros
+    # closure, one antidiagonal at a time: the missing side follows from
+    # the difference b - c, and entries beyond the table edge are exact
+    # zeros; entries cannot decrease modulo p, so a computed zero is
+    # exact, and the difference is exact in every characteristic, so one
+    # certified side certifies its partner
+    edge = (0, "edge", True)
     for a in range(1, n - 1):
-        pb = a if a <= width else None
-        pc = n - 1 - a if 1 <= n - 1 - a <= width else None
+        pb, pc = _antidiagonal(n, a)
+        b = edge if pb is None else rows["b"].get(pb)
+        c = edge if pc is None else rows["c"].get(pc)
         diff = antidiagonal_difference(poly, a)
-        have_b = pb is None or pb in b_vals
-        have_c = pc is None or pc in c_vals
-        if have_b and not have_c:
-            src_val = b_vals[pb] if pb is not None else 0
-            src_rig = b_rig[pb] if pb is not None else True
-            c_vals[pc], c_tag[pc], c_rig[pc] = (src_val - diff, "crossfilled",
-                                                src_rig)
-        elif have_c and not have_b:
-            src_val = c_vals[pc] if pc is not None else 0
-            src_rig = c_rig[pc] if pc is not None else True
-            b_vals[pb], b_tag[pb], b_rig[pb] = (src_val + diff, "crossfilled",
-                                                src_rig)
-
-    # rigor closure: entries cannot decrease modulo p, so a computed
-    # zero is exact; and the antidiagonal difference is exact in every
-    # characteristic, so one certified entry certifies its partner
-    for a in range(1, n - 1):
-        pb = a if a <= width else None
-        pc = n - 1 - a if 1 <= n - 1 - a <= width else None
-        rig_b = pb is None or b_rig[pb] or b_vals[pb] == 0
-        rig_c = pc is None or c_rig[pc] or c_vals[pc] == 0
-        rig = rig_b or rig_c
+        if c is None:
+            c = (b[0] - diff, "crossfilled", b[2])
+        elif b is None:
+            b = (c[0] + diff, "crossfilled", c[2])
+        rig = b[2] or b[0] == 0 or c[2] or c[0] == 0
         if pb is not None:
-            b_rig[pb] = rig
+            rows["b"][pb] = (b[0], b[1], rig)
         if pc is not None:
-            c_rig[pc] = rig
+            rows["c"][pc] = (c[0], c[1], rig)
 
-    assert set(b_vals) == set(range(1, width + 1)), "row one incomplete"
-    assert set(c_vals) == set(range(1, width + 1)), "row two incomplete"
+    positions = range(1, width + 1)
+    _require(set(rows["b"]) == set(positions), "row one incomplete")
+    _require(set(rows["c"]) == set(positions), "row two incomplete")
+    b_row = [rows["b"][i] for i in positions]
+    c_row = [rows["c"][i] for i in positions]
     table = BettiTable(
         n=n, prime=prime,
-        b=[b_vals[i] for i in range(1, width + 1)],
-        c=[c_vals[i] for i in range(1, width + 1)],
-        b_provenance=[b_tag[i] for i in range(1, width + 1)],
-        c_provenance=[c_tag[i] for i in range(1, width + 1)],
-        b_rigorous=[b_rig[i] for i in range(1, width + 1)],
-        c_rigorous=[c_rig[i] for i in range(1, width + 1)],
+        b=[v for v, _, _ in b_row], c=[v for v, _, _ in c_row],
+        b_provenance=[t for _, t, _ in b_row],
+        c_provenance=[t for _, t, _ in c_row],
+        b_rigorous=[r for _, _, r in b_row],
+        c_rigorous=[r for _, _, r in c_row],
         bigraded=bigraded)
     _validate_table(poly, table)
     return table
@@ -595,33 +605,31 @@ def block_dimensions(poly: LatticePolygon, strand: str, ell: int,
 
 def _resolve_entry_b(poly: LatticePolygon, ell: int, prime: PrimeModulus,
                      options: EngineOptions) -> tuple[int, bool]:
-    """One row-one entry by its cheapest valid route."""
+    """One row-one entry by the route the planner picks for its
+    antidiagonal, without planning the others."""
     n = poly.n_points
-    width = n - 3
-    if not (1 <= ell <= width):
+    if not (1 <= ell <= n - 3):
         return 0, True
-    n_int = len(interior_hull(poly).points)
-    if n_int == 0:
+    if not interior_hull(poly).points:
         return ell * math.comb(n - 2, ell + 1), True
-    if ell == width:
+    b_preset, c_preset = _presets(poly)
+    if ell in b_preset:
         return 0, True
-    diff = antidiagonal_difference(poly, ell)
-    j = n - 1 - ell
-    if j > width or j in hering_schenck_zero_region(poly):
-        return diff, True
     plan_b, plan_c = effective_plans(poly, options)
-    est_b = peak_block(linear_strand_spec(poly, ell, plan_b))
-    est_c = peak_block(twisted_strand_spec(poly, j, plan_c))
-    if est_c <= est_b:
-        out = strand_value(poly, "c", j, prime, plan_c,
+    choice, _ = _choose_side(poly, ell, b_preset, c_preset, (plan_b, plan_c))
+    diff = antidiagonal_difference(poly, ell)
+    if choice == "shortcut":             # the row-two partner is a known zero
+        return diff, True
+    if choice == "compute_b":
+        out = strand_value(poly, "b", ell, prime, plan_b,
                            use_symmetry=options.use_symmetry,
                            budget=options.budget)
-        val = out.value + diff
-        return val, out.rigorous or val == 0
-    out = strand_value(poly, "b", ell, prime, plan_b,
+        return out.value, out.rigorous
+    out = strand_value(poly, "c", n - 1 - ell, prime, plan_c,
                        use_symmetry=options.use_symmetry,
                        budget=options.budget)
-    return out.value, out.rigorous
+    val = out.value + diff
+    return val, out.rigorous or val == 0
 
 
 @dataclass
@@ -827,8 +835,6 @@ def audit_shortcuts(poly: LatticePolygon, prime: PrimeModulus,
     table = betti_table(poly, prime, options)
     issues = []
     for pos in range(1, poly.n_points - 2):
-        if pos > poly.n_points - 3:
-            continue
         b_direct = compute_b(poly, pos, prime, budget=options.budget)
         if b_direct.value != table.b_entry(pos):
             issues.append(f"row one {pos}: table {table.b_entry(pos)} vs "

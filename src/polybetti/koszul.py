@@ -309,24 +309,6 @@ def twisted_quadratic_spec(poly: LatticePolygon, ell: int) -> ComplexSpec:
         translate_degree=p_mid + 2)
 
 
-def untwisted_quadratic_spec(poly: LatticePolygon, ell: int) -> ComplexSpec:
-    """Audit complex: the defining presentation of the row-two entry at
-    position ell, in wedge degree N - 2 - ell without twisting."""
-    n = poly.n_points
-    if not (1 <= ell <= n - 3):
-        raise ValueError(f"position {ell} outside 1..{n - 3}")
-    a = poly.points
-    p_mid = n - 2 - ell
-    return ComplexSpec(
-        kind="custom", ell=ell,
-        left=SupportTriple(a, _plain_region(poly, 1), _plain_region(poly, 2),
-                           p_mid + 1),
-        right=SupportTriple(a, _plain_region(poly, 2), _plain_region(poly, 3),
-                            p_mid),
-        region=dilate_hull(poly.vertices, n - ell),
-        translate_degree=n - ell)
-
-
 def reduced_complex_spec(poly: LatticePolygon, plan: RemovalPlan, kind: str,
                          ell: int) -> ComplexSpec:
     if kind == "primal_b":
@@ -497,10 +479,6 @@ def side_profile(triple: SupportTriple) -> dict[Point, int]:
 def peak_block(spec: ComplexSpec) -> int:
     prof = middle_profile(spec)
     return max(prof.values(), default=0)
-
-
-def total_middle(spec: ComplexSpec) -> int:
-    return sum(middle_profile(spec).values())
 
 
 def choose_removal(poly: LatticePolygon, kind: str = "primal_b",

@@ -61,9 +61,6 @@ class PrimeModulus:
         if not is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
 
-    def inv(self, x: int) -> int:
-        return pow(x, self.p - 2, self.p)
-
 
 DEFAULT_PRIME = 40009
 
@@ -102,12 +99,6 @@ class SparseMatrixFp:
     @property
     def nnz(self) -> int:
         return sum(len(col) for col in self.columns)
-
-    def transpose(self) -> "SparseMatrixFp":
-        entries = [(c, r, v)
-                   for c, col in enumerate(self.columns) for r, v in col]
-        return SparseMatrixFp.from_entries(self.n_cols, self.n_rows, entries,
-                                           self.modulus)
 
     def to_dense(self) -> np.ndarray:
         a = np.zeros((self.n_rows, self.n_cols), dtype=np.int64)
@@ -378,23 +369,3 @@ def rank_batch(tasks: list[SparseMatrixFp],
             results = [_rank_task(a) for a in args]
     return [RankOutcome(r, e) for r, e in results]
 
-
-def dump_matrix(m: SparseMatrixFp, fh) -> None:
-    """Plain text triplets: header "rows cols p", then "r c v", 0-indexed."""
-    fh.write(f"{m.n_rows} {m.n_cols} {m.modulus.p}\n")
-    for c, col in enumerate(m.columns):
-        for r, v in col:
-            fh.write(f"{r} {c} {v}\n")
-
-
-def load_matrix(fh) -> SparseMatrixFp:
-    header = fh.readline().split()
-    n_rows, n_cols, p = (int(x) for x in header)
-    entries = []
-    for line in fh:
-        line = line.strip()
-        if not line:
-            continue
-        r, c, v = (int(x) for x in line.split())
-        entries.append((r, c, v))
-    return SparseMatrixFp.from_entries(n_rows, n_cols, entries, PrimeModulus(p))

@@ -139,12 +139,6 @@ def complex_slice(poly: LatticePolygon, p: int, q: int,
     return slice_
 
 
-def _cohomology(slice_: DenseComplexSlice, p: int) -> int:
-    n_mid = len(slice_.middle_bidegrees)
-    ker = n_mid - _plain_rank(slice_.outgoing, p)
-    return ker - _plain_rank(slice_.incoming, p)
-
-
 def oracle_betti(poly: LatticePolygon, prime: PrimeModulus) -> BettiTable:
     """Full table from the unreduced, unsplit complexes."""
     _check_size(poly)

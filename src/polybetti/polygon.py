@@ -192,11 +192,6 @@ class LatticePolygon:
         n = len(v)
         return all(cross(v[i], v[(i + 1) % n], pt) > 0 for i in range(n))
 
-    def translate(self, shift: Point) -> "LatticePolygon":
-        sx, sy = shift
-        return LatticePolygon(tuple((x + sx, y + sy) for x, y in self.vertices),
-                              degenerate=self.degenerate)
-
 
 def from_vertices(pts) -> LatticePolygon:
     """Convex hull of the given points as a polygon; order is irrelevant."""
@@ -204,10 +199,6 @@ def from_vertices(pts) -> LatticePolygon:
     if len(hull) < 3:
         raise DimensionError(f"hull of {sorted(set(pts))} is not two-dimensional")
     return LatticePolygon(tuple(hull))
-
-
-def lattice_points(poly: LatticePolygon) -> PointSet:
-    return poly.points
 
 
 @dataclass(frozen=True)

@@ -300,6 +300,30 @@ def test_verify_kp1_resume_is_byte_identical(runner, tmp_path):
     assert fresh.stdout == first.stdout
 
 
+def test_verify_kp1_resumes_after_torn_final_line(runner, tmp_path):
+    corpus = write_corpus(tmp_path)
+    for name in ("degenerate.txt", "garbage.txt"):
+        (corpus / name).unlink()
+    log = tmp_path / "log.jsonl"
+    first = invoke(runner, "verify-kp1", str(corpus), "--checkpoint", str(log))
+    assert first.exit_code == 0
+    data = log.read_bytes()
+    log.write_bytes(data[:-20])           # an interrupted final write
+    resumed = invoke(runner, "verify-kp1", str(corpus),
+                     "--checkpoint", str(log))
+    assert resumed.exit_code == 0
+    assert resumed.stdout == first.stdout
+    # the torn record was cut off and written again in full
+    assert log.read_bytes() == data
+    # a bad line before the last one is not a torn write
+    lines = data.splitlines(keepends=True)
+    log.write_bytes(b"".join(lines[:1] + [b"{\n"] + lines[1:]))
+    broken = invoke(runner, "verify-kp1", str(corpus),
+                    "--checkpoint", str(log))
+    assert broken.exit_code == 2
+    assert "line 2" in broken.stderr
+
+
 def test_verify_kp1_rejects_foreign_log(runner, tmp_path):
     corpus = write_corpus(tmp_path)
     log = str(tmp_path / "log.jsonl")

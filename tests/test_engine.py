@@ -1,20 +1,23 @@
 """Production table engine: strategy, symmetry, checkpoints, audits."""
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from conftest import REFERENCE_TABLES
-from polybetti.engine import (CheckpointStore, EngineOptions, Kp1Report,
-                              TableAborted, _bidegree_actions, betti_table,
-                              block_dimensions, compute_b, compute_c,
-                              effective_plans, options_key, orbit_reduce,
+from polybetti.engine import (EngineOptions, Kp1Report, TableAborted,
+                              _bidegree_actions, _orbit_partition,
+                              betti_table, block_dimensions, compute_b,
+                              compute_c, effective_plans, options_key,
                               plan_strategy, polygon_key, run_audits,
                               strand_value, support_region_check, verify_kp1,
                               verify_prune_monotonicity)
 from polybetti.koszul import (EMPTY_PLAN, SupportTriple, coboundary_matrix,
                               enumerate_basis, linear_strand_spec,
-                              middle_profile, total_middle,
-                              twisted_strand_spec)
+                              middle_profile, twisted_strand_spec)
 from polybetti.linalg import ComputeBudget, PrimeModulus
 from polybetti.polygon import (AffineUnimodularMap, from_vertices,
                                named_polygon, parse_polygon)
@@ -147,8 +150,8 @@ def test_symmetry_orbit_counts_frozen():
     assert len(bidegs) == 15
     actions = _bidegree_actions(poly, EMPTY_PLAN, spec.translate_degree)
     assert len(actions) == 6
-    orbits = orbit_reduce(bidegs, actions)
-    assert sorted(size for _, size in orbits) == [3, 3, 3, 6]
+    orbits = _orbit_partition(bidegs, actions)
+    assert sorted(len(members) for _, members in orbits) == [3, 3, 3, 6]
     # orientation-preserving half only: five orbits of three
     from polybetti.polygon import symmetry_group
     rot = []
@@ -162,9 +165,9 @@ def test_symmetry_orbit_counts_frozen():
                    dx=td * tx, dy=td * ty: (m00 * ab[0] + m01 * ab[1] + dx,
                                             m10 * ab[0] + m11 * ab[1] + dy))
     assert len(rot) == 3
-    rot_orbits = orbit_reduce(bidegs, rot)
-    assert sorted(size for _, size in rot_orbits) == [3, 3, 3, 3, 3]
-    assert len(orbit_reduce(bidegs, [])) == 15
+    rot_orbits = _orbit_partition(bidegs, rot)
+    assert sorted(len(members) for _, members in rot_orbits) == [3] * 5
+    assert len(_orbit_partition(bidegs, [])) == 15
 
 
 def test_symmetry_on_off_same_entries(prime):
@@ -198,7 +201,8 @@ def test_block_dimensions_match_enumeration():
     poly = named_polygon("Upsilon_2")
     spec = linear_strand_spec(poly, 2)
     blocks = block_dimensions(poly, "b", 2, EngineOptions(removal="off"))
-    assert sum(cols for _, _, cols in blocks) == total_middle(spec)
+    assert sum(cols for _, _, cols in blocks) == sum(
+        middle_profile(spec).values())
     below = SupportTriple(spec.wedge_support, spec.right.target_support,
                           spec.right.target_support,
                           spec.right.wedge_degree - 1)
@@ -281,6 +285,40 @@ def test_resume_after_torn_final_line(tmp_path, prime):
     path.write_bytes(b"".join(lines[:2] + [b"{\n"] + lines[2:]))
     with pytest.raises(ValueError):
         betti_table(poly, prime, opts)
+
+
+_BUMPED_TABLE_CHECK = """
+from polybetti.engine import InvariantViolation, _validate_table
+from polybetti.linalg import PrimeModulus
+from polybetti.polygon import named_polygon
+from polybetti.table import BettiTable
+
+b, c = {b!r}, {c!r}
+b[0] += 1
+width = len(b)
+table = BettiTable(n=width + 3, b=b, c=c, prime=PrimeModulus(40009),
+                   b_provenance=["computed"] * width,
+                   c_provenance=["computed"] * width,
+                   b_rigorous=[True] * width, c_rigorous=[True] * width)
+print("optimized:", not __debug__)
+try:
+    _validate_table(named_polygon("2*Sigma"), table)
+except InvariantViolation as exc:
+    print("raised:", exc)
+"""
+
+
+def test_invariant_checks_survive_python_O():
+    b, c = REFERENCE_TABLES["2*Sigma"]
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", _BUMPED_TABLE_CHECK.format(b=b, c=c)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "optimized: True",
+        "raised: antidiagonal difference violated at 1"]
 
 
 def test_verify_kp1_spec_examples(prime, serial_options):

@@ -13,17 +13,16 @@ from polybetti.koszul import (EMPTY_PLAN, InvalidPlan, NotInPolygon,
                               pair_criterion_by_enumeration, peak_block,
                               reduced_complex_spec, reduced_supports,
                               regular_pair, regular_triple, side_profile,
-                              support_window, total_middle,
+                              support_window,
                               triple_criterion_by_enumeration,
                               twisted_quadratic_spec, twisted_strand_spec,
-                              untwisted_quadratic_spec, verify_plan)
+                              verify_plan)
 from polybetti.polygon import (PointSet, from_vertices, lawrence_prism,
                                named_polygon, parse_polygon)
 
 
 def spec_for(poly, kind, ell):
     builders = {"primal_b": linear_strand_spec,
-                "primal_c": untwisted_quadratic_spec,
                 "dual_b": twisted_strand_spec,
                 "dual_c": twisted_quadratic_spec}
     return builders[kind](poly, ell)
@@ -41,9 +40,7 @@ SPEC_CASES = [
     ("2*Sigma", "primal_b", 2),
     ("2*Sigma", "dual_b", 2),
     ("Upsilon_2", "primal_b", 2),
-    ("Upsilon_2", "primal_c", 2),
     ("Upsilon_2", "dual_c", 3),
-    ("2*Upsilon", "primal_c", 4),
 ]
 
 
@@ -65,11 +62,10 @@ def test_basis_count_matches_generating_function(name, kind, ell):
     for ab in enumerate_bidegrees(spec):
         assert len(enumerate_basis(spec.right, ab)) == middle.get(ab, 0)
         assert len(enumerate_basis(spec.left, ab)) == left.get(ab, 0)
-    assert total_middle(spec) == sum(middle.values())
     assert peak_block(spec) == max(middle.values(), default=0)
 
 
-@pytest.mark.parametrize("name,kind,ell", SPEC_CASES[:4])
+@pytest.mark.parametrize("name,kind,ell", SPEC_CASES[:3])
 def test_columns_are_sparse_sign_vectors(name, kind, ell):
     spec = spec_for(named_polygon(name), kind, ell)
     for ab in enumerate_bidegrees(spec):
@@ -153,7 +149,8 @@ def test_removal_shrinks_supports_and_keeps_exactness_data():
     assert set(plan.removed) == set(poly.vertices)
     full = linear_strand_spec(poly, 3)
     red = reduced_complex_spec(poly, plan, "primal_b", 3)
-    assert total_middle(red) < total_middle(full)
+    assert sum(middle_profile(red).values()) < sum(
+        middle_profile(full).values())
     assert peak_block(red) <= peak_block(full)
 
 
@@ -204,8 +201,6 @@ def test_positions_past_the_last_column_still_build():
     assert far.middle_degree == 5
     with pytest.raises(ValueError):
         linear_strand_spec(poly, 0)
-    with pytest.raises(ValueError):
-        untwisted_quadratic_spec(poly, 5)
 
 
 def test_quotient_gives_the_same_profile_totals():
@@ -228,7 +223,8 @@ def test_quotient_gives_the_same_profile_totals():
 
     assert euler(full)  # both specs are nonempty and well formed
     assert euler(red)
-    assert total_middle(red) <= total_middle(full)
+    assert sum(middle_profile(red).values()) <= sum(
+        middle_profile(full).values())
 
 
 def test_support_window_contains_all_nonzero_bidegrees():

@@ -1,7 +1,6 @@
 """Sparse rank computation over prime fields."""
 from __future__ import annotations
 
-import io
 import math
 import random
 from fractions import Fraction
@@ -13,10 +12,15 @@ from hypothesis import strategies as st
 
 from polybetti import linalg
 from polybetti.linalg import (ComputeBudget, PrimeModulus, ResourceExceeded,
-                              SparseMatrixFp, dense_rank_mod, dump_matrix,
-                              is_prime, load_matrix, rank, rank_batch)
+                              SparseMatrixFp, dense_rank_mod, is_prime, rank,
+                              rank_batch)
 
 P40009 = PrimeModulus(40009)
+
+
+def transpose(m):
+    entries = [(c, r, v) for c, col in enumerate(m.columns) for r, v in col]
+    return SparseMatrixFp.from_entries(m.n_cols, m.n_rows, entries, m.modulus)
 
 
 def exact_rank(entries, n_rows, n_cols, p=None):
@@ -87,8 +91,6 @@ def test_prime_modulus_validation():
     with pytest.raises(ValueError):
         PrimeModulus(1)
     assert PrimeModulus(2).p == 2
-    P = PrimeModulus(40009)
-    assert (17 * P.inv(17)) % 40009 == 1
 
 
 @given(sign_entries)
@@ -103,7 +105,7 @@ def test_rank_matches_dense_reference(entries):
 @given(sign_entries)
 def test_rank_equals_transpose_rank(entries):
     m, _ = build(entries)
-    assert rank(m) == rank(m.transpose())
+    assert rank(m) == rank(transpose(m))
 
 
 @given(sign_entries, st.randoms(use_true_random=False))
@@ -239,16 +241,6 @@ def test_rank_batch_marks_failures():
     assert [o.ok for o in out] == [True, False, True]
     assert out[0].rank == 2 and out[2].rank == 2
     assert "cap" in out[1].error
-
-
-def test_dump_load_round_trip():
-    m, _ = build([(0, 1, 1), (2, 3, -1), (7, 0, 1)])
-    buf = io.StringIO()
-    dump_matrix(m, buf)
-    buf.seek(0)
-    again = load_matrix(buf)
-    assert again.n_rows == m.n_rows and again.n_cols == m.n_cols
-    assert again.to_dense().tolist() == m.to_dense().tolist()
 
 
 def test_workers_env_default(monkeypatch):
