@@ -12,7 +12,7 @@ from collections import Counter
 
 from polybetti.corpus import kp1_corpus
 from polybetti.engine import EngineOptions, verify_kp1
-from polybetti.linalg import ComputeBudget, PrimeModulus
+from polybetti.linalg import ComputeBudget, PrimeModulus, worker_pool
 
 
 def main() -> None:
@@ -31,16 +31,17 @@ def main() -> None:
     polys = kp1_corpus(seed=args.seed, count=args.count, n_max=args.n_max)
     verdicts: Counter[str] = Counter()
     t0 = time.time()
-    for poly in polys:
-        t1 = time.time()
-        rep = verify_kp1(poly, prime, options)
-        verdicts[rep.verdict] += 1
-        probes = "  ".join(
-            f"b[{t}]={v}{'' if exact else '*'}"
-            for t, (v, exact) in sorted(rep.entries.items()))
-        print(f"n={rep.n:3d} width={rep.lattice_width} "
-              f"first_zero={rep.first_zero_index:3d} "
-              f"{rep.verdict:8s} {probes}  ({time.time() - t1:.2f}s)")
+    with worker_pool(budget):
+        for poly in polys:
+            t1 = time.time()
+            rep = verify_kp1(poly, prime, options)
+            verdicts[rep.verdict] += 1
+            probes = "  ".join(
+                f"b[{t}]={v}{'' if exact else '*'}"
+                for t, (v, exact) in sorted(rep.entries.items()))
+            print(f"n={rep.n:3d} width={rep.lattice_width} "
+                  f"first_zero={rep.first_zero_index:3d} "
+                  f"{rep.verdict:8s} {probes}  ({time.time() - t1:.2f}s)")
     print(f"{len(polys)} polygons in {time.time() - t0:.1f}s: "
           + "  ".join(f"{k}={v}" for k, v in sorted(verdicts.items())))
     print("zeros are exact in every characteristic; starred values are "

@@ -9,7 +9,7 @@ import argparse
 import time
 
 from polybetti.engine import EngineOptions, betti_table
-from polybetti.linalg import ComputeBudget
+from polybetti.linalg import ComputeBudget, worker_pool
 from polybetti.polygon import named_polygon
 from polybetti.table import render_ascii
 
@@ -31,16 +31,17 @@ def main() -> None:
     options = EngineOptions(budget=budget)
     names = MODELS if args.quick else MODELS + STRETCH
     grand = time.time()
-    for name in names:
-        poly = named_polygon(name)
-        t0 = time.time()
-        table = betti_table(poly, args.prime, options)
-        dt = time.time() - t0
-        modular = sum(1 for r in table.b_rigorous + table.c_rigorous
-                      if not r)
-        print(f"{name}  (n = {table.n}, {dt:.2f}s, "
-              f"{modular} mod-p-only entries)")
-        print(render_ascii(table))
+    with worker_pool(budget):
+        for name in names:
+            poly = named_polygon(name)
+            t0 = time.time()
+            table = betti_table(poly, args.prime, options)
+            dt = time.time() - t0
+            modular = sum(1 for r in table.b_rigorous + table.c_rigorous
+                          if not r)
+            print(f"{name}  (n = {table.n}, {dt:.2f}s, "
+                  f"{modular} mod-p-only entries)")
+            print(render_ascii(table))
     print(f"total {time.time() - grand:.2f}s")
 
 

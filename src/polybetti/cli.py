@@ -25,7 +25,8 @@ from .closed_forms import (EmptyInterior, PathologicalPolygon, cg_lower_bound,
                            six_easy_entries, veronese_prediction_entries)
 from .engine import (AppendLog, EngineOptions, TableAborted, betti_table,
                      block_dimensions, polygon_key, run_audits, verify_kp1)
-from .linalg import ComputeBudget, PrimeModulus, ResourceExceeded
+from .linalg import (ComputeBudget, PrimeModulus, ResourceExceeded,
+                     worker_pool)
 from .polygon import (LatticePolygon, classify, interior_hull, lattice_width,
                       named_polygon, parse_polygon)
 from .table import render_ascii, to_json_dict
@@ -318,51 +319,52 @@ def verify_kp1_cmd(corpus_dir, prime, removal, no_symmetry, workers,
     names = sorted(os.listdir(corpus_dir))
     counts: dict[str, int] = {}
     shown = 0
-    for name in names:
-        path = os.path.join(corpus_dir, name)
-        if not os.path.isfile(path):
-            continue
-        try:
-            with open(path) as fh:
-                poly = parse_polygon(fh.read())
-            key = polygon_key(poly)
-        except (ValueError, OSError, KeyError) as exc:
-            key = f"file:{name}"
-            if key not in done:
-                log(key, {"error": f"{type(exc).__name__}: {exc}"})
-            record = done[key]
-            click.echo(_kp1_line(name, record))
-            counts["error"] = counts.get("error", 0) + 1
-            shown += 1
-            continue
-        if key not in done:
+    with worker_pool(opts.budget):
+        for name in names:
+            path = os.path.join(corpus_dir, name)
+            if not os.path.isfile(path):
+                continue
             try:
-                rep = verify_kp1(poly, moduli[0], opts)
-                log(key, {"polygon": key, "report": {
-                    "n": rep.n, "lattice_width": rep.lattice_width,
-                    "exceptional": rep.exceptional,
-                    "predicted_from_right": rep.predicted_from_right,
-                    "first_zero_index": rep.first_zero_index,
-                    "entries": {str(t): list(v)
-                                for t, v in sorted(rep.entries.items())},
-                    "verdict": rep.verdict, "notes": list(rep.notes)}})
-            except (ValueError, ResourceExceeded) as exc:
-                log(key, {"polygon": key,
-                          "error": f"{type(exc).__name__}: {exc}"})
-        record = done[key]
-        if "error" in record:
-            counts["error"] = counts.get("error", 0) + 1
-        else:
-            verdict = record["report"]["verdict"]
-            counts[verdict] = counts.get(verdict, 0) + 1
-        rec = dict(record)
-        if "report" in rec:
-            rec = {**rec, "report": {
-                **rec["report"],
-                "entries": {int(t): tuple(v) for t, v
-                            in rec["report"]["entries"].items()}}}
-        click.echo(_kp1_line(name, rec))
-        shown += 1
+                with open(path) as fh:
+                    poly = parse_polygon(fh.read())
+                key = polygon_key(poly)
+            except (ValueError, OSError, KeyError) as exc:
+                key = f"file:{name}"
+                if key not in done:
+                    log(key, {"error": f"{type(exc).__name__}: {exc}"})
+                record = done[key]
+                click.echo(_kp1_line(name, record))
+                counts["error"] = counts.get("error", 0) + 1
+                shown += 1
+                continue
+            if key not in done:
+                try:
+                    rep = verify_kp1(poly, moduli[0], opts)
+                    log(key, {"polygon": key, "report": {
+                        "n": rep.n, "lattice_width": rep.lattice_width,
+                        "exceptional": rep.exceptional,
+                        "predicted_from_right": rep.predicted_from_right,
+                        "first_zero_index": rep.first_zero_index,
+                        "entries": {str(t): list(v)
+                                    for t, v in sorted(rep.entries.items())},
+                        "verdict": rep.verdict, "notes": list(rep.notes)}})
+                except (ValueError, ResourceExceeded) as exc:
+                    log(key, {"polygon": key,
+                              "error": f"{type(exc).__name__}: {exc}"})
+            record = done[key]
+            if "error" in record:
+                counts["error"] = counts.get("error", 0) + 1
+            else:
+                verdict = record["report"]["verdict"]
+                counts[verdict] = counts.get(verdict, 0) + 1
+            rec = dict(record)
+            if "report" in rec:
+                rec = {**rec, "report": {
+                    **rec["report"],
+                    "entries": {int(t): tuple(v) for t, v
+                                in rec["report"]["entries"].items()}}}
+            click.echo(_kp1_line(name, rec))
+            shown += 1
     if store:
         store.close()
     summary = "  ".join(f"{k}={counts[k]}" for k in sorted(counts))

@@ -14,7 +14,7 @@ from functools import lru_cache
 from math import comb
 
 from .koszul import basis_dimension_polynomial
-from .linalg import DEFAULT_PRIME, PrimeModulus
+from .linalg import DEFAULT_PRIME, PrimeModulus, require
 from .polygon import (LatticePolygon, Point, PointSet, classify, dilate,
                       interior_hull, lattice_width, translate_count,
                       upsilon_indexed, unimodular_map_between)
@@ -246,7 +246,7 @@ def veronese_predictions(d: int) -> tuple[int, int | None]:
     if d < 2:
         raise RangeError("needs d >= 2")
     b_num = d ** 3 * (d * d - 1)
-    assert b_num % 8 == 0
+    require(b_num % 8 == 0, "d^3 (d^2 - 1) is not divisible by 8")
     b_last = b_num // 8
     if d < 3:
         return b_last, None
@@ -280,5 +280,6 @@ def minimal_degree_predicate(poly: LatticePolygon) -> bool:
     """True exactly when the associated surface has minimal degree,
     equivalently when the interior is empty."""
     empty = _n_interior(poly) == 0
-    assert empty == (poly.area2 == poly.n_points - 2)
+    require(empty == (poly.area2 == poly.n_points - 2),
+            "empty interior disagrees with Pick's formula")
     return empty

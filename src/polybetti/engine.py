@@ -27,24 +27,13 @@ from .koszul import (EMPTY_PLAN, ComplexSpec, RemovalPlan,
                      linear_strand_spec, middle_profile, peak_block,
                      side_profile, support_window, twisted_quadratic_spec,
                      twisted_strand_spec)
-from .linalg import (ComputeBudget, PrimeModulus, ResourceExceeded,
-                     SparseMatrixFp, rank_batch)
+from .linalg import (ComputeBudget, InvariantViolation, PrimeModulus,
+                     ResourceExceeded, SparseMatrixFp, rank_batch, require,
+                     worker_pool)
 from .polygon import (LatticePolygon, Point, canonical_form, interior_hull,
                       lattice_width, order_key, prune_vertex, sigma_point,
                       symmetry_group)
 from .table import BettiTable
-
-
-class InvariantViolation(AssertionError):
-    """An internal consistency check failed; raised explicitly so that
-    the checks survive ``python -O``."""
-
-
-def _require(condition: bool, message: str) -> None:
-    """Raise InvariantViolation(message) unless condition holds; hot
-    loops raise it directly so the message is built only on failure."""
-    if not condition:
-        raise InvariantViolation(message)
 
 
 class BlockFailed(ResourceExceeded):
@@ -269,8 +258,8 @@ def strand_value(poly: LatticePolygon, strand: str, ell: int,
     profile, parts = _middle_orbits(poly, spec, plan, use_symmetry)
     left_prof = side_profile(spec.left) if strand == "b" else {}
     if strand == "c":
-        _require(not side_profile(spec.left),
-                 "twisted degree-0 term not empty")
+        require(not side_profile(spec.left),
+                "twisted degree-0 term not empty")
 
     done: list[tuple[Point, tuple, int, int]] = []   # rep, members, cols, rank
     todo: list[tuple[Point, tuple, int, SparseMatrixFp]] = []
@@ -325,8 +314,8 @@ def spec_cohomology(poly: LatticePolygon, spec: ComplexSpec,
     """Middle cohomology of an arbitrary three-term complex, computing
     both coboundary ranks honestly (audit path, no shortcuts)."""
     if use_symmetry:
-        _require(spec.wedge_support == poly.points,
-                 "audit complexes run on unreduced supports")
+        require(spec.wedge_support == poly.points,
+                "audit complexes run on unreduced supports")
     profile, parts = _middle_orbits(poly, spec, EMPTY_PLAN, use_symmetry)
     mats: list[SparseMatrixFp] = []
     for rep, _ in parts:
@@ -393,10 +382,10 @@ class Strategy:
     estimates: dict[tuple[str, int], int]
 
     def __post_init__(self):
-        _require(set(self.choices) == set(range(1, self.n - 1)),
-                 "every antidiagonal needs a route")
-        _require(all(ch in ("compute_b", "compute_c", "shortcut")
-                     for ch in self.choices.values()), "unknown route")
+        require(set(self.choices) == set(range(1, self.n - 1)),
+                "every antidiagonal needs a route")
+        require(all(ch in ("compute_b", "compute_c", "shortcut")
+                    for ch in self.choices.values()), "unknown route")
 
 
 def effective_plans(poly: LatticePolygon,
@@ -479,22 +468,22 @@ def _validate_table(poly: LatticePolygon, table: BettiTable) -> None:
     n = poly.n_points
     n_int = len(interior_hull(poly).points)
     for ell in range(1, n - 1):
-        _require(table.b_entry(ell) - table.c_entry(n - 1 - ell)
-                 == antidiagonal_difference(poly, ell),
-                 f"antidiagonal difference violated at {ell}")
+        require(table.b_entry(ell) - table.c_entry(n - 1 - ell)
+                == antidiagonal_difference(poly, ell),
+                f"antidiagonal difference violated at {ell}")
     if n - 3 >= 1:
-        _require(table.b_entry(1) == math.comb(n - 1, 2) - poly.area2,
-                 "first row-one entry is not the quadric count")
-    _require(any(table.c) == (n_int > 0),
-             "row two must vanish exactly when the interior is empty")
+        require(table.b_entry(1) == math.comb(n - 1, 2) - poly.area2,
+                "first row-one entry is not the quadric count")
+    require(any(table.c) == (n_int > 0),
+            "row two must vanish exactly when the interior is empty")
     if n_int:
-        _require(table.c_entry(1) == n_int,
-                 "first row-two entry is not the interior count")
-        _require(table.c_entry(n_int) != 0 or n_int > n - 3,
-                 "last row-two entry sits at the interior count")
+        require(table.c_entry(1) == n_int,
+                "first row-two entry is not the interior count")
+        require(table.c_entry(n_int) != 0 or n_int > n - 3,
+                "last row-two entry sits at the interior count")
         for j in range(n_int + 1, n - 2):
-            _require(table.c_entry(j) == 0,
-                     f"row-two entry {j} beyond the interior count")
+            require(table.c_entry(j) == 0,
+                    f"row-two entry {j} beyond the interior count")
 
 
 def betti_table(poly: LatticePolygon, prime: PrimeModulus | int = 40009,
@@ -525,25 +514,26 @@ def betti_table(poly: LatticePolygon, prime: PrimeModulus | int = 40009,
             "polygon": polygon_key(poly), "prime": prime.p,
             "options": options_key(prime, options)}, _block_key)
     try:
-        for a, choice in sorted(strategy.choices.items()):
-            if choice == "shortcut":
-                continue
-            pb, pc = _antidiagonal(n, a)
-            strand, pos, plan = (("b", pb, strategy.removal_b)
-                                 if choice == "compute_b"
-                                 else ("c", pc, strategy.removal_c))
-            try:
-                out = strand_value(poly, strand, pos, prime, plan,
-                                   use_symmetry=strategy.use_symmetry,
-                                   budget=options.budget, store=store)
-            except BlockFailed as exc:
-                raise TableAborted(
-                    str(exc), strand, pos, exc.bidegree, values("b"),
-                    values("c"), options.checkpoint) from exc
-            rows[strand][pos] = (out.value, "computed", out.rigorous)
-            if options.keep_bigraded:
-                for ab, v in out.bigraded.items():
-                    bigraded[(strand, pos, ab)] = v
+        with worker_pool(options.budget):
+            for a, choice in sorted(strategy.choices.items()):
+                if choice == "shortcut":
+                    continue
+                pb, pc = _antidiagonal(n, a)
+                strand, pos, plan = (("b", pb, strategy.removal_b)
+                                     if choice == "compute_b"
+                                     else ("c", pc, strategy.removal_c))
+                try:
+                    out = strand_value(poly, strand, pos, prime, plan,
+                                       use_symmetry=strategy.use_symmetry,
+                                       budget=options.budget, store=store)
+                except BlockFailed as exc:
+                    raise TableAborted(
+                        str(exc), strand, pos, exc.bidegree, values("b"),
+                        values("c"), options.checkpoint) from exc
+                rows[strand][pos] = (out.value, "computed", out.rigorous)
+                if options.keep_bigraded:
+                    for ab, v in out.bigraded.items():
+                        bigraded[(strand, pos, ab)] = v
     finally:
         if store:
             store.close()
@@ -570,8 +560,8 @@ def betti_table(poly: LatticePolygon, prime: PrimeModulus | int = 40009,
             rows["c"][pc] = (c[0], c[1], rig)
 
     positions = range(1, width + 1)
-    _require(set(rows["b"]) == set(positions), "row one incomplete")
-    _require(set(rows["c"]) == set(positions), "row two incomplete")
+    require(set(rows["b"]) == set(positions), "row one incomplete")
+    require(set(rows["c"]) == set(positions), "row two incomplete")
     b_row = [rows["b"][i] for i in positions]
     c_row = [rows["c"][i] for i in positions]
     table = BettiTable(
@@ -670,7 +660,9 @@ def verify_kp1(poly: LatticePolygon, prime: PrimeModulus | int = 40009,
     first_zero = n + 1 - predicted
     targets = [t for t in (n - w - 2, n - w - 1, n - w)
                if 1 <= t <= width and t <= first_zero]
-    entries = {t: _resolve_entry_b(poly, t, prime, options) for t in targets}
+    with worker_pool(options.budget):
+        entries = {t: _resolve_entry_b(poly, t, prime, options)
+                   for t in targets}
     notes = []
     verdict = "holds"
     for t in targets:
@@ -715,8 +707,9 @@ def verify_prune_monotonicity(poly: LatticePolygon, vertex: Point,
         prime = PrimeModulus(prime)
     options = options or EngineOptions()
     pruned = prune_vertex(poly, vertex)
-    small = betti_table(pruned, prime, options)
-    big = betti_table(poly, prime, options)
+    with worker_pool(options.budget):
+        small = betti_table(pruned, prime, options)
+        big = betti_table(poly, prime, options)
     checked = []
     violations = []
     for p in range(1, poly.n_points - 3):
@@ -855,17 +848,18 @@ def run_audits(poly: LatticePolygon, prime: PrimeModulus | int = 40009,
         prime = PrimeModulus(prime)
     options = options or EngineOptions()
     n = poly.n_points
-    issues = audit_shortcuts(poly, prime, options)
-    if n <= 9:
-        issues += audit_quotient(poly, prime, options)
-    if n <= 8:
-        issues += audit_duality(poly, prime, options.budget)
-        issues += audit_symmetry(poly, prime, options)
-    if n <= 7:
-        from .oracle import oracle_betti
-        mine = betti_table(poly, prime, options)
-        ref = oracle_betti(poly, prime)
-        if mine.b != ref.b or mine.c != ref.c:
-            issues.append(f"brute-force disagreement: {mine.b}/{mine.c} vs "
-                          f"{ref.b}/{ref.c}")
-    return issues
+    with worker_pool(options.budget):
+        issues = audit_shortcuts(poly, prime, options)
+        if n <= 9:
+            issues += audit_quotient(poly, prime, options)
+        if n <= 8:
+            issues += audit_duality(poly, prime, options.budget)
+            issues += audit_symmetry(poly, prime, options)
+        if n <= 7:
+            from .oracle import oracle_betti
+            mine = betti_table(poly, prime, options)
+            ref = oracle_betti(poly, prime)
+            if mine.b != ref.b or mine.c != ref.c:
+                issues.append(f"brute-force disagreement: "
+                              f"{mine.b}/{mine.c} vs {ref.b}/{ref.c}")
+        return issues

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .linalg import PrimeModulus, SparseMatrixFp
+from .linalg import PrimeModulus, SparseMatrixFp, require
 from .polygon import (LatticePolygon, Point, PointSet, cross, dilate,
                       dilate_hull, hull_points, interior_hull, minkowski_hull,
                       negate_hull, order_key, sigma_point)
@@ -74,9 +74,12 @@ class ComplexSpec:
     translate_degree: int
 
     def __post_init__(self):
-        assert self.left.wedge_support == self.right.wedge_support
-        assert self.left.target_support == self.right.source_support
-        assert self.left.wedge_degree == self.right.wedge_degree + 1
+        require(self.left.wedge_support == self.right.wedge_support,
+                "the two maps use different wedge supports")
+        require(self.left.target_support == self.right.source_support,
+                "the left map does not land in the middle term")
+        require(self.left.wedge_degree == self.right.wedge_degree + 1,
+                "wedge degrees do not step down by one")
 
     @property
     def wedge_support(self) -> PointSet:
@@ -145,7 +148,7 @@ def regular_pair(poly: LatticePolygon, p: Point, q: Point) -> bool:
         base = cross(a, b, p)
         slope = (b[0] - a[0]) * d[1] - (b[1] - a[1]) * d[0]
         if slope == 0:
-            assert base >= 0
+            require(base >= 0, "polygon edge parallel to pq faces away")
             continue
         bound = Fraction(-base, slope)
         if slope > 0:

@@ -6,6 +6,8 @@ kernel, ``rank``: singleton rows and columns are taken as pivots that
 only delete (structured Gaussian elimination), Markowitz pivots follow
 while the matrix stays sparse, and once fill passes DENSE_FILL_CUTOFF
 the remainder goes to dense row reduction with delayed reduction mod p.
+``rank_batch`` ranks many blocks on a process pool, shared by every
+batch inside one ``worker_pool`` block.
 """
 from __future__ import annotations
 
@@ -13,7 +15,9 @@ import heapq
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -22,6 +26,18 @@ DENSE_FILL_CUTOFF = 0.20
 
 class ResourceExceeded(RuntimeError):
     """A rank task would exceed the configured memory budget."""
+
+
+class InvariantViolation(AssertionError):
+    """An internal consistency check failed; raised explicitly so that
+    the checks survive ``python -O``."""
+
+
+def require(condition: bool, message: str) -> None:
+    """Raise InvariantViolation(message) unless condition holds; hot
+    loops raise it directly so the message is built only on failure."""
+    if not condition:
+        raise InvariantViolation(message)
 
 
 def is_prime(n: int) -> bool:
@@ -276,13 +292,17 @@ class _Eliminator:
         self.rank += 1
 
     def _dense_remainder(self) -> int:
-        row_ids = {r: i for i, r in enumerate(self.rows)}
+        rows = self.rows.values()
         col_ids = {c: i for i, c in enumerate(self.col_rows)}
-        a = np.zeros((len(row_ids), len(col_ids)), dtype=np.int64)
-        for r, row in self.rows.items():
-            i = row_ids[r]
-            for c, v in row.items():
-                a[i, col_ids[c]] = v
+        sizes = [len(row) for row in rows]
+        n = sum(sizes)
+        ii = np.repeat(np.arange(len(sizes)), sizes)
+        jj = np.fromiter(map(col_ids.__getitem__, chain.from_iterable(rows)),
+                         np.intp, n)
+        vv = np.fromiter(chain.from_iterable(map(dict.values, rows)),
+                         np.int64, n)
+        a = np.zeros((len(sizes), len(col_ids)), dtype=np.int64)
+        a[ii, jj] = vv
         return dense_rank_mod(a, self.p)
 
     def run(self) -> int:
@@ -343,29 +363,107 @@ def _rank_task(args) -> tuple[int | None, str | None]:
         return None, str(exc)
 
 
-def _result(future) -> tuple[int | None, str | None]:
+def _rank_chunk(chunk: list) -> list[tuple[int | None, str | None]]:
+    return [_rank_task(a) for a in chunk]
+
+
+# the pool of the outermost open worker_pool block, with its worker count
+_shared: tuple[ProcessPoolExecutor, int] | None = None
+
+
+@contextmanager
+def worker_pool(budget: ComputeBudget | None = None):
+    """Share one process pool among every rank_batch inside the block.
+
+    Opens a pool of ``budget.max_workers`` processes unless that is 1 or
+    a pool is already open, in which case the outer one is reused.  The
+    workers are joined on exit, so none outlives the block.
+    """
+    global _shared
+    budget = budget or ComputeBudget()
+    if budget.max_workers <= 1 or _shared is not None:
+        yield
+        return
     try:
-        return future.result()
+        _shared = (ProcessPoolExecutor(max_workers=budget.max_workers),
+                   budget.max_workers)
+    except OSError:     # rank_batch runs serially
+        yield
+        return
+    try:
+        yield
+    finally:
+        # _dispatch may have swapped in a fresh pool, or dropped it
+        if _shared is not None:
+            _shared[0].shutdown(wait=True, cancel_futures=True)
+        _shared = None
+
+
+def _chunks(costs: list[int], n_chunks: int) -> list[list[int]]:
+    """Task indices dealt largest first, each to the chunk with the least
+    work so far (LPT scheduling); chunk k holds the k-th largest task."""
+    chunks: list[list[int]] = [[] for _ in range(n_chunks)]
+    loads = [(0, k) for k in range(n_chunks)]
+    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
+        load, k = heapq.heappop(loads)
+        chunks[k].append(i)
+        heapq.heappush(loads, (load + costs[i], k))
+    return chunks
+
+
+def _dispatch(args) -> list[tuple[int | None, str | None]]:
+    """Run the tasks on the open pool, one future per chunk, the chunk
+    with the largest task first; a task costs nnz + n_cols.  The tasks
+    of a chunk lost to a dead worker, or never submitted because the
+    pool broke, are marked failed, and the broken pool is replaced so
+    that later batches in the block get live workers."""
+    global _shared
+    pool, workers = _shared
+    costs = [m.nnz + m.n_cols for m, _ in args]
+    results: list = [(None, "worker process died")] * len(args)
+    futures = []
+    broken = False
+    try:
+        for chunk in _chunks(costs, min(len(args), 4 * workers)):
+            futures.append((chunk, pool.submit(
+                _rank_chunk, [args[i] for i in chunk])))
     except BrokenProcessPool:
-        return None, "worker process died"
+        broken = True
+    for chunk, future in futures:
+        try:
+            out = future.result()
+        except BrokenProcessPool:
+            broken = True
+            continue
+        for i, r in zip(chunk, out):
+            results[i] = r
+    if broken:
+        pool.shutdown(wait=True, cancel_futures=True)
+        _shared = None
+        try:
+            _shared = (ProcessPoolExecutor(max_workers=workers), workers)
+        except OSError:     # later batches in the block run serially
+            pass
+    return results
 
 
 def rank_batch(tasks: list[SparseMatrixFp],
                budget: ComputeBudget | None = None) -> list[RankOutcome]:
     """Ranks in input order.  A task over the memory cap is marked failed
     and the others finish; if a worker process dies, every task it left
-    unfinished is marked failed."""
+    unfinished is marked failed.  Runs on the pool of an open
+    worker_pool block, or else on a pool of its own."""
     budget = budget or ComputeBudget()
     args = [(m, budget.memory_cap) for m in tasks]
-    if budget.max_workers <= 1 or len(tasks) <= 1:
+    results = None
+    if budget.max_workers > 1 and len(tasks) > 1:
+        with worker_pool(budget):
+            if _shared is not None:
+                try:
+                    results = _dispatch(args)
+                except OSError:
+                    # sandboxes without process spawning run serially
+                    pass
+    if results is None:
         results = [_rank_task(a) for a in args]
-    else:
-        try:
-            with ProcessPoolExecutor(max_workers=budget.max_workers) as pool:
-                futures = [pool.submit(_rank_task, a) for a in args]
-                results = [_result(f) for f in futures]
-        except (OSError, PermissionError):
-            # sandboxes without process spawning fall back to serial
-            results = [_rank_task(a) for a in args]
     return [RankOutcome(r, e) for r, e in results]
-

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PrimeModulus
+from .linalg import PrimeModulus, require
 from .polygon import LatticePolygon, Point, dilate, interior_hull
 from .table import BettiTable
 
@@ -83,7 +83,7 @@ class DenseComplexSlice:
 
     def check_composition(self) -> None:
         prod = self.outgoing.astype(np.int64) @ self.incoming.astype(np.int64)
-        assert not prod.any(), "consecutive coboundaries do not compose to 0"
+        require(not prod.any(), "consecutive coboundaries do not compose to 0")
 
 
 def _basis(points: list[Point], p: int, support: list[Point]):
@@ -128,7 +128,8 @@ def complex_slice(poly: LatticePolygon, p: int, q: int,
     incoming, mid_deg, left_deg = _dense_map(points, p + 1, below, mid)
     outgoing, right_deg, mid_deg2 = _dense_map(points, p, mid, above)
     if p >= 0 and incoming.size and outgoing.size:
-        assert mid_deg2 == mid_deg
+        require(mid_deg2 == mid_deg,
+                "the two maps order the middle basis differently")
     if not incoming.size:
         n_mid = len(mid_deg2)
         incoming = np.zeros((n_mid, 0), dtype=np.int64)
@@ -148,13 +149,15 @@ def oracle_betti(poly: LatticePolygon, prime: PrimeModulus) -> BettiTable:
     for ell in range(1, width + 1):
         sl = complex_slice(poly, ell, 1, twisted=False)
         rank_in = _plain_rank(sl.incoming, prime.p)
-        assert rank_in == math.comb(n, ell + 1), "incoming map not injective"
+        require(rank_in == math.comb(n, ell + 1), "incoming map not injective")
         ker = len(sl.middle_bidegrees) - _plain_rank(sl.outgoing, prime.p)
         b_vals.append(ker - rank_in)
     c_vals = []
     for ell in range(1, width + 1):
         sl = complex_slice(poly, ell - 1, 1, twisted=True)
-        assert not sl.incoming.size or _plain_rank(sl.incoming, prime.p) == 0
+        require(not sl.incoming.size
+                or _plain_rank(sl.incoming, prime.p) == 0,
+                "twisted incoming map is not zero")
         c_vals.append(len(sl.middle_bidegrees)
                       - _plain_rank(sl.outgoing, prime.p))
     return BettiTable(

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
+from .linalg import require
+
 Point = tuple[int, int]
 
 
@@ -171,7 +173,8 @@ class LatticePolygon:
             lo, hi = self._row_range(y)
             out.extend((x, y) for x in range(lo, hi + 1))
         ps = PointSet.of(out)
-        assert self.area2 == 2 * len(ps) - self.boundary_count - 2
+        require(self.area2 == 2 * len(ps) - self.boundary_count - 2,
+                "point count disagrees with Pick's formula")
         return ps
 
     @property
@@ -258,7 +261,7 @@ def ehrhart_count(poly: LatticePolygon, q: int) -> int:
     if q < 0:
         raise ValueError(f"dilation factor must be nonnegative, got {q}")
     num = poly.area2 * q * q + poly.boundary_count * q + 2
-    assert num % 2 == 0
+    require(num % 2 == 0, "odd Ehrhart numerator")
     return num // 2
 
 
@@ -350,7 +353,8 @@ def lattice_width_data(poly: LatticePolygon) -> tuple[int, tuple[Point, ...]]:
                 best, dirs = w, [(u1, u2)]
             elif w == best:
                 dirs.append((u1, u2))
-    assert best is not None and best <= cap
+    require(best is not None and best <= cap,
+            "no direction within the width bound")
     return best, tuple(sorted(dirs))
 
 
@@ -509,9 +513,9 @@ def strip_placements(poly: LatticePolygon) -> tuple[StripPlacement, ...]:
     for u in sorted(set(dirs) | {(-a, -b) for a, b in dirs}):
         u1, u2 = u
         g, x, y = _xgcd(u2, u1)
-        assert g == 1
         row1 = (x, -y)
-        assert row1[0] * u2 - row1[1] * u1 == 1
+        require(g == 1 and row1[0] * u2 - row1[1] * u1 == 1,
+                f"direction {u} does not extend to a unimodular basis")
         for s in (1, -1):
             lin = ((s * row1[0], s * row1[1]), (u1, u2))
             coords = [(lin[0][0] * px + lin[0][1] * py,
@@ -530,9 +534,11 @@ def strip_placements(poly: LatticePolygon) -> tuple[StripPlacement, ...]:
                 final = tuple(sorted(((px - min_x, py - min_y)
                                       for px, py in moved), key=order_key))
                 amap = AffineUnimodularMap(mat, (-min_x, -min_y))
-                assert all(amap(p) in set(final) for p in base_pts)
+                require(set(map(amap, base_pts)) <= set(final),
+                        "placement map misses the placed points")
                 out.append(StripPlacement(final, amap, extent(k)))
-    assert all(max(p[1] for p in pl.points) == w for pl in out)
+    require(all(max(p[1] for p in pl.points) == w for pl in out),
+            "a placement is not as tall as the lattice width")
     return tuple(out)
 
 
@@ -549,7 +555,7 @@ def canonical_form(poly: LatticePolygon) -> tuple[tuple[Point, ...],
     for pl in strip_placements(poly):
         if best is None or pl.points < best.points:
             best = pl
-    assert best is not None
+    require(best is not None, "no strip placement")
     return best.points, best.map
 
 
@@ -562,7 +568,8 @@ def unimodular_map_between(a: LatticePolygon,
         return None
     m = mb.inverse().compose(ma)
     target = set(b.points)
-    assert all(m(p) in target for p in a.points)
+    require(all(m(p) in target for p in a.points),
+            "canonical forms agree but the map misses the target")
     return m
 
 
@@ -673,7 +680,7 @@ def is_lw_minimal(poly: LatticePolygon) -> bool:
         if lattice_width_data(pruned)[0] >= w:
             return False
     square_fit = min(pl.x_extent for pl in strip_placements(poly))
-    assert square_fit <= w, "no unimodular image inside the width square"
+    require(square_fit <= w, "no unimodular image inside the width square")
     return True
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import settings
 
+from polybetti import linalg
 from polybetti.corpus import build_corpus, oracle_corpus
 from polybetti.engine import EngineOptions
 from polybetti.linalg import ComputeBudget, PrimeModulus
@@ -49,6 +50,20 @@ def serial_options():
     """Engine options with a single worker: per-matrix work in the unit
     tests is tiny, so pool startup would dominate."""
     return EngineOptions(budget=ComputeBudget(max_workers=1))
+
+
+@pytest.fixture()
+def opened_pools(monkeypatch):
+    """Every ProcessPoolExecutor that linalg constructs during the test."""
+    opened = []
+
+    class Counting(linalg.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "ProcessPoolExecutor", Counting)
+    return opened
 
 
 @pytest.fixture(scope="session")

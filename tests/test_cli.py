@@ -324,6 +324,31 @@ def test_verify_kp1_resumes_after_torn_final_line(runner, tmp_path):
     assert "line 2" in broken.stderr
 
 
+def test_verify_kp1_worker_death_fails_one_polygon(runner, tmp_path,
+                                                  monkeypatch):
+    # both polygons rank multi-block batches on the corpus-wide pool
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "a.json").write_text(
+        '{"vertices": [[-2, -2], [2, 0], [0, 2]]}')
+    (corpus / "b.json").write_text('{"vertices": [[0, 0], [4, 0], [0, 4]]}')
+    log = tmp_path / "log.jsonl"
+    monkeypatch.setitem(_DYING, "flag", str(tmp_path / "died"))
+    monkeypatch.setitem(_DYING, "parent", os.getpid())
+    monkeypatch.setattr(linalg, "_rank_task", _die_once)
+    r = invoke(runner, "verify-kp1", str(corpus), "--workers", "2",
+               "--checkpoint", str(log))
+    assert os.path.exists(tmp_path / "died")
+    assert r.exit_code == 0
+    assert "a.json: error:" in r.stdout
+    assert "worker process died" in r.stdout
+    assert "b.json: error" not in r.stdout
+    assert "error=1" in r.stdout and "holds=1" in r.stdout
+    records = [json.loads(line) for line in log.read_text().splitlines()[1:]]
+    assert ["error" in rec for rec in records] == [True, False]
+    assert records[1]["report"]["verdict"] == "holds"
+
+
 def test_verify_kp1_rejects_foreign_log(runner, tmp_path):
     corpus = write_corpus(tmp_path)
     log = str(tmp_path / "log.jsonl")

@@ -1,6 +1,7 @@
 """Production table engine: strategy, symmetry, checkpoints, audits."""
 from __future__ import annotations
 
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -319,6 +320,47 @@ def test_invariant_checks_survive_python_O():
     assert run.stdout.splitlines() == [
         "optimized: True",
         "raised: antidiagonal difference violated at 1"]
+
+
+_BAD_SPEC_CHECK = """
+import dataclasses
+from polybetti import linalg
+from polybetti.engine import InvariantViolation
+from polybetti.koszul import linear_strand_spec
+from polybetti.polygon import named_polygon
+
+spec = linear_strand_spec(named_polygon("2*Sigma"), 1)
+right = dataclasses.replace(spec.right,
+                            wedge_degree=spec.right.wedge_degree + 1)
+print("optimized:", not __debug__, InvariantViolation is
+      linalg.InvariantViolation)
+try:
+    dataclasses.replace(spec, right=right)
+except InvariantViolation as exc:
+    print("raised:", exc)
+"""
+
+
+def test_complex_spec_check_survives_python_O():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-O", "-c", _BAD_SPEC_CHECK],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "optimized: True True",
+        "raised: wedge degrees do not step down by one"]
+
+
+def test_one_pool_per_table_joined_before_return(opened_pools, prime):
+    opts = EngineOptions(budget=ComputeBudget(max_workers=2))
+    table = betti_table(named_polygon("Upsilon_3"), prime, opts)
+    assert (table.b, table.c) == REFERENCE_TABLES["Upsilon_3"]
+    assert len(opened_pools) == 1
+    assert multiprocessing.active_children() == []
+    assert run_audits(named_polygon("Upsilon_2"), prime, opts) == []
+    assert len(opened_pools) == 2
+    assert multiprocessing.active_children() == []
 
 
 def test_verify_kp1_spec_examples(prime, serial_options):

@@ -2,7 +2,10 @@
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
 import random
+from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 
 import numpy as np
@@ -12,8 +15,8 @@ from hypothesis import strategies as st
 
 from polybetti import linalg
 from polybetti.linalg import (ComputeBudget, PrimeModulus, ResourceExceeded,
-                              SparseMatrixFp, dense_rank_mod, is_prime, rank,
-                              rank_batch)
+                              SparseMatrixFp, _chunks, dense_rank_mod,
+                              is_prime, rank, rank_batch, worker_pool)
 
 P40009 = PrimeModulus(40009)
 
@@ -241,6 +244,79 @@ def test_rank_batch_marks_failures():
     assert [o.ok for o in out] == [True, False, True]
     assert out[0].rank == 2 and out[2].rank == 2
     assert "cap" in out[1].error
+
+
+def _mixed_batch():
+    """A few large blocks among many 1x1 and empty ones, and one block
+    over the memory cap used with it (20,000 bytes)."""
+    rng = random.Random(5)
+    big = [build([(rng.randrange(n), rng.randrange(n), rng.choice((1, -1)))
+                  for _ in range(4 * n)], n_rows=n, n_cols=n)[0]
+           for n in (30, 45, 20)]
+    tiny = [build([(0, 0, k % 3)], n_rows=1, n_cols=1)[0] for k in range(40)]
+    empty = [build([], n_rows=r, n_cols=c)[0]
+             for r, c in ((0, 0), (3, 0), (0, 4), (2, 2))]
+    over, _ = build([(r, r, 1) for r in range(60)], n_rows=60, n_cols=60)
+    batch = tiny[:10] + [big[0]] + empty + tiny[10:25] + [over, big[1]] \
+        + tiny[25:] + [big[2]]
+    return batch, batch.index(over)
+
+
+def test_rank_batch_pooled_matches_serial():
+    batch, over = _mixed_batch()
+    serial = rank_batch(batch, ComputeBudget(max_workers=1, memory_cap=20000))
+    assert [i for i, o in enumerate(serial) if not o.ok] == [over]
+    assert [o.rank for o in serial] == [
+        None if i == over else rank(m) for i, m in enumerate(batch)]
+    budget = ComputeBudget(max_workers=2, memory_cap=20000)
+    assert rank_batch(batch, budget) == serial
+    with worker_pool(budget):
+        assert rank_batch(batch, budget) == serial
+        assert rank_batch(batch[::-1], budget) == serial[::-1]
+    assert multiprocessing.active_children() == []
+
+
+def test_chunks_deal_largest_first():
+    costs = [3, 0, 9, 1, 1, 7, 2, 0, 5]
+    chunks = _chunks(costs, 4)
+    assert sorted(i for c in chunks for i in c) == list(range(len(costs)))
+    # chunk k starts with the k-th largest task
+    assert [costs[c[0]] for c in chunks] == [9, 7, 5, 3]
+    loads = [sum(costs[i] for i in c) for c in chunks]
+    assert max(loads) - min(loads) <= max(costs)
+
+
+def test_worker_pool_opens_one_pool_and_joins_it(opened_pools):
+    batch, _ = _mixed_batch()
+    budget = ComputeBudget(max_workers=2, memory_cap=20000)
+    with worker_pool(budget):
+        with worker_pool(budget):       # nested: reuses the outer pool
+            rank_batch(batch, budget)
+        rank_batch(batch, budget)
+        assert multiprocessing.active_children()
+    assert len(opened_pools) == 1
+    assert multiprocessing.active_children() == []
+    with worker_pool(ComputeBudget(max_workers=1)):
+        rank_batch(batch, budget)       # no shared pool: one of its own
+    assert len(opened_pools) == 2
+
+
+def test_broken_shared_pool_fails_the_batch():
+    batch, _ = _mixed_batch()
+    budget = ComputeBudget(max_workers=2, memory_cap=20000)
+    with worker_pool(budget):
+        pool, _ = linalg._shared
+        with pytest.raises(BrokenProcessPool):
+            pool.submit(os._exit, 1).result()
+        # the pool is broken before the batch starts: submit raises
+        out = rank_batch(batch, budget)
+        # the broken pool was replaced: the next batch gets live workers
+        assert linalg._shared[0] is not pool
+        again = rank_batch(batch, budget)
+    assert [o.error for o in out] == ["worker process died"] * len(batch)
+    serial = rank_batch(batch, ComputeBudget(max_workers=1, memory_cap=20000))
+    assert again == serial
+    assert multiprocessing.active_children() == []
 
 
 def test_workers_env_default(monkeypatch):
