@@ -78,7 +78,7 @@ def _difference_profile(poly: LatticePolygon, ell: int) -> dict[Point, int]:
     out: dict[Point, int] = {}
     for j in range(0, ell + 2):
         coeff = PointSet.of([(0, 0)]) if j == 0 else dilate(poly, j).points
-        layer = basis_dimension_polynomial(pts, coeff, ell + 1 - j)[ell + 1 - j]
+        layer = basis_dimension_polynomial(pts, coeff, ell + 1 - j)
         sign = -1 if j % 2 == 0 else 1
         for ab, v in layer.items():
             out[ab] = out.get(ab, 0) + sign * v

@@ -21,12 +21,11 @@ from .closed_forms import (antidiagonal_difference, eagon_northcott_table,
                            hering_schenck_zero_region,
                            kp1_predicted_first_zero,
                            scroll_strand_lower_bound)
-from .koszul import (EMPTY_PLAN, ComplexSpec, RemovalPlan,
-                     basis_dimension_polynomial, choose_removal,
+from .koszul import (EMPTY_PLAN, ComplexSpec, RemovalPlan, choose_removal,
                      coboundary_matrix, enumerate_bidegrees,
                      linear_strand_spec, middle_profile, peak_block,
-                     side_profile, support_window, twisted_quadratic_spec,
-                     twisted_strand_spec)
+                     side_profile, support_window, target_profile,
+                     twisted_quadratic_spec, twisted_strand_spec)
 from .linalg import (ComputeBudget, InvariantViolation, PrimeModulus,
                      ResourceExceeded, SparseMatrixFp, rank_batch, require,
                      worker_pool)
@@ -211,6 +210,35 @@ def _middle_orbits(poly: LatticePolygon, spec: ComplexSpec,
     return profile, _orbit_partition(bidegs, actions)
 
 
+@dataclass(frozen=True)
+class BlockTask:
+    """One bidegree block of a coboundary, described by its spec and by
+    its sizes as the generating functions predict them.
+
+    Whoever ranks the block builds it, a pool worker included, so the
+    parent neither holds nor pickles the matrices; the memory cap is
+    checked against the predicted sizes before the block exists.
+    """
+
+    spec: ComplexSpec
+    bidegree: Point
+    prime: PrimeModulus
+    which: str                  # "right" maps out of the middle term
+    n_rows: int
+    n_cols: int
+
+    def build(self) -> SparseMatrixFp:
+        # looked up in this module at call time, so a wrapper set on
+        # engine.coboundary_matrix (perfbench's tracer) reaches workers
+        m = coboundary_matrix(self.spec, self.bidegree, self.prime,
+                              self.which)
+        if (m.n_rows, m.n_cols) != (self.n_rows, self.n_cols):
+            raise InvariantViolation(
+                f"block at {self.bidegree} is {m.n_rows}x{m.n_cols}, "
+                f"predicted {self.n_rows}x{self.n_cols}")
+        return m
+
+
 @dataclass
 class BlockRecord:
     """One finished bidegree block of one strand entry."""
@@ -256,13 +284,14 @@ def strand_value(poly: LatticePolygon, strand: str, ell: int,
     """
     spec = _production_spec(poly, strand, ell, plan)
     profile, parts = _middle_orbits(poly, spec, plan, use_symmetry)
+    rows = target_profile(spec.right)
     left_prof = side_profile(spec.left) if strand == "b" else {}
     if strand == "c":
         require(not side_profile(spec.left),
                 "twisted degree-0 term not empty")
 
     done: list[tuple[Point, tuple, int, int]] = []   # rep, members, cols, rank
-    todo: list[tuple[Point, tuple, int, SparseMatrixFp]] = []
+    todo: list[tuple[Point, tuple, int, BlockTask]] = []
     for rep, members in parts:
         cols = profile[rep]
         cached = store.records.get((strand, ell, rep)) if store else None
@@ -274,10 +303,10 @@ def strand_value(poly: LatticePolygon, strand: str, ell: int,
                     f"{len(members)}, cols {cached['cols']} vs {cols})")
             done.append((rep, members, cols, cached["rank"]))
         else:
-            todo.append((rep, members, cols,
-                         coboundary_matrix(spec, rep, prime, "right")))
+            todo.append((rep, members, cols, BlockTask(
+                spec, rep, prime, "right", rows.get(rep, 0), cols)))
 
-    outcomes = rank_batch([m for *_, m in todo], budget)
+    outcomes = rank_batch([task for *_, task in todo], budget)
     for (rep, members, cols, _), out in zip(todo, outcomes):
         if not out.ok:
             raise BlockFailed(
@@ -317,11 +346,15 @@ def spec_cohomology(poly: LatticePolygon, spec: ComplexSpec,
         require(spec.wedge_support == poly.points,
                 "audit complexes run on unreduced supports")
     profile, parts = _middle_orbits(poly, spec, EMPTY_PLAN, use_symmetry)
-    mats: list[SparseMatrixFp] = []
+    rows, left_cols = target_profile(spec.right), side_profile(spec.left)
+    tasks: list[BlockTask] = []
     for rep, _ in parts:
-        mats.append(coboundary_matrix(spec, rep, prime, "right"))
-        mats.append(coboundary_matrix(spec, rep, prime, "left"))
-    outs = rank_batch(mats, budget)
+        # the left map lands in the middle term: its rows are profile's
+        tasks.append(BlockTask(spec, rep, prime, "right", rows.get(rep, 0),
+                               profile[rep]))
+        tasks.append(BlockTask(spec, rep, prime, "left", profile[rep],
+                               left_cols.get(rep, 0)))
+    outs = rank_batch(tasks, budget)
     value = 0
     bigraded: dict[Point, int] = {}
     blocks = []
@@ -585,10 +618,7 @@ def block_dimensions(poly: LatticePolygon, strand: str, ell: int,
     spec = _production_spec(poly, strand, ell,
                             plan_b if strand == "b" else plan_c)
     cols_prof = middle_profile(spec)
-    rows_prof = basis_dimension_polynomial(
-        spec.right.wedge_support, spec.right.target_support,
-        max(spec.right.wedge_degree - 1, 0))[spec.right.wedge_degree - 1] \
-        if spec.right.wedge_degree >= 1 else {}
+    rows_prof = target_profile(spec.right)
     return [(ab, rows_prof.get(ab, 0), cols_prof.get(ab, 0))
             for ab in enumerate_bidegrees(spec)]
 

@@ -419,64 +419,58 @@ def coboundary_matrix(spec: ComplexSpec, ab: Point, prime: PrimeModulus,
 
 
 @lru_cache(maxsize=64)
-def _wedge_layers(a: PointSet, p_max: int) -> tuple[dict, ...]:
-    """Bidegree counts of the bare wedge powers of a, degrees 0..p_max.
+def _wedge_layers(a: PointSet) -> tuple[dict, ...]:
+    """Bidegree counts of the bare wedge powers of a, degrees 0..len(a).
 
     Cached because the planner asks for the same support at every
     homological position; treat the returned dicts as read-only.
     """
     coeffs: list[dict[Point, int]] = [{(0, 0): 1}]
     for px, py in a:
-        hi = min(len(coeffs) - 1, p_max - 1)
-        if len(coeffs) <= p_max:
-            coeffs.append({})
-        for t in range(hi, -1, -1):
-            layer = coeffs[t]
+        coeffs.append({})
+        for t in range(len(coeffs) - 2, -1, -1):
             target = coeffs[t + 1]
-            for (x, y), cnt in layer.items():
+            for (x, y), cnt in coeffs[t].items():
                 key = (x + px, y + py)
                 target[key] = target.get(key, 0) + cnt
-    while len(coeffs) <= p_max:
-        coeffs.append({})
     return tuple(coeffs)
 
 
 def basis_dimension_polynomial(a: PointSet, b: PointSet,
-                               p_max: int) -> list[dict[Point, int]]:
-    """Bidegree dimension counts of the wedge-tensor spaces, by degree.
-
-    Entry p maps (a, b) to dim of the p-wedge tensor layer there; this
-    is the coefficient extraction of the product generating polynomial,
-    truncated beyond degree p_max.
+                               p: int) -> dict[Point, int]:
+    """Bidegree dimension counts of the p-wedge tensor space over a with
+    coefficients in b: the degree-p coefficient of the product
+    generating polynomial.  Empty, the zero space, when p is negative or
+    exceeds the support size.
     """
-    if p_max < 0:
-        raise ValueError("truncation degree must be nonnegative")
-    out: list[dict[Point, int]] = []
-    for layer in _wedge_layers(a, p_max):
-        conv: dict[Point, int] = {}
-        for (x, y), cnt in layer.items():
-            for bx, by in b:
-                key = (x + bx, y + by)
-                conv[key] = conv.get(key, 0) + cnt
-        out.append(conv)
-    return out
+    layers = _wedge_layers(a)
+    if not 0 <= p < len(layers):
+        return {}
+    conv: dict[Point, int] = {}
+    for (x, y), cnt in layers[p].items():
+        for bx, by in b:
+            key = (x + bx, y + by)
+            conv[key] = conv.get(key, 0) + cnt
+    return conv
+
+
+def side_profile(triple: SupportTriple) -> dict[Point, int]:
+    """Per-bidegree column count of one map: the dimension of its source."""
+    return basis_dimension_polynomial(triple.wedge_support,
+                                      triple.source_support,
+                                      triple.wedge_degree)
+
+
+def target_profile(triple: SupportTriple) -> dict[Point, int]:
+    """Per-bidegree row count of one map: the dimension of its target."""
+    return basis_dimension_polynomial(triple.wedge_support,
+                                      triple.target_support,
+                                      triple.wedge_degree - 1)
 
 
 def middle_profile(spec: ComplexSpec) -> dict[Point, int]:
     """Per-bidegree dimension of the middle term, by generating function."""
-    p = spec.middle_degree
-    if p < 0:
-        return {}
-    return basis_dimension_polynomial(spec.wedge_support, spec.middle_support,
-                                      p)[p]
-
-
-def side_profile(triple: SupportTriple) -> dict[Point, int]:
-    p = triple.wedge_degree
-    if p < 0:
-        return {}
-    return basis_dimension_polynomial(triple.wedge_support,
-                                      triple.source_support, p)[p]
+    return side_profile(spec.right)
 
 
 def peak_block(spec: ComplexSpec) -> int:

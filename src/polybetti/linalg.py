@@ -7,7 +7,10 @@ only delete (structured Gaussian elimination), Markowitz pivots follow
 while the matrix stays sparse, and once fill passes DENSE_FILL_CUTOFF
 the remainder goes to dense row reduction with delayed reduction mod p.
 ``rank_batch`` ranks many blocks on a process pool, shared by every
-batch inside one ``worker_pool`` block.
+batch inside one ``worker_pool`` block.  A block is anything with
+``n_rows``, ``n_cols`` and ``build()``: a matrix builds to itself, and a
+block described by its sizes is assembled by the process that ranks
+it, after the memory cap has been checked against those sizes.
 """
 from __future__ import annotations
 
@@ -115,6 +118,9 @@ class SparseMatrixFp:
     @property
     def nnz(self) -> int:
         return sum(len(col) for col in self.columns)
+
+    def build(self) -> "SparseMatrixFp":
+        return self
 
     def to_dense(self) -> np.ndarray:
         a = np.zeros((self.n_rows, self.n_cols), dtype=np.int64)
@@ -319,19 +325,19 @@ class _Eliminator:
             self._eliminate(*self._pick_pivot())
 
 
-def rank(m: SparseMatrixFp, memory_cap: int | None = None) -> int:
-    """Rank of m over its prime field.
+def rank(block, memory_cap: int | None = None) -> int:
+    """Rank over its prime field of ``block.build()``.
 
     A block whose dense form (8 bytes an entry) exceeds ``memory_cap``
-    is refused before any work; no later step allocates an array larger
-    than that dense form.
+    is refused by its ``n_rows`` and ``n_cols`` before it is built; no
+    later step allocates an array larger than that dense form.
     """
-    need = 8 * m.n_rows * m.n_cols
+    need = 8 * block.n_rows * block.n_cols
     if memory_cap is not None and need > memory_cap:
         raise ResourceExceeded(
-            f"a dense {m.n_rows}x{m.n_cols} block needs {need} bytes, "
-            f"cap is {memory_cap}")
-    return _Eliminator(m).run()
+            f"a dense {block.n_rows}x{block.n_cols} block needs {need} "
+            f"bytes, cap is {memory_cap}")
+    return _Eliminator(block.build()).run()
 
 
 @dataclass(frozen=True)
@@ -341,6 +347,14 @@ class ComputeBudget:
     max_workers: int = field(default_factory=lambda: int(
         os.environ.get("BETTI_WORKERS", "0")) or (os.cpu_count() or 1))
     memory_cap: int | None = None
+
+    def __post_init__(self):
+        if self.max_workers < 1:
+            raise ValueError(
+                f"worker count must be at least 1, got {self.max_workers}")
+        if self.memory_cap is not None and self.memory_cap < 1:
+            raise ValueError(
+                f"memory cap must be at least 1 byte, got {self.memory_cap}")
 
 
 @dataclass(frozen=True)
@@ -413,13 +427,13 @@ def _chunks(costs: list[int], n_chunks: int) -> list[list[int]]:
 
 def _dispatch(args) -> list[tuple[int | None, str | None]]:
     """Run the tasks on the open pool, one future per chunk, the chunk
-    with the largest task first; a task costs nnz + n_cols.  The tasks
+    with the largest task first; a block costs n_rows + n_cols.  The tasks
     of a chunk lost to a dead worker, or never submitted because the
     pool broke, are marked failed, and the broken pool is replaced so
     that later batches in the block get live workers."""
     global _shared
     pool, workers = _shared
-    costs = [m.nnz + m.n_cols for m, _ in args]
+    costs = [m.n_rows + m.n_cols for m, _ in args]
     results: list = [(None, "worker process died")] * len(args)
     futures = []
     broken = False
@@ -447,12 +461,13 @@ def _dispatch(args) -> list[tuple[int | None, str | None]]:
     return results
 
 
-def rank_batch(tasks: list[SparseMatrixFp],
+def rank_batch(tasks: list,
                budget: ComputeBudget | None = None) -> list[RankOutcome]:
-    """Ranks in input order.  A task over the memory cap is marked failed
-    and the others finish; if a worker process dies, every task it left
-    unfinished is marked failed.  Runs on the pool of an open
-    worker_pool block, or else on a pool of its own."""
+    """Ranks of the blocks in input order, each built where it is ranked.
+    A task over the memory cap is marked failed unbuilt and the others
+    finish; if a worker process dies, every task it left unfinished is
+    marked failed.  Runs on the pool of an open worker_pool block, or
+    else on a pool of its own; serially, one block is built at a time."""
     budget = budget or ComputeBudget()
     args = [(m, budget.memory_cap) for m in tasks]
     results = None

@@ -1,10 +1,13 @@
 """Shared fixtures: model polygons, frozen reference tables, corpora."""
 from __future__ import annotations
 
+import json
+import os
+
 import pytest
 from hypothesis import settings
 
-from polybetti import linalg
+from polybetti import engine, linalg
 from polybetti.corpus import build_corpus, oracle_corpus
 from polybetti.engine import EngineOptions
 from polybetti.linalg import ComputeBudget, PrimeModulus
@@ -64,6 +67,31 @@ def opened_pools(monkeypatch):
 
     monkeypatch.setattr(linalg, "ProcessPoolExecutor", Counting)
     return opened
+
+
+@pytest.fixture()
+def built_blocks(monkeypatch, tmp_path):
+    """Record every block the engine builds, in forked pool workers too,
+    as [pid, spec kind, position, bidegree, map, rows, cols]; returns
+    the reader of the records so far."""
+    log = tmp_path / "built.jsonl"
+    real = engine.coboundary_matrix
+
+    def recording(spec, ab, prime, which="right"):
+        m = real(spec, ab, prime, which)
+        with open(log, "a") as fh:
+            fh.write(json.dumps([os.getpid(), spec.kind, spec.ell, list(ab),
+                                 which, m.n_rows, m.n_cols]) + "\n")
+        return m
+
+    monkeypatch.setattr(engine, "coboundary_matrix", recording)
+
+    def read() -> list[list]:
+        if not log.exists():
+            return []
+        return [json.loads(line) for line in log.read_text().splitlines()]
+
+    return read
 
 
 @pytest.fixture(scope="session")

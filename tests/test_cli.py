@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -184,6 +185,31 @@ def test_table_memory_cap_aborts_with_checkpoint(runner, tmp_path):
     assert resumed.exit_code == 0
     n, b, c, _, _ = parse_ascii(resumed.stdout)
     assert (b, c) == REFERENCE_TABLES["Upsilon_3"]
+
+
+def test_over_cap_block_is_never_built(runner, tmp_path, built_blocks):
+    r = invoke(runner, "table", "--model", "Upsilon_3",
+               "--checkpoint", str(tmp_path / "ck.jsonl"),
+               "--memory-cap", "5000")
+    assert r.exit_code == 3
+    failed = re.search(r"strand c position (\d+) bidegree \((-?\d+), "
+                       r"(-?\d+)\): a dense \d+x\d+ block needs \d+ bytes, "
+                       r"cap is 5000", r.stderr)
+    assert failed
+    ell, a, b = map(int, failed.groups())
+    built = built_blocks()
+    assert built
+    assert ["dual_c", ell, [a, b], "right"] not in [rec[1:5] for rec in built]
+    assert all(8 * rows * cols <= 5000 for *_, rows, cols in built)
+
+
+@pytest.mark.parametrize("flag,value", [("--memory-cap", "-1"),
+                                        ("--memory-cap", "0"),
+                                        ("--workers", "0")])
+def test_nonpositive_budget_is_bad_input(runner, flag, value):
+    r = invoke(runner, "table", "--model", "Upsilon_2", flag, value)
+    assert r.exit_code == 2
+    assert "at least 1" in r.stderr
 
 
 def test_predict_minimal_degree(runner):

@@ -363,6 +363,17 @@ def test_one_pool_per_table_joined_before_return(opened_pools, prime):
     assert multiprocessing.active_children() == []
 
 
+def test_pooled_runs_build_no_block_in_the_parent(built_blocks, prime):
+    opts = EngineOptions(budget=ComputeBudget(max_workers=2))
+    for name in ("Upsilon_3", "2*Upsilon", "3*Sigma"):
+        table = betti_table(named_polygon(name), prime, opts)
+        assert (table.b, table.c) == REFERENCE_TABLES[name]
+    assert run_audits(named_polygon("Upsilon_2"), prime, opts) == []
+    pids = [rec[0] for rec in built_blocks()]
+    assert pids
+    assert pids.count(os.getpid()) == 0
+
+
 def test_verify_kp1_spec_examples(prime, serial_options):
     report = verify_kp1(named_polygon("3*Sigma"), prime, serial_options)
     assert isinstance(report, Kp1Report)

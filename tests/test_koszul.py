@@ -13,7 +13,7 @@ from polybetti.koszul import (EMPTY_PLAN, InvalidPlan, NotInPolygon,
                               pair_criterion_by_enumeration, peak_block,
                               reduced_complex_spec, reduced_supports,
                               regular_pair, regular_triple, side_profile,
-                              support_window,
+                              support_window, target_profile,
                               triple_criterion_by_enumeration,
                               twisted_quadratic_spec, twisted_strand_spec,
                               verify_plan)
@@ -59,9 +59,13 @@ def test_basis_count_matches_generating_function(name, kind, ell):
     spec = spec_for(named_polygon(name), kind, ell)
     middle = middle_profile(spec)
     left = side_profile(spec.left)
+    below = target_profile(spec.right)
     for ab in enumerate_bidegrees(spec):
         assert len(enumerate_basis(spec.right, ab)) == middle.get(ab, 0)
         assert len(enumerate_basis(spec.left, ab)) == left.get(ab, 0)
+        # the row counts block tasks carry for the memory cap check
+        assert map_entries(spec.right, ab)[0] == below.get(ab, 0)
+        assert map_entries(spec.left, ab)[0] == middle.get(ab, 0)
     assert peak_block(spec) == max(middle.values(), default=0)
 
 

@@ -324,3 +324,16 @@ def test_workers_env_default(monkeypatch):
     assert ComputeBudget().max_workers == 3
     monkeypatch.delenv("BETTI_WORKERS")
     assert ComputeBudget().max_workers >= 1
+
+
+def test_budget_rejects_nonpositive_limits(monkeypatch):
+    for kwargs in ({"max_workers": 0}, {"max_workers": -2},
+                   {"memory_cap": 0}, {"memory_cap": -1}):
+        with pytest.raises(ValueError):
+            ComputeBudget(**kwargs)
+    monkeypatch.setenv("BETTI_WORKERS", "-1")
+    with pytest.raises(ValueError):
+        ComputeBudget()
+    monkeypatch.setenv("BETTI_WORKERS", "0")      # 0 means the CPU count
+    assert ComputeBudget().max_workers == (os.cpu_count() or 1)
+    assert ComputeBudget(max_workers=1, memory_cap=1).memory_cap == 1
