@@ -8,12 +8,14 @@ support.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
-from .linalg import PrimeModulus, SparseMatrixFp, require
+import numpy as np
+
+from .linalg import PrimeModulus, ResourceExceeded, SparseMatrixFp, require
 from .polygon import (LatticePolygon, Point, PointSet, cross, dilate,
                       dilate_hull, hull_points, interior_hull, minkowski_hull,
                       negate_hull, order_key, sigma_point)
@@ -45,14 +47,6 @@ class SupportTriple:
         if self.wedge_degree < 0:
             raise ValueError(
                 f"wedge degree {self.wedge_degree} must be nonnegative")
-
-
-@dataclass(frozen=True)
-class WedgeBasisElement:
-    """A strictly increasing wedge with its implicit tensor cofactor."""
-
-    wedge: tuple[Point, ...]
-    cofactor: Point
 
 
 @dataclass(frozen=True)
@@ -326,96 +320,100 @@ def enumerate_bidegrees(spec: ComplexSpec) -> list[Point]:
     return sorted(hull_points(spec.region), key=order_key)
 
 
-@lru_cache(maxsize=None)
-def _wedge_buckets(support: PointSet, p: int) -> dict[Point, list[int]]:
-    """Masks of all p-subsets, grouped by coordinate sum."""
-    pts = support.points
-    out: dict[Point, list[int]] = {}
-    for combo in itertools.combinations(range(len(pts)), p):
-        sx = sum(pts[i][0] for i in combo)
-        sy = sum(pts[i][1] for i in combo)
-        mask = 0
-        for i in combo:
-            mask |= 1 << i
-        out.setdefault((sx, sy), []).append(mask)
-    return out
+_BITS = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
 
 
-def _sorted_sums(buckets: dict[Point, list[int]]) -> list[Point]:
-    return sorted(buckets, key=order_key)
+@lru_cache(maxsize=4)
+def _mask_layer(support: PointSet, p: int
+                ) -> tuple[np.ndarray, np.ndarray, dict[Point, int]]:
+    """All p-subsets of support as uint64 masks grouped by coordinate
+    sum: (masks, offsets, index), bucket k being masks[offsets[k]:
+    offsets[k + 1]], buckets in order_key order of their sums, index
+    mapping a sum to its bucket; in a bucket, combinations order.
+
+    Bounded because a worker needs only the layers of the entry it is
+    ranking; treat the arrays as read-only.
+    """
+    n = len(support)
+    if n > 64:
+        raise ResourceExceeded(
+            f"a wedge support of {n} points does not fit 64-bit masks")
+    xy = np.array(support.points, dtype=np.int64).reshape(n, 2)
+    # in combinations order the q-subsets of range(s, n) are the last
+    # comb(n - s, q), so layer q joins each point s to such a tail
+    masks = np.zeros(1, dtype=np.uint64)
+    sums = np.zeros((1, 2), dtype=np.int64)
+    for q in range(1, min(p, n - p) + 1):
+        tails = [(s, len(masks) - comb(n - s - 1, q - 1))
+                 for s in range(n - q + 1)]
+        masks = np.concatenate([masks[t:] | _BITS[s] for s, t in tails])
+        sums = np.concatenate([sums[t:] + xy[s] for s, t in tails])
+    if 2 * p > n:   # complements of the (n - p)-subsets, in reverse order
+        masks = masks[::-1] ^ np.uint64((1 << n) - 1)
+        sums = xy.sum(axis=0) - sums[::-1]
+    order = np.lexsort(sums.T)      # stable: by (y, x), then as generated
+    masks, sums = masks[order], sums[order]
+    first = np.ones(len(masks), dtype=bool)
+    first[1:] = (sums[1:, 0] != sums[:-1, 0]) | (sums[1:, 1] != sums[:-1, 1])
+    starts = first.nonzero()[0]
+    index = {pt: k for k, pt in enumerate(map(tuple, sums[starts].tolist()))}
+    return masks, np.concatenate((starts, [len(masks)])), index
 
 
-def _mask_indices(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+def wedge_basis(support: PointSet, coeffs: PointSet, p: int,
+                ab: Point) -> np.ndarray:
+    """Masks of the p-wedges at bidegree ab whose cofactor ab - sum lies
+    in coeffs: the bucket slices in order, so the basis order is the
+    layer's."""
+    if not 0 <= p <= len(support):
+        return np.zeros(0, dtype=np.uint64)
+    masks, offsets, index = _mask_layer(support, p)
+    ks = sorted(k for k in (index.get((ab[0] - cx, ab[1] - cy))
+                            for cx, cy in coeffs) if k is not None)
+    return np.concatenate([masks[:0]] + [masks[offsets[k]:offsets[k + 1]]
+                                         for k in ks])
 
 
-def _basis_masks(support: PointSet, coeffs: PointSet, p: int,
-                 ab: Point) -> list[int]:
-    """Masks at the bidegree whose cofactor lands in the coefficient set,
-    in deterministic order."""
-    if p < 0:
-        return []
-    buckets = _wedge_buckets(support, p)
-    out: list[int] = []
-    for s in _sorted_sums(buckets):
-        cof = (ab[0] - s[0], ab[1] - s[1])
-        if cof in coeffs:
-            out.extend(buckets[s])
-    return out
-
-
-def enumerate_basis(triple: SupportTriple, ab: Point) -> list[WedgeBasisElement]:
-    pts = triple.wedge_support.points
-    out = []
-    for mask in _basis_masks(triple.wedge_support, triple.source_support,
-                             triple.wedge_degree, ab):
-        wedge = tuple(pts[i] for i in _mask_indices(mask))
-        sx = sum(w[0] for w in wedge)
-        sy = sum(w[1] for w in wedge)
-        out.append(WedgeBasisElement(wedge, (ab[0] - sx, ab[1] - sy)))
-    return out
-
-
-def map_entries(triple: SupportTriple, ab: Point) -> tuple[int, int, list]:
-    """(n_rows, n_cols, entries) of the coboundary at one bidegree.
+def map_entries(triple: SupportTriple, ab: Point
+                ) -> tuple[int, int, np.ndarray, np.ndarray, np.ndarray]:
+    """(n_rows, n_cols, indptr, indices, signs) of the coboundary at one
+    bidegree, column-compressed with rows increasing in each column.
 
     The s-th omission carries sign (-1)^s, s counted from 1 along the
-    increasing wedge order; terms whose shifted cofactor leaves the
-    target support are dropped.  Every column has at most p entries,
-    all +-1.
+    increasing wedge order.  A term whose shifted cofactor leaves the
+    target support is dropped: its mask is not a row, the row buckets
+    being those with cofactor in it.  Columns have at most p entries.
     """
-    a, b_set, c_set, p = (triple.wedge_support, triple.source_support,
-                          triple.target_support, triple.wedge_degree)
-    cols = _basis_masks(a, b_set, p, ab)
-    rows = _basis_masks(a, c_set, p - 1, ab)
-    row_index = {m: i for i, m in enumerate(rows)}
-    pts = a.points
-    entries = []
-    for j, mask in enumerate(cols):
-        cof = (ab[0] - sum(pts[i][0] for i in _mask_indices(mask)),
-               ab[1] - sum(pts[i][1] for i in _mask_indices(mask)))
-        for s, i in enumerate(_mask_indices(mask), start=1):
-            new_cof = (cof[0] + pts[i][0], cof[1] + pts[i][1])
-            if new_cof not in c_set:
-                continue
-            r = row_index.get(mask & ~(1 << i))
-            if r is None:
-                continue
-            entries.append((r, j, -1 if s % 2 else 1))
-    return len(rows), len(cols), entries
+    a, p = triple.wedge_support, triple.wedge_degree
+    cols = wedge_basis(a, triple.source_support, p, ab)
+    rows = wedge_basis(a, triple.target_support, p - 1, ab)
+    n_rows, n_cols = len(rows), len(cols)
+    indptr = np.zeros(n_cols + 1, dtype=np.int64)
+    if not (n_rows and n_cols):
+        return n_rows, n_cols, indptr, indptr[:0], indptr[:0]
+    # every column has exactly p bits: omission k of the scan is the
+    # (k % p + 1)-th of its column, odd (sign -1) when k % p is even
+    jj, ii = (cols[:, None] & _BITS[:len(a)]).nonzero()
+    sign = np.where(np.arange(len(jj)) % p % 2, 1, -1)
+    targets = cols[jj] ^ _BITS[ii]
+    by_mask = rows.argsort()
+    sorted_rows = rows[by_mask]
+    pos = sorted_rows.searchsorted(targets)
+    np.minimum(pos, n_rows - 1, out=pos)
+    hit = sorted_rows[pos] == targets
+    jj, rr, sign = jj[hit], by_mask[pos[hit]], sign[hit]
+    order = np.lexsort((rr, jj))
+    np.bincount(jj, minlength=n_cols).cumsum(out=indptr[1:])
+    return n_rows, n_cols, indptr, rr[order], sign[order]
 
 
 def coboundary_matrix(spec: ComplexSpec, ab: Point, prime: PrimeModulus,
                       which: str = "right") -> SparseMatrixFp:
     """Matrix of the outgoing (or incoming) coboundary at one bidegree."""
     triple = spec.right if which == "right" else spec.left
-    n_rows, n_cols, entries = map_entries(triple, ab)
-    return SparseMatrixFp.from_entries(n_rows, n_cols, entries, prime)
+    n_rows, n_cols, indptr, indices, signs = map_entries(triple, ab)
+    return SparseMatrixFp(n_rows, n_cols, indptr, indices,
+                          np.where(signs < 0, prime.p - 1, 1), prime)
 
 
 @lru_cache(maxsize=64)

@@ -86,47 +86,48 @@ DEFAULT_PRIME = 40009
 
 @dataclass
 class SparseMatrixFp:
-    """Column-major sparse matrix over the field with ``modulus.p`` elements.
-
-    Within a column, row indices are strictly increasing and values are
-    nonzero mod p.
+    """Column-compressed (CSC) sparse matrix over the field with
+    ``modulus.p`` elements: column c holds rows
+    ``indices[indptr[c]:indptr[c + 1]]``, strictly increasing, with the
+    nonzero residues ``data`` at the same positions.
     """
 
     n_rows: int
     n_cols: int
-    columns: list[list[tuple[int, int]]]
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
     modulus: PrimeModulus
 
     @classmethod
     def from_entries(cls, n_rows: int, n_cols: int, entries,
                      modulus: PrimeModulus) -> "SparseMatrixFp":
         p = modulus.p
-        cols: list[list[tuple[int, int]]] = [[] for _ in range(n_cols)]
+        kept = []
         for r, c, v in entries:
             if not (0 <= r < n_rows and 0 <= c < n_cols):
                 raise ValueError(f"entry ({r}, {c}) out of range")
-            v %= p
-            if v:
-                cols[c].append((r, v))
-        for col in cols:
-            col.sort()
-            for (r0, _), (r1, _) in zip(col, col[1:]):
-                if r0 == r1:
-                    raise ValueError(f"duplicate row {r0} within a column")
-        return cls(n_rows, n_cols, cols, modulus)
+            if v % p:
+                kept.append((c, r, v % p))
+        kept.sort()
+        for (c0, r0, _), (c1, r1, _) in zip(kept, kept[1:]):
+            if (c0, r0) == (c1, r1):
+                raise ValueError(f"duplicate row {r0} within a column")
+        cols, rows, vals = np.array(kept, dtype=np.int64).reshape(-1, 3).T
+        indptr = cols.searchsorted(np.arange(n_cols + 1))
+        return cls(n_rows, n_cols, indptr, rows, vals, modulus)
 
     @property
     def nnz(self) -> int:
-        return sum(len(col) for col in self.columns)
+        return len(self.indices)
 
     def build(self) -> "SparseMatrixFp":
         return self
 
     def to_dense(self) -> np.ndarray:
         a = np.zeros((self.n_rows, self.n_cols), dtype=np.int64)
-        for c, col in enumerate(self.columns):
-            for r, v in col:
-                a[r, c] = v
+        a[self.indices,
+          np.repeat(np.arange(self.n_cols), np.diff(self.indptr))] = self.data
         return a
 
 
@@ -182,18 +183,19 @@ class _Eliminator:
 
     def __init__(self, m: SparseMatrixFp):
         self.p = m.modulus.p
+        ptr, idx = m.indptr.tolist(), m.indices.tolist()
+        col_rows: dict[int, set[int]] = {
+            c: set(idx[a:b])
+            for c, a, b in zip(range(m.n_cols), ptr, ptr[1:]) if a < b}
+        # a column-major scan: its insertion order fixes the pivot sequence
         rows: dict[int, dict[int, int]] = {}
-        col_rows: dict[int, set[int]] = {}
-        for c, col in enumerate(m.columns):
-            if not col:
-                continue
-            col_rows[c] = {r for r, _ in col}
-            for r, v in col:
-                row = rows.get(r)
-                if row is None:
-                    rows[r] = {c: v}
-                else:
-                    row[c] = v
+        cols = np.arange(m.n_cols).repeat(m.indptr[1:] - m.indptr[:-1])
+        for r, c, v in zip(idx, cols.tolist(), m.data.tolist()):
+            row = rows.get(r)
+            if row is None:
+                rows[r] = {c: v}
+            else:
+                row[c] = v
         self.rows, self.col_rows = rows, col_rows
         self.nnz = m.nnz
         self.rank = 0

@@ -17,8 +17,8 @@ from polybetti.engine import (EngineOptions, Kp1Report, TableAborted,
                               strand_value, support_region_check, verify_kp1,
                               verify_prune_monotonicity)
 from polybetti.koszul import (EMPTY_PLAN, SupportTriple, coboundary_matrix,
-                              enumerate_basis, linear_strand_spec,
-                              middle_profile, twisted_strand_spec)
+                              linear_strand_spec, middle_profile,
+                              twisted_strand_spec, wedge_basis)
 from polybetti.linalg import ComputeBudget, PrimeModulus
 from polybetti.polygon import (AffineUnimodularMap, from_vertices,
                                named_polygon, parse_polygon)
@@ -208,8 +208,10 @@ def test_block_dimensions_match_enumeration():
                           spec.right.target_support,
                           spec.right.wedge_degree - 1)
     for ab, rows, cols in blocks:
-        assert cols == len(enumerate_basis(spec.right, ab))
-        assert rows == len(enumerate_basis(below, ab))
+        for n, triple in ((cols, spec.right), (rows, below)):
+            assert n == len(wedge_basis(triple.wedge_support,
+                                        triple.source_support,
+                                        triple.wedge_degree, ab))
 
 
 def test_checkpoint_resume_and_refusal(tmp_path, prime):

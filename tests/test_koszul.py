@@ -6,9 +6,11 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
+from polybetti.engine import BlockTask
 from polybetti.koszul import (EMPTY_PLAN, InvalidPlan, NotInPolygon,
-                              RemovalPlan, SupportTriple, choose_removal,
-                              enumerate_basis, enumerate_bidegrees,
+                              RemovalPlan, SupportTriple, _mask_layer,
+                              choose_removal, coboundary_matrix,
+                              enumerate_bidegrees,
                               linear_strand_spec, map_entries, middle_profile,
                               pair_criterion_by_enumeration, peak_block,
                               reduced_complex_spec, reduced_supports,
@@ -16,9 +18,11 @@ from polybetti.koszul import (EMPTY_PLAN, InvalidPlan, NotInPolygon,
                               support_window, target_profile,
                               triple_criterion_by_enumeration,
                               twisted_quadratic_spec, twisted_strand_spec,
-                              verify_plan)
+                              verify_plan, wedge_basis)
+from polybetti.linalg import (ComputeBudget, PrimeModulus, ResourceExceeded,
+                              rank_batch)
 from polybetti.polygon import (PointSet, from_vertices, lawrence_prism,
-                               named_polygon, parse_polygon)
+                               named_polygon, order_key, parse_polygon)
 
 
 def spec_for(poly, kind, ell):
@@ -28,12 +32,57 @@ def spec_for(poly, kind, ell):
     return builders[kind](poly, ell)
 
 
+def signed_entries(triple, ab):
+    """(n_rows, n_cols, [(row, col, +-1)]) of the coboundary at ab."""
+    n_rows, n_cols, indptr, indices, signs = map_entries(triple, ab)
+    cols = np.repeat(np.arange(n_cols), np.diff(indptr))
+    return n_rows, n_cols, list(zip(indices.tolist(), cols.tolist(),
+                                    signs.tolist()))
+
+
 def dense_map(triple, ab):
-    n_rows, n_cols, entries = map_entries(triple, ab)
+    n_rows, n_cols, entries = signed_entries(triple, ab)
     m = np.zeros((n_rows, n_cols), dtype=np.int64)
     for r, c, v in entries:
         m[r, c] += v
     return m
+
+
+def source_basis(triple, ab):
+    return wedge_basis(triple.wedge_support, triple.source_support,
+                       triple.wedge_degree, ab)
+
+
+def reference_map(triple, ab):
+    """The coboundary at ab straight from its definition: p-subsets by
+    itertools.combinations whose cofactor lies in the source support,
+    ordered by coordinate sum (order_key) and then as generated; the
+    s-th omission, s from 1, has sign (-1)^s and is kept when its
+    shifted cofactor lies in the target support."""
+    pts = triple.wedge_support.points
+    p = triple.wedge_degree
+
+    def wsum(w):
+        return (sum(pts[i][0] for i in w), sum(pts[i][1] for i in w))
+
+    def basis(coeffs, q):
+        if q < 0:
+            return []
+        out = [w for w in combinations(range(len(pts)), q)
+               if (ab[0] - wsum(w)[0], ab[1] - wsum(w)[1]) in coeffs]
+        return sorted(out, key=lambda w: order_key(wsum(w)))
+
+    cols = basis(triple.source_support, p)
+    rows = basis(triple.target_support, p - 1)
+    row_of = {w: i for i, w in enumerate(rows)}
+    entries = {}
+    for j, w in enumerate(cols):
+        for s in range(1, p + 1):
+            rest = w[:s - 1] + w[s:]
+            cof = (ab[0] - wsum(rest)[0], ab[1] - wsum(rest)[1])
+            if cof in triple.target_support:
+                entries[(row_of[rest], j)] = (-1) ** s
+    return len(rows), len(cols), entries
 
 
 SPEC_CASES = [
@@ -61,8 +110,8 @@ def test_basis_count_matches_generating_function(name, kind, ell):
     left = side_profile(spec.left)
     below = target_profile(spec.right)
     for ab in enumerate_bidegrees(spec):
-        assert len(enumerate_basis(spec.right, ab)) == middle.get(ab, 0)
-        assert len(enumerate_basis(spec.left, ab)) == left.get(ab, 0)
+        assert len(source_basis(spec.right, ab)) == middle.get(ab, 0)
+        assert len(source_basis(spec.left, ab)) == left.get(ab, 0)
         # the row counts block tasks carry for the memory cap check
         assert map_entries(spec.right, ab)[0] == below.get(ab, 0)
         assert map_entries(spec.left, ab)[0] == middle.get(ab, 0)
@@ -74,7 +123,7 @@ def test_columns_are_sparse_sign_vectors(name, kind, ell):
     spec = spec_for(named_polygon(name), kind, ell)
     for ab in enumerate_bidegrees(spec):
         for triple in (spec.left, spec.right):
-            _, n_cols, entries = map_entries(triple, ab)
+            _, n_cols, entries = signed_entries(triple, ab)
             per_col = [0] * n_cols
             for _, c, v in entries:
                 assert v in (1, -1)
@@ -84,15 +133,90 @@ def test_columns_are_sparse_sign_vectors(name, kind, ell):
 
 def test_basis_elements_are_increasing_wedges():
     spec = spec_for(named_polygon("Upsilon_2"), "primal_b", 2)
-    order = {pt: i for i, pt in enumerate(spec.wedge_support.points)}
+    pts = spec.wedge_support.points
     for ab in enumerate_bidegrees(spec):
-        for el in enumerate_basis(spec.right, ab):
-            idx = [order[pt] for pt in el.wedge]
-            assert idx == sorted(set(idx))
-            sx = sum(w[0] for w in el.wedge) + el.cofactor[0]
-            sy = sum(w[1] for w in el.wedge) + el.cofactor[1]
-            assert (sx, sy) == ab
-            assert el.cofactor in spec.right.source_support
+        masks = source_basis(spec.right, ab).tolist()
+        assert len(set(masks)) == len(masks)
+        keys = []
+        for mask in masks:
+            wedge = [pt for i, pt in enumerate(pts) if mask >> i & 1]
+            assert len(wedge) == spec.right.wedge_degree
+            wsum = (sum(w[0] for w in wedge), sum(w[1] for w in wedge))
+            assert (ab[0] - wsum[0], ab[1] - wsum[1]) in \
+                spec.right.source_support
+            keys.append(order_key(wsum))
+        # grouped by wedge sum, in point order
+        assert keys == sorted(keys)
+
+
+def test_mask_layers_match_combinations():
+    # past half the support size a layer is built from complements
+    pts = named_polygon("Upsilon_2").points.points
+    for p in range(len(pts) + 1):
+        masks, offsets, index = _mask_layer(PointSet(pts), p)
+
+        def wsum(c):
+            return (sum(pts[i][0] for i in c), sum(pts[i][1] for i in c))
+
+        want = sorted(combinations(range(len(pts)), p),
+                      key=lambda c: order_key(wsum(c)))
+        assert masks.tolist() == [sum(1 << i for i in c) for c in want]
+        assert sorted(index, key=order_key) == sorted(set(map(wsum, want)),
+                                                      key=order_key)
+        for s, k in index.items():
+            assert all(wsum([i for i in range(len(pts)) if m >> i & 1]) == s
+                       for m in masks[offsets[k]:offsets[k + 1]].tolist())
+
+
+# one reduced spec per removal certificate: removal leaves non-convex
+# supports, where dropped terms are the rule rather than the edge
+REDUCED_CASES = [
+    ("2*Sigma", "primal_b", 2, "triangle"),
+    ("0,0 2,0 2,1 0,2", "primal_b", 2, "opposite_pair"),
+    ("0,0 2,0 3,1 1,3 0,2", "dual_c", 2, "single"),
+]
+
+
+def _assembly_specs():
+    for name, kind, ell in SPEC_CASES:
+        yield spec_for(named_polygon(name), kind, ell)
+    for name, kind, ell, certificate in REDUCED_CASES:
+        poly = (named_polygon(name) if "*" in name else parse_polygon(name))
+        plan = choose_removal(poly, kind, ell)
+        assert plan.certificate == certificate
+        yield reduced_complex_spec(poly, plan, kind, ell)
+
+
+@pytest.mark.parametrize("spec", list(_assembly_specs()),
+                         ids=["-".join(map(str, c)) for c in SPEC_CASES]
+                         + [c[3] for c in REDUCED_CASES])
+def test_assembly_matches_the_definition(spec):
+    prime = PrimeModulus(40009)
+    for ab in enumerate_bidegrees(spec):
+        for which, triple in (("left", spec.left), ("right", spec.right)):
+            n_rows, n_cols, want = reference_map(triple, ab)
+            m = coboundary_matrix(spec, ab, prime, which)
+            assert (m.n_rows, m.n_cols) == (n_rows, n_cols)
+            got = {}
+            for c in range(n_cols):
+                rs = m.indices[m.indptr[c]:m.indptr[c + 1]].tolist()
+                assert rs == sorted(set(rs))
+                for r, v in zip(rs, m.data[m.indptr[c]:m.indptr[c + 1]]):
+                    got[(r, c)] = int(v)
+            assert got == {rc: v % prime.p for rc, v in want.items()}
+
+
+def test_wedge_support_over_64_points_is_refused():
+    poly = from_vertices([(0, 0), (63, 0), (0, 1)])
+    assert poly.n_points == 65
+    spec = linear_strand_spec(poly, 1)
+    prime = PrimeModulus(40009)
+    with pytest.raises(ResourceExceeded, match="65 points"):
+        coboundary_matrix(spec, (1, 0), prime)
+    # in a batch the block fails alone, as a block over the memory cap does
+    task = BlockTask(spec, (1, 0), prime, "right", 1, 1)
+    [out] = rank_batch([task], ComputeBudget(max_workers=1))
+    assert not out.ok and "65 points" in out.error
 
 
 REGULARITY_POLYGONS = [
@@ -190,8 +314,8 @@ def test_verify_plan_rejects_invalid_plans():
 def test_oversized_wedge_degree_is_the_zero_space():
     pts = PointSet.of([(0, 0), (1, 0), (0, 1)])
     triple = SupportTriple(pts, pts, pts, wedge_degree=5)
-    assert enumerate_basis(triple, (1, 1)) == []
-    n_rows, n_cols, entries = map_entries(triple, (1, 1))
+    assert len(source_basis(triple, (1, 1))) == 0
+    n_rows, n_cols, entries = signed_entries(triple, (1, 1))
     assert n_cols == 0 and entries == []
     with pytest.raises(ValueError):
         SupportTriple(pts, pts, pts, wedge_degree=-1)

@@ -22,7 +22,8 @@ P40009 = PrimeModulus(40009)
 
 
 def transpose(m):
-    entries = [(c, r, v) for c, col in enumerate(m.columns) for r, v in col]
+    cols = np.repeat(np.arange(m.n_cols), np.diff(m.indptr))
+    entries = zip(cols.tolist(), m.indices.tolist(), m.data.tolist())
     return SparseMatrixFp.from_entries(m.n_cols, m.n_rows, entries, m.modulus)
 
 
