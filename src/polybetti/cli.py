@@ -135,7 +135,9 @@ def main():
                    "(small polygons only; failures exit nonzero).")
 @click.option("--checkpoint", type=click.Path(), default=None,
               help="Record finished rank blocks here and resume from "
-                   "them; kept on resource failure.")
+                   "them; kept on resource failure.  The log is tied to "
+                   "one prime, so it cannot be combined with several "
+                   "--primes.")
 @click.option("--format", "fmt", type=click.Choice(["ascii", "json"]),
               default="ascii", show_default=True)
 def table(model, vertices, file, prime, primes, removal, no_symmetry,
@@ -149,6 +151,9 @@ def table(model, vertices, file, prime, primes, removal, no_symmetry,
     """
     poly = _load_polygon(model, vertices, file)
     moduli = _parse_primes(prime, primes)
+    if checkpoint and len(moduli) > 1:
+        _fail(EXIT_INPUT, "--checkpoint records one prime's blocks; "
+                          "give a single prime")
     try:
         opts = _options(removal, no_symmetry, bigraded, checkpoint,
                         workers, memory_cap)
@@ -262,7 +267,8 @@ def _kp1_line(name: str, record: dict) -> str:
     rep = record["report"]
     entries = "  ".join(
         f"b[{pos}]={val}{'' if exact else '*'}"
-        for pos, (val, exact) in sorted(rep["entries"].items()))
+        for pos, (val, exact) in sorted(rep["entries"].items(),
+                                        key=lambda kv: int(kv[0])))
     line = (f"{name}: {record['polygon']} n={rep['n']} "
             f"width={rep['lattice_width']} "
             f"first_zero={rep['first_zero_index']} "
@@ -357,13 +363,7 @@ def verify_kp1_cmd(corpus_dir, prime, removal, no_symmetry, workers,
             else:
                 verdict = record["report"]["verdict"]
                 counts[verdict] = counts.get(verdict, 0) + 1
-            rec = dict(record)
-            if "report" in rec:
-                rec = {**rec, "report": {
-                    **rec["report"],
-                    "entries": {int(t): tuple(v) for t, v
-                                in rec["report"]["entries"].items()}}}
-            click.echo(_kp1_line(name, rec))
+            click.echo(_kp1_line(name, record))
             shown += 1
     if store:
         store.close()

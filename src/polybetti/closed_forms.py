@@ -73,7 +73,14 @@ def antidiagonal_difference(poly: LatticePolygon, ell: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _difference_profile(poly: LatticePolygon, ell: int) -> dict[Point, int]:
+def antidiagonal_difference_bigraded(poly: LatticePolygon,
+                                     ell: int) -> dict[Point, int]:
+    """Bidegree slices of the strand Euler characteristic: the
+    alternating sums of wedge-tensor dimensions, keyed by (a, b).
+    Shared by every caller; do not mutate."""
+    n = poly.n_points
+    if not (1 <= ell <= n - 2):
+        raise RangeError(f"position {ell} outside 1..{n - 2}")
     pts = poly.points
     out: dict[Point, int] = {}
     for j in range(0, ell + 2):
@@ -85,16 +92,6 @@ def _difference_profile(poly: LatticePolygon, ell: int) -> dict[Point, int]:
     return out
 
 
-def antidiagonal_difference_bigraded(poly: LatticePolygon, ell: int,
-                                     ab: Point) -> int:
-    """Bidegree slice of the strand Euler characteristic: the
-    alternating sum of wedge-tensor dimensions at (a, b)."""
-    n = poly.n_points
-    if not (1 <= ell <= n - 2):
-        raise RangeError(f"position {ell} outside 1..{n - 2}")
-    return _difference_profile(poly, ell).get(ab, 0)
-
-
 def hering_schenck_zero_region(poly: LatticePolygon) -> frozenset[int]:
     """Quadratic-strand positions forced to zero by the boundary count."""
     if _n_interior(poly) == 0:
@@ -102,13 +99,6 @@ def hering_schenck_zero_region(poly: LatticePolygon) -> frozenset[int]:
     n = poly.n_points
     lo = n + 1 - poly.boundary_count
     return frozenset(range(max(lo, 1), n - 2))
-
-
-def hering_schenck_first_nonzero(poly: LatticePolygon) -> int:
-    """First nonzero quadratic position; the bound is an equality."""
-    if _n_interior(poly) == 0:
-        raise EmptyInterior("empty interior: the whole quadratic row is zero")
-    return poly.n_points - poly.boundary_count
 
 
 def _is_indexed_two_triangle(poly: LatticePolygon) -> bool:

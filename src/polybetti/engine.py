@@ -15,10 +15,11 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .closed_forms import (antidiagonal_difference, eagon_northcott_table,
-                           hering_schenck_zero_region,
+from .closed_forms import (antidiagonal_difference,
+                           antidiagonal_difference_bigraded,
+                           eagon_northcott_table, hering_schenck_zero_region,
                            kp1_predicted_first_zero,
                            scroll_strand_lower_bound)
 from .koszul import (EMPTY_PLAN, ComplexSpec, RemovalPlan, choose_removal,
@@ -29,9 +30,9 @@ from .koszul import (EMPTY_PLAN, ComplexSpec, RemovalPlan, choose_removal,
 from .linalg import (ComputeBudget, InvariantViolation, PrimeModulus,
                      ResourceExceeded, SparseMatrixFp, rank_batch, require,
                      worker_pool)
-from .polygon import (LatticePolygon, Point, canonical_form, interior_hull,
-                      lattice_width, order_key, prune_vertex, sigma_point,
-                      symmetry_group)
+from .polygon import (DimensionError, LatticePolygon, Point, canonical_form,
+                      interior_hull, lattice_width, order_key, prune_vertex,
+                      sigma_point, symmetry_group)
 from .table import BettiTable
 
 
@@ -714,87 +715,6 @@ def verify_kp1(poly: LatticePolygon, prime: PrimeModulus | int = 40009,
                      entries, verdict, tuple(notes))
 
 
-@dataclass
-class PruneReport:
-    """Zero propagation from a vertex-pruned polygon to the original."""
-
-    vertex: Point
-    checked: tuple[int, ...]
-    violations: tuple[tuple[int, int], ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def verify_prune_monotonicity(poly: LatticePolygon, vertex: Point,
-                              prime: PrimeModulus | int = 40009,
-                              options: EngineOptions | None = None
-                              ) -> PruneReport:
-    """Dropping a vertex can only push row-one vanishing outward: a
-    zero of the pruned polygon at p forces one at p + 1 upstairs."""
-    if isinstance(prime, int):
-        prime = PrimeModulus(prime)
-    options = options or EngineOptions()
-    pruned = prune_vertex(poly, vertex)
-    with worker_pool(options.budget):
-        small = betti_table(pruned, prime, options)
-        big = betti_table(poly, prime, options)
-    checked = []
-    violations = []
-    for p in range(1, poly.n_points - 3):
-        if small.b_entry(p) == 0 and p >= 1:
-            checked.append(p + 1)
-            if big.b_entry(p + 1) != 0:
-                violations.append((p + 1, big.b_entry(p + 1)))
-    return PruneReport(vertex, tuple(checked), tuple(violations))
-
-
-@dataclass
-class SupportReport:
-    """Bigraded sanity: support windows and the mirrored dual pairing."""
-
-    window_violations: tuple
-    duality_mismatches: tuple
-
-    @property
-    def ok(self) -> bool:
-        return not self.window_violations and not self.duality_mismatches
-
-
-def support_region_check(poly: LatticePolygon, table: BettiTable,
-                         dual_bigraded: dict[int, dict[Point, int]]
-                         | None = None) -> SupportReport:
-    """Every nonzero bigraded entry must lie in the window cut out by
-    the natural region and its point-sum mirror; when the twisted dual
-    breakdown is supplied, mirrored entries must match exactly."""
-    window_violations = []
-    for (strand, ell, ab), val in sorted(table.bigraded.items()):
-        if not val:
-            continue
-        if strand == "b":
-            window = support_window(poly, ell, 1, twisted=False)
-        else:
-            window = support_window(poly, ell - 1, 1, twisted=True)
-        if ab not in window:
-            window_violations.append((strand, ell, ab, val))
-    duality_mismatches = []
-    if dual_bigraded:
-        sig = sigma_point(poly)
-        for ell, dual_map in sorted(dual_bigraded.items()):
-            primal = {ab: v for (s, e, ab), v in table.bigraded.items()
-                      if s == "b" and e == ell}
-            keys = set(primal) | {(sig[0] - a, sig[1] - b)
-                                  for a, b in dual_map}
-            for ab in sorted(keys, key=order_key):
-                mirrored = (sig[0] - ab[0], sig[1] - ab[1])
-                lhs = primal.get(ab, 0)
-                rhs = dual_map.get(mirrored, 0)
-                if lhs != rhs:
-                    duality_mismatches.append((ell, ab, lhs, rhs))
-    return SupportReport(tuple(window_violations), tuple(duality_mismatches))
-
-
 def audit_duality(poly: LatticePolygon, prime: PrimeModulus,
                   budget: ComputeBudget | None = None) -> list[str]:
     """Row one recomputed through the interior-twisted mirror complex
@@ -851,23 +771,64 @@ def audit_symmetry(poly: LatticePolygon, prime: PrimeModulus,
 
 
 def audit_shortcuts(poly: LatticePolygon, prime: PrimeModulus,
-                    options: EngineOptions | None = None) -> list[str]:
+                    table: BettiTable,
+                    budget: ComputeBudget | None = None) -> list[str]:
     """Recompute every entry the table got for free; the shortcuts must
-    be falsifiable, not baked in."""
-    options = options or EngineOptions()
-    table = betti_table(poly, prime, options)
+    be falsifiable, not baked in.  The direct bigraded breakdowns must
+    also keep every nonzero bidegree inside its support window, and on
+    each antidiagonal b_ell(ab) - c_(n-1-ell)(sigma - ab) must equal the
+    bidegree slice of the Euler characteristic."""
+    n = poly.n_points
+    direct: dict[tuple[str, int], dict[Point, int]] = {}
     issues = []
-    for pos in range(1, poly.n_points - 2):
-        b_direct = compute_b(poly, pos, prime, budget=options.budget)
-        if b_direct.value != table.b_entry(pos):
-            issues.append(f"row one {pos}: table {table.b_entry(pos)} vs "
-                          f"recomputed {b_direct.value} "
-                          f"({table.b_provenance[pos - 1]})")
-        c_direct = compute_c(poly, pos, prime, budget=options.budget)
-        if c_direct.value != table.c_entry(pos):
-            issues.append(f"row two {pos}: table {table.c_entry(pos)} vs "
-                          f"recomputed {c_direct.value} "
-                          f"({table.c_provenance[pos - 1]})")
+    for pos in range(1, n - 2):
+        for strand, compute in (("b", compute_b), ("c", compute_c)):
+            out = compute(poly, pos, prime, budget=budget)
+            direct[(strand, pos)] = out.bigraded
+            row = "row one" if strand == "b" else "row two"
+            have = getattr(table, f"{strand}_entry")(pos)
+            if out.value != have:
+                tag = getattr(table, f"{strand}_provenance")[pos - 1]
+                issues.append(f"{row} {pos}: table {have} vs recomputed "
+                              f"{out.value} ({tag})")
+            window = (support_window(poly, pos, 1, twisted=False)
+                      if strand == "b" else
+                      support_window(poly, pos - 1, 1, twisted=True))
+            for ab in sorted(set(out.bigraded) - window, key=order_key):
+                issues.append(f"{row} {pos}: bidegree {ab} outside its "
+                              f"support window")
+    sx, sy = sigma_point(poly)
+    for ell in range(1, n - 1):
+        b_map = direct.get(("b", ell), {})
+        c_map = direct.get(("c", n - 1 - ell), {})
+        expected = antidiagonal_difference_bigraded(poly, ell)
+        keys = (set(expected) | set(b_map)
+                | {(sx - a, sy - b) for a, b in c_map})
+        for ab in sorted(keys, key=order_key):
+            diff = b_map.get(ab, 0) - c_map.get((sx - ab[0], sy - ab[1]), 0)
+            if diff != expected.get(ab, 0):
+                issues.append(f"antidiagonal {ell} at {ab}: b - c = {diff}, "
+                              f"Euler characteristic {expected.get(ab, 0)}")
+    return issues
+
+
+def audit_prune(poly: LatticePolygon, prime: PrimeModulus, table: BettiTable,
+                options: EngineOptions) -> list[str]:
+    """Dropping a vertex can only push row-one vanishing outward: a
+    zero of the pruned polygon at p forces b_(p+1) = 0 upstairs."""
+    # a checkpoint log belongs to poly; the pruned tables must not touch it
+    plain = replace(options, checkpoint=None)
+    issues = []
+    for v in poly.vertices:
+        try:
+            pruned = prune_vertex(poly, v)
+        except DimensionError:
+            continue
+        small = betti_table(pruned, prime, plain)
+        for p in range(1, pruned.n_points - 2):
+            if small.b_entry(p) == 0 and table.b_entry(p + 1) != 0:
+                issues.append(f"pruning {v} zeroes row one at {p} but "
+                              f"b_{p + 1} = {table.b_entry(p + 1)}")
     return issues
 
 
@@ -879,17 +840,18 @@ def run_audits(poly: LatticePolygon, prime: PrimeModulus | int = 40009,
     options = options or EngineOptions()
     n = poly.n_points
     with worker_pool(options.budget):
-        issues = audit_shortcuts(poly, prime, options)
+        table = betti_table(poly, prime, options)
+        issues = audit_shortcuts(poly, prime, table, options.budget)
         if n <= 9:
             issues += audit_quotient(poly, prime, options)
         if n <= 8:
             issues += audit_duality(poly, prime, options.budget)
             issues += audit_symmetry(poly, prime, options)
+            issues += audit_prune(poly, prime, table, options)
         if n <= 7:
             from .oracle import oracle_betti
-            mine = betti_table(poly, prime, options)
             ref = oracle_betti(poly, prime)
-            if mine.b != ref.b or mine.c != ref.c:
+            if table.b != ref.b or table.c != ref.c:
                 issues.append(f"brute-force disagreement: "
-                              f"{mine.b}/{mine.c} vs {ref.b}/{ref.c}")
+                              f"{table.b}/{table.c} vs {ref.b}/{ref.c}")
         return issues

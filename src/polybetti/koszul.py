@@ -79,14 +79,6 @@ class ComplexSpec:
     def wedge_support(self) -> PointSet:
         return self.left.wedge_support
 
-    @property
-    def middle_support(self) -> PointSet:
-        return self.right.source_support
-
-    @property
-    def middle_degree(self) -> int:
-        return self.right.wedge_degree
-
 
 @dataclass(frozen=True)
 class RemovalPlan:

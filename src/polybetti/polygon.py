@@ -244,18 +244,6 @@ def dilate(poly: LatticePolygon, q: int) -> LatticePolygon:
     return LatticePolygon(tuple((q * x, q * y) for x, y in poly.vertices))
 
 
-def minkowski_sum(a: LatticePolygon, b: LatticePolygon) -> LatticePolygon:
-    sums = {(ax + bx, ay + by)
-            for ax, ay in a.vertices for bx, by in b.vertices}
-    hull = convex_hull(sums)
-    if len(hull) == 1:
-        out = LatticePolygon((hull[0],), degenerate=True)
-        return out
-    if len(hull) == 2:
-        raise DimensionError("Minkowski sum is one-dimensional")
-    return LatticePolygon(tuple(hull))
-
-
 def ehrhart_count(poly: LatticePolygon, q: int) -> int:
     """Point count of the q-fold dilation from the quadratic counting formula."""
     if q < 0:
@@ -283,22 +271,6 @@ def hull_points(hull: tuple[Point, ...]) -> list[Point]:
     if len(hull) == 2:
         return segment_points(hull[0], hull[1])
     return list(LatticePolygon(tuple(hull)).points)
-
-
-def hull_contains(hull: tuple[Point, ...], pt: Point) -> bool:
-    if not hull:
-        return False
-    if len(hull) == 1:
-        return pt == hull[0]
-    if len(hull) == 2:
-        a, b = hull
-        if cross(a, b, pt) != 0:
-            return False
-        lo_x, hi_x = min(a[0], b[0]), max(a[0], b[0])
-        lo_y, hi_y = min(a[1], b[1]), max(a[1], b[1])
-        return lo_x <= pt[0] <= hi_x and lo_y <= pt[1] <= hi_y
-    n = len(hull)
-    return all(cross(hull[i], hull[(i + 1) % n], pt) >= 0 for i in range(n))
 
 
 def minkowski_hull(*hulls: tuple[Point, ...]) -> tuple[Point, ...]:
@@ -406,10 +378,6 @@ class AffineUnimodularMap:
         ox, oy = lin(self.shift)
         return AffineUnimodularMap(inv, (-ox, -oy))
 
-    @classmethod
-    def identity(cls) -> "AffineUnimodularMap":
-        return cls(((1, 0), (0, 1)), (0, 0))
-
 
 def _affine_from_triples(src, dst) -> AffineUnimodularMap | None:
     """Integer affine map sending the three src points to dst, if one exists."""
@@ -496,7 +464,6 @@ class StripPlacement:
 
     points: tuple[Point, ...]
     map: AffineUnimodularMap
-    x_extent: int
 
 
 @lru_cache(maxsize=None)
@@ -536,7 +503,7 @@ def strip_placements(poly: LatticePolygon) -> tuple[StripPlacement, ...]:
                 amap = AffineUnimodularMap(mat, (-min_x, -min_y))
                 require(set(map(amap, base_pts)) <= set(final),
                         "placement map misses the placed points")
-                out.append(StripPlacement(final, amap, extent(k)))
+                out.append(StripPlacement(final, amap))
     require(all(max(p[1] for p in pl.points) == w for pl in out),
             "a placement is not as tall as the lattice width")
     return tuple(out)
@@ -663,25 +630,6 @@ def prune_vertex(poly: LatticePolygon, pt: Point) -> LatticePolygon:
     if pt not in poly.vertices:
         raise NotAVertex(f"{pt} is not a vertex of the polygon")
     return from_vertices([p for p in poly.points if p != pt])
-
-
-def is_lw_minimal(poly: LatticePolygon) -> bool:
-    """True when pruning any vertex strictly decreases the lattice width.
-
-    When true, a unimodular image inside the lattice-width square must
-    exist; that consequence is asserted here.
-    """
-    w = lattice_width_data(poly)[0]
-    for pt in poly.vertices:
-        try:
-            pruned = prune_vertex(poly, pt)
-        except DimensionError:
-            continue
-        if lattice_width_data(pruned)[0] >= w:
-            return False
-    square_fit = min(pl.x_extent for pl in strip_placements(poly))
-    require(square_fit <= w, "no unimodular image inside the width square")
-    return True
 
 
 def sigma_point(poly: LatticePolygon) -> Point:

@@ -96,6 +96,9 @@ def test_table_accepts_vertices_and_files(runner, tmp_path):
     ("table", "--vertices", "0,0 1,0 2,0"),
     ("table", "--model", "2*Sigma", "--primes", "4,5"),
     ("dims", "--model", "Sigma", "--strand", "b", "--position", "0"),
+    # refused before the first prime is computed: the log pins one prime
+    ("table", "--model", "Upsilon_2", "--primes", "3,40009",
+     "--checkpoint", os.devnull),
 ])
 def test_invalid_input_exits_2(runner, args):
     r = invoke(runner, *args)

@@ -8,18 +8,17 @@ import pytest
 from conftest import REFERENCE_TABLES
 from polybetti.closed_forms import (EmptyInterior, EntryPrediction,
                                     NonEmptyInterior, PathologicalPolygon,
-                                    RangeError, _difference_profile,
-                                    antidiagonal_difference,
+                                    RangeError, antidiagonal_difference,
                                     antidiagonal_difference_bigraded,
                                     cg_lower_bound, eagon_northcott_table,
-                                    entry_bN4, hering_schenck_first_nonzero,
-                                    hering_schenck_zero_region,
+                                    entry_bN4, hering_schenck_zero_region,
                                     kp1_predicted_first_zero,
                                     minimal_degree_predicate,
                                     scroll_strand_lower_bound,
                                     six_easy_entries, veronese_predictions,
                                     veronese_prediction_entries)
-from polybetti.polygon import lawrence_prism, named_polygon, parse_polygon
+from polybetti.polygon import (interior_hull, lawrence_prism, named_polygon,
+                               parse_polygon)
 
 
 def frozen_entry(name, strand, index):
@@ -46,12 +45,10 @@ def test_antidiagonal_difference_matches_frozen_tables(name):
                                       ("2*Upsilon", 3), ("2*Sigma", 1)])
 def test_bigraded_difference_sums_to_the_scalar(name, ell):
     poly = named_polygon(name)
-    profile = _difference_profile(poly, ell)
-    total = sum(profile.values())
-    assert total == antidiagonal_difference(poly, ell)
-    for ab, v in profile.items():
-        assert antidiagonal_difference_bigraded(poly, ell, ab) == v
-    assert antidiagonal_difference_bigraded(poly, ell, (999, 999)) == 0
+    profile = antidiagonal_difference_bigraded(poly, ell)
+    assert sum(profile.values()) == antidiagonal_difference(poly, ell)
+    with pytest.raises(RangeError):
+        antidiagonal_difference_bigraded(poly, poly.n_points - 1)
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_TABLES))
@@ -104,7 +101,7 @@ HS_CASES = [
 def test_boundary_count_zero_region_frozen(name, region, eq_pos):
     poly = named_polygon(name)
     assert set(hering_schenck_zero_region(poly)) == region
-    assert hering_schenck_first_nonzero(poly) == eq_pos
+    assert len(interior_hull(poly).points) == eq_pos
     # the bound is attained on these models: nonzero there, zero above
     assert frozen_entry(name, "c", eq_pos) != 0
     for j in region:
@@ -115,7 +112,7 @@ def test_boundary_count_needs_interior_points():
     with pytest.raises(EmptyInterior):
         hering_schenck_zero_region(named_polygon("2*Sigma"))
     with pytest.raises(EmptyInterior):
-        hering_schenck_first_nonzero(lawrence_prism(3, 1))
+        hering_schenck_zero_region(lawrence_prism(3, 1))
 
 
 def test_eagon_northcott_tables_frozen():
@@ -195,7 +192,7 @@ def test_translate_bound_below_attained_value(name):
     b, c = REFERENCE_TABLES[name]
     if not any(c):
         return
-    pos = hering_schenck_first_nonzero(poly)
+    pos = len(interior_hull(poly).points)
     assert cg_lower_bound(poly) <= frozen_entry(name, "c", pos)
 
 

@@ -9,16 +9,17 @@ import sys
 import pytest
 
 from conftest import REFERENCE_TABLES
-from polybetti.engine import (EngineOptions, Kp1Report, TableAborted,
-                              _bidegree_actions, _orbit_partition,
-                              betti_table, block_dimensions, compute_b,
-                              compute_c, effective_plans, options_key,
-                              plan_strategy, polygon_key, run_audits,
-                              strand_value, support_region_check, verify_kp1,
-                              verify_prune_monotonicity)
+from polybetti import engine
+from polybetti.engine import (EngineOptions, EntryOutcome, Kp1Report,
+                              TableAborted, _bidegree_actions,
+                              _orbit_partition, betti_table, block_dimensions,
+                              compute_b, compute_c, effective_plans,
+                              options_key, plan_strategy, polygon_key,
+                              run_audits, strand_value, verify_kp1)
 from polybetti.koszul import (EMPTY_PLAN, SupportTriple, coboundary_matrix,
                               linear_strand_spec, middle_profile,
-                              twisted_strand_spec, wedge_basis)
+                              support_window, twisted_strand_spec,
+                              wedge_basis)
 from polybetti.linalg import ComputeBudget, PrimeModulus
 from polybetti.polygon import (AffineUnimodularMap, from_vertices,
                                named_polygon, parse_polygon)
@@ -194,8 +195,11 @@ def test_bigraded_tables_and_support_windows(prime):
                    if s == "b" and e == ell)
         if any(s == "b" and e == ell for (s, e, _) in table.bigraded):
             assert marg == table.b[ell - 1]
-    report = support_region_check(poly, table)
-    assert report.ok
+    for (strand, ell, ab), val in table.bigraded.items():
+        window = (support_window(poly, ell, 1, twisted=False)
+                  if strand == "b" else
+                  support_window(poly, ell - 1, 1, twisted=True))
+        assert val and ab in window
 
 
 def test_block_dimensions_match_enumeration():
@@ -406,13 +410,6 @@ def test_verify_kp1_accepts_int_prime(serial_options):
     assert report.verdict == "holds"
 
 
-def test_prune_monotonicity_reports(prime, serial_options):
-    poly = named_polygon("2*Sigma")
-    report = verify_prune_monotonicity(poly, (2, 0), prime, serial_options)
-    assert report.ok
-    assert report.vertex == (2, 0)
-
-
 @pytest.mark.parametrize("name", ["Upsilon", "2*Sigma", "Upsilon_2"])
 def test_run_audits_pass_on_models(name, prime, serial_options):
     assert run_audits(named_polygon(name), prime, serial_options) == []
@@ -421,6 +418,21 @@ def test_run_audits_pass_on_models(name, prime, serial_options):
 def test_audits_cover_a_skewed_polygon(prime, serial_options):
     poly = mapped(named_polygon("Upsilon"), ((1, 2), (0, 1)), (3, -1))
     assert run_audits(poly, prime, serial_options) == []
+
+
+def test_run_audits_catch_shifted_bidegrees(prime, serial_options,
+                                            monkeypatch):
+    real_compute_c = engine.compute_c
+
+    def shifted(*args, **kwargs):
+        out = real_compute_c(*args, **kwargs)
+        moved = {(a + 1, b): v for (a, b), v in out.bigraded.items()}
+        return EntryOutcome(out.value, out.rigorous, moved, out.blocks)
+
+    monkeypatch.setattr(engine, "compute_c", shifted)
+    issues = run_audits(named_polygon("Upsilon_2"), prime, serial_options)
+    assert any("outside its support window" in i for i in issues)
+    assert any(i.startswith("antidiagonal ") for i in issues)
 
 
 def test_compute_entry_positions_out_of_strategy(prime):

@@ -326,7 +326,7 @@ def test_positions_past_the_last_column_still_build():
     spec = linear_strand_spec(poly, 1)
     assert enumerate_bidegrees(spec)
     far = linear_strand_spec(poly, 5)
-    assert far.middle_degree == 5
+    assert far.right.wedge_degree == 5
     with pytest.raises(ValueError):
         linear_strand_spec(poly, 0)
 
