@@ -99,7 +99,9 @@ _compute_options = [
                  help="Do not fold bidegrees into symmetry orbits."),
     click.option("--workers", type=int, default=None,
                  help="Parallel rank workers (default: BETTI_WORKERS "
-                      "environment variable, else the CPU count)."),
+                      "environment variable, else the CPUs this process "
+                      "may run on).  A batch of blocks too small to pay "
+                      "for starting worker processes ranks in-process."),
     click.option("--memory-cap", type=int, default=None,
                  help="Refuse any block whose dense form exceeds this "
                       "many bytes."),
@@ -199,7 +201,7 @@ def table(model, vertices, file, prime, primes, removal, no_symmetry,
             else:
                 click.echo(f"primes {plist} agree", err=True)
     if audit:
-        issues = run_audits(poly, moduli[0], opts)
+        issues = run_audits(poly, moduli[0], opts, first)
         for issue in issues:
             click.echo(f"audit: {issue}", err=True)
         if issues:

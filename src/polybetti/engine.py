@@ -422,14 +422,17 @@ class Strategy:
                     for ch in self.choices.values()), "unknown route")
 
 
+def _removes_support(poly: LatticePolygon, options: EngineOptions) -> bool:
+    """Whether the requested mode removes support; "auto" does so only
+    for triangles, where it strips all three corners."""
+    return options.removal == "on" or (options.removal == "auto"
+                                       and len(poly.vertices) == 3)
+
+
 def effective_plans(poly: LatticePolygon,
                     options: EngineOptions) -> tuple[RemovalPlan, RemovalPlan]:
-    """Removal plans for the two strands under the requested mode;
-    "auto" switches removal on only for triangles, where it strips all
-    three corners."""
-    if options.removal == "off":
-        return EMPTY_PLAN, EMPTY_PLAN
-    if options.removal == "auto" and len(poly.vertices) != 3:
+    """Removal plans for the two strands under the requested mode."""
+    if not _removes_support(poly, options):
         return EMPTY_PLAN, EMPTY_PLAN
     return (choose_removal(poly, "primal_b"), choose_removal(poly, "dual_c"))
 
@@ -732,15 +735,17 @@ def audit_duality(poly: LatticePolygon, prime: PrimeModulus,
 
 
 def audit_quotient(poly: LatticePolygon, prime: PrimeModulus,
+                   table: BettiTable,
                    options: EngineOptions | None = None) -> list[str]:
-    """Support removal must not change a single table value."""
+    """Support removal must not change a single table value: the table,
+    computed under options, must match the table with removal switched
+    the other way."""
     base = options or EngineOptions()
-    on = EngineOptions(removal="on", use_symmetry=base.use_symmetry,
-                       budget=base.budget)
-    off = EngineOptions(removal="off", use_symmetry=base.use_symmetry,
-                        budget=base.budget)
-    t_on = betti_table(poly, prime, on)
-    t_off = betti_table(poly, prime, off)
+    removed = _removes_support(poly, base)
+    other = betti_table(poly, prime, EngineOptions(
+        removal="off" if removed else "on", use_symmetry=base.use_symmetry,
+        budget=base.budget))
+    t_on, t_off = (table, other) if removed else (other, table)
     issues = []
     if t_on.b != t_off.b:
         issues.append(f"row one differs: {t_on.b} vs {t_off.b}")
@@ -833,17 +838,20 @@ def audit_prune(poly: LatticePolygon, prime: PrimeModulus, table: BettiTable,
 
 
 def run_audits(poly: LatticePolygon, prime: PrimeModulus | int = 40009,
-               options: EngineOptions | None = None) -> list[str]:
-    """All size-gated consistency audits; an empty list is a pass."""
+               options: EngineOptions | None = None,
+               table: BettiTable | None = None) -> list[str]:
+    """All size-gated consistency audits; an empty list is a pass.
+    table, if given, is poly's table already computed under options."""
     if isinstance(prime, int):
         prime = PrimeModulus(prime)
     options = options or EngineOptions()
     n = poly.n_points
     with worker_pool(options.budget):
-        table = betti_table(poly, prime, options)
+        if table is None:
+            table = betti_table(poly, prime, options)
         issues = audit_shortcuts(poly, prime, table, options.budget)
         if n <= 9:
-            issues += audit_quotient(poly, prime, options)
+            issues += audit_quotient(poly, prime, table, options)
         if n <= 8:
             issues += audit_duality(poly, prime, options.budget)
             issues += audit_symmetry(poly, prime, options)

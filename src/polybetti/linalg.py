@@ -6,11 +6,13 @@ kernel, ``rank``: singleton rows and columns are taken as pivots that
 only delete (structured Gaussian elimination), Markowitz pivots follow
 while the matrix stays sparse, and once fill passes DENSE_FILL_CUTOFF
 the remainder goes to dense row reduction with delayed reduction mod p.
-``rank_batch`` ranks many blocks on a process pool, shared by every
-batch inside one ``worker_pool`` block.  A block is anything with
-``n_rows``, ``n_cols`` and ``build()``: a matrix builds to itself, and a
-block described by its sizes is assembled by the process that ranks
-it, after the memory cap has been checked against those sizes.
+``rank_batch`` ranks a batch of blocks on a process pool, shared by
+every batch inside one ``worker_pool`` block, when the batch is large
+enough to pay for the pool; smaller batches rank in-process.  A block
+is anything with ``n_rows``, ``n_cols`` and ``build()``: a matrix
+builds to itself, and a block described by its sizes is assembled by
+the process that ranks it, after the memory cap has been checked
+against those sizes.
 """
 from __future__ import annotations
 
@@ -342,12 +344,22 @@ def rank(block, memory_cap: int | None = None) -> int:
     return _Eliminator(block.build()).run()
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one (a pinned process or container may use fewer than the
+    machine has), else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 @dataclass(frozen=True)
 class ComputeBudget:
-    """Worker and memory limits for batched rank jobs."""
+    """Worker and memory limits for batched rank jobs; BETTI_WORKERS=0,
+    like no value, means one worker per usable CPU."""
 
     max_workers: int = field(default_factory=lambda: int(
-        os.environ.get("BETTI_WORKERS", "0")) or (os.cpu_count() or 1))
+        os.environ.get("BETTI_WORKERS", "0")) or _usable_cpus())
     memory_cap: int | None = None
 
     def __post_init__(self):
@@ -383,36 +395,41 @@ def _rank_chunk(chunk: list) -> list[tuple[int | None, str | None]]:
     return [_rank_task(a) for a in chunk]
 
 
-# the pool of the outermost open worker_pool block, with its worker count
-_shared: tuple[ProcessPoolExecutor, int] | None = None
+# Σ(n_rows + n_cols) over a batch from which it goes to the pool; a
+# smaller batch ranks in the calling process.  Forking and joining a
+# 2-worker pool costs 11-13 ms, more than a batch below 1,000 takes
+# in-process (1.4-6.8 ms).  Against 4,000 on the benchmark, 2,000 made
+# sweep items slower and 8,000 made big-table slower.
+POOL_MIN_COST = 4000
+
+# the outermost open worker_pool block: its executor, built by the first
+# batch that pools (None until then), and its worker count
+_shared: tuple[ProcessPoolExecutor | None, int] | None = None
 
 
 @contextmanager
 def worker_pool(budget: ComputeBudget | None = None):
     """Share one process pool among every rank_batch inside the block.
 
-    Opens a pool of ``budget.max_workers`` processes unless that is 1 or
-    a pool is already open, in which case the outer one is reused.  The
-    workers are joined on exit, so none outlives the block.
+    The pool has ``budget.max_workers`` processes and is started by the
+    first batch that pools, so a block whose batches all rank in-process
+    forks nothing.  With one worker, or inside an open block, this does
+    nothing and the outer pool is reused.  The workers are joined on
+    exit, so none outlives the block.
     """
     global _shared
     budget = budget or ComputeBudget()
     if budget.max_workers <= 1 or _shared is not None:
         yield
         return
-    try:
-        _shared = (ProcessPoolExecutor(max_workers=budget.max_workers),
-                   budget.max_workers)
-    except OSError:     # rank_batch runs serially
-        yield
-        return
+    _shared = (None, budget.max_workers)
     try:
         yield
     finally:
-        # _dispatch may have swapped in a fresh pool, or dropped it
-        if _shared is not None:
-            _shared[0].shutdown(wait=True, cancel_futures=True)
+        pool = _shared[0]
         _shared = None
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _chunks(costs: list[int], n_chunks: int) -> list[list[int]]:
@@ -427,24 +444,29 @@ def _chunks(costs: list[int], n_chunks: int) -> list[list[int]]:
     return chunks
 
 
-def _dispatch(args) -> list[tuple[int | None, str | None]]:
-    """Run the tasks on the open pool, one future per chunk, the chunk
-    with the largest task first; a block costs n_rows + n_cols.  The tasks
-    of a chunk lost to a dead worker, or never submitted because the
-    pool broke, are marked failed, and the broken pool is replaced so
-    that later batches in the block get live workers."""
+def _dispatch(args, costs: list[int]) -> list | None:
+    """Run the tasks on the open block's pool, starting it if no batch
+    has yet, one future per chunk, the chunk with the largest task
+    first.  The tasks of a chunk lost to a dead worker, or never
+    submitted because the pool broke, are marked failed, and the broken
+    pool is dropped so that the next batch that pools starts live
+    workers.  None if no process can be started here."""
     global _shared
     pool, workers = _shared
-    costs = [m.n_rows + m.n_cols for m, _ in args]
     results: list = [(None, "worker process died")] * len(args)
     futures = []
     broken = False
     try:
+        if pool is None:
+            pool = ProcessPoolExecutor(max_workers=workers)
+            _shared = (pool, workers)
         for chunk in _chunks(costs, min(len(args), 4 * workers)):
             futures.append((chunk, pool.submit(
                 _rank_chunk, [args[i] for i in chunk])))
     except BrokenProcessPool:
         broken = True
+    except OSError:     # sandboxes without process spawning run serially
+        return None
     for chunk, future in futures:
         try:
             out = future.result()
@@ -455,11 +477,7 @@ def _dispatch(args) -> list[tuple[int | None, str | None]]:
             results[i] = r
     if broken:
         pool.shutdown(wait=True, cancel_futures=True)
-        _shared = None
-        try:
-            _shared = (ProcessPoolExecutor(max_workers=workers), workers)
-        except OSError:     # later batches in the block run serially
-            pass
+        _shared = (None, workers)
     return results
 
 
@@ -468,19 +486,18 @@ def rank_batch(tasks: list,
     """Ranks of the blocks in input order, each built where it is ranked.
     A task over the memory cap is marked failed unbuilt and the others
     finish; if a worker process dies, every task it left unfinished is
-    marked failed.  Runs on the pool of an open worker_pool block, or
-    else on a pool of its own; serially, one block is built at a time."""
+    marked failed.  A batch of several blocks whose n_rows + n_cols sum
+    to at least POOL_MIN_COST runs on the pool of an open worker_pool
+    block, or else on a pool of its own; any other batch runs serially
+    in the calling process, one block built at a time."""
     budget = budget or ComputeBudget()
     args = [(m, budget.memory_cap) for m in tasks]
+    costs = [m.n_rows + m.n_cols for m in tasks]
     results = None
-    if budget.max_workers > 1 and len(tasks) > 1:
+    if budget.max_workers > 1 and len(tasks) > 1 \
+            and sum(costs) >= POOL_MIN_COST:
         with worker_pool(budget):
-            if _shared is not None:
-                try:
-                    results = _dispatch(args)
-                except OSError:
-                    # sandboxes without process spawning run serially
-                    pass
+            results = _dispatch(args, costs)
     if results is None:
         results = [_rank_task(a) for a in args]
     return [RankOutcome(r, e) for r, e in results]

@@ -70,6 +70,14 @@ def opened_pools(monkeypatch):
 
 
 @pytest.fixture()
+def pool_every_batch(monkeypatch):
+    """Send every batch of more than one block to the pool.  The models
+    the pool tests use are small, and their batches would otherwise
+    rank in-process and never reach a worker."""
+    monkeypatch.setattr(linalg, "POOL_MIN_COST", 0)
+
+
+@pytest.fixture()
 def built_blocks(monkeypatch, tmp_path):
     """Record every block the engine builds, in forked pool workers too,
     as [pid, spec kind, position, bidegree, map, rows, cols]; returns

@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import REFERENCE_TABLES
-from polybetti import linalg
+from polybetti import cli, engine, linalg
 from polybetti.cli import main
 from polybetti.table import parse_ascii
 
@@ -130,6 +130,44 @@ def test_table_audit_flag(runner):
     assert "audit: all checks passed" in r.stderr
 
 
+def test_table_audit_reuses_the_table(runner, monkeypatch):
+    """--audit builds the 7-point table twice: once for the output and
+    once with support removal switched the other way."""
+    calls = []
+
+    def counting(real):
+        def wrapped(poly, *args, **kwargs):
+            if poly.n_points == 7:
+                calls.append(poly)
+            return real(poly, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(cli, "betti_table", counting(cli.betti_table))
+    monkeypatch.setattr(engine, "betti_table", counting(engine.betti_table))
+    r = invoke(runner, "table", "--model", "Upsilon_2", "--audit",
+               "--workers", "1")
+    assert r.exit_code == 0
+    assert r.stderr == "audit: all checks passed\n"
+    assert len(calls) == 2
+
+
+def test_table_audit_reports_a_bumped_entry(runner, monkeypatch):
+    real = cli.betti_table
+
+    def bumped(poly, *args, **kwargs):
+        table = real(poly, *args, **kwargs)
+        table.b[0] += 1
+        return table
+
+    monkeypatch.setattr(cli, "betti_table", bumped)
+    r = invoke(runner, "table", "--model", "Upsilon_2", "--audit",
+               "--workers", "1")
+    assert r.exit_code == 1
+    # Upsilon_2 is a triangle: its table removes support under "auto"
+    assert ("audit: row one differs: [8, 8, 3, 0] vs [7, 8, 3, 0]\n"
+            in r.stderr)
+
+
 def test_table_bigraded_json(runner):
     r = invoke(runner, "table", "--model", "Upsilon_2", "--bigraded",
                "--format", "json")
@@ -158,7 +196,8 @@ def test_table_checkpoint_resume_identical(runner, tmp_path):
 
 
 def test_table_worker_death_aborts_with_checkpoint(runner, tmp_path,
-                                                   monkeypatch):
+                                                   monkeypatch,
+                                                   pool_every_batch):
     path = str(tmp_path / "ck.jsonl")
     monkeypatch.setitem(_DYING, "flag", str(tmp_path / "died"))
     monkeypatch.setitem(_DYING, "parent", os.getpid())
@@ -354,7 +393,8 @@ def test_verify_kp1_resumes_after_torn_final_line(runner, tmp_path):
 
 
 def test_verify_kp1_worker_death_fails_one_polygon(runner, tmp_path,
-                                                  monkeypatch):
+                                                  monkeypatch,
+                                                  pool_every_batch):
     # both polygons rank multi-block batches on the corpus-wide pool
     corpus = tmp_path / "corpus"
     corpus.mkdir()

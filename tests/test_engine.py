@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from conftest import REFERENCE_TABLES
-from polybetti import engine
+from polybetti import engine, linalg
 from polybetti.engine import (EngineOptions, EntryOutcome, Kp1Report,
                               TableAborted, _bidegree_actions,
                               _orbit_partition, betti_table, block_dimensions,
@@ -358,7 +358,8 @@ def test_complex_spec_check_survives_python_O():
         "raised: wedge degrees do not step down by one"]
 
 
-def test_one_pool_per_table_joined_before_return(opened_pools, prime):
+def test_one_pool_per_table_joined_before_return(opened_pools, prime,
+                                                 pool_every_batch):
     opts = EngineOptions(budget=ComputeBudget(max_workers=2))
     table = betti_table(named_polygon("Upsilon_3"), prime, opts)
     assert (table.b, table.c) == REFERENCE_TABLES["Upsilon_3"]
@@ -369,7 +370,8 @@ def test_one_pool_per_table_joined_before_return(opened_pools, prime):
     assert multiprocessing.active_children() == []
 
 
-def test_pooled_runs_build_no_block_in_the_parent(built_blocks, prime):
+def test_pooled_runs_build_no_block_in_the_parent(built_blocks, prime,
+                                                  pool_every_batch):
     opts = EngineOptions(budget=ComputeBudget(max_workers=2))
     for name in ("Upsilon_3", "2*Upsilon", "3*Sigma"):
         table = betti_table(named_polygon(name), prime, opts)
@@ -378,6 +380,43 @@ def test_pooled_runs_build_no_block_in_the_parent(built_blocks, prime):
     pids = [rec[0] for rec in built_blocks()]
     assert pids
     assert pids.count(os.getpid()) == 0
+
+
+def test_small_table_ranks_in_process(opened_pools, built_blocks, prime):
+    # every batch of Upsilon_3 costs less than POOL_MIN_COST
+    opts = EngineOptions(budget=ComputeBudget(max_workers=2))
+    table = betti_table(named_polygon("Upsilon_3"), prime, opts)
+    assert (table.b, table.c) == REFERENCE_TABLES["Upsilon_3"]
+    assert opened_pools == []
+    assert multiprocessing.active_children() == []
+    pids = [rec[0] for rec in built_blocks()]
+    assert pids
+    assert set(pids) == {os.getpid()}
+
+
+def test_only_batches_under_the_threshold_build_in_the_parent(
+        built_blocks, prime, monkeypatch):
+    pooled, serial = set(), set()
+    real = engine.rank_batch
+
+    def recording(tasks, budget=None):
+        keys = {(t.spec.kind, t.spec.ell, tuple(t.bidegree), t.which)
+                for t in tasks}
+        cost = sum(t.n_rows + t.n_cols for t in tasks)
+        worth_a_pool = len(tasks) > 1 and cost >= linalg.POOL_MIN_COST
+        (pooled if worth_a_pool else serial).update(keys)
+        return real(tasks, budget)
+
+    monkeypatch.setattr(engine, "rank_batch", recording)
+    opts = EngineOptions(budget=ComputeBudget(max_workers=2))
+    table = betti_table(named_polygon("5*Sigma"), prime, opts)
+    assert (table.b, table.c) == REFERENCE_TABLES["5*Sigma"]
+    assert pooled and serial
+    in_parent = {(kind, ell, tuple(ab), which)
+                 for pid, kind, ell, ab, which, *_ in built_blocks()
+                 if pid == os.getpid()}
+    assert in_parent == serial
+    assert multiprocessing.active_children() == []
 
 
 def test_verify_kp1_spec_examples(prime, serial_options):

@@ -263,7 +263,7 @@ def _mixed_batch():
     return batch, batch.index(over)
 
 
-def test_rank_batch_pooled_matches_serial():
+def test_rank_batch_pooled_matches_serial(pool_every_batch):
     batch, over = _mixed_batch()
     serial = rank_batch(batch, ComputeBudget(max_workers=1, memory_cap=20000))
     assert [i for i, o in enumerate(serial) if not o.ok] == [over]
@@ -287,7 +287,8 @@ def test_chunks_deal_largest_first():
     assert max(loads) - min(loads) <= max(costs)
 
 
-def test_worker_pool_opens_one_pool_and_joins_it(opened_pools):
+def test_worker_pool_opens_one_pool_and_joins_it(opened_pools,
+                                                 pool_every_batch):
     batch, _ = _mixed_batch()
     budget = ComputeBudget(max_workers=2, memory_cap=20000)
     with worker_pool(budget):
@@ -302,10 +303,11 @@ def test_worker_pool_opens_one_pool_and_joins_it(opened_pools):
     assert len(opened_pools) == 2
 
 
-def test_broken_shared_pool_fails_the_batch():
+def test_broken_shared_pool_fails_the_batch(pool_every_batch):
     batch, _ = _mixed_batch()
     budget = ComputeBudget(max_workers=2, memory_cap=20000)
     with worker_pool(budget):
+        rank_batch(batch, budget)       # starts the block's pool
         pool, _ = linalg._shared
         with pytest.raises(BrokenProcessPool):
             pool.submit(os._exit, 1).result()
@@ -317,6 +319,37 @@ def test_broken_shared_pool_fails_the_batch():
     assert [o.error for o in out] == ["worker process died"] * len(batch)
     serial = rank_batch(batch, ComputeBudget(max_workers=1, memory_cap=20000))
     assert again == serial
+    assert multiprocessing.active_children() == []
+
+
+def _diagonal(n):
+    return build([(i, i, 1) for i in range(n)], n_rows=n, n_cols=n)[0]
+
+
+def test_only_batches_worth_a_pool_start_one(monkeypatch):
+    """A batch below POOL_MIN_COST ranks in-process and starts no pool;
+    one at the threshold tries to, and an OSError from that start
+    leaves it to rank serially with the same ranks."""
+    attempts = []
+
+    class Unavailable:
+        def __init__(self, *args, **kwargs):
+            attempts.append(kwargs)
+            raise OSError("no process spawning here")
+
+    monkeypatch.setattr(linalg, "ProcessPoolExecutor", Unavailable)
+    budget = ComputeBudget(max_workers=2)
+    half = linalg.POOL_MIN_COST // 4
+    small = [_diagonal(half), _diagonal(half - 1)]
+    large = [_diagonal(half), _diagonal(half)]
+    with worker_pool(budget):
+        assert attempts == []
+        assert [o.rank for o in rank_batch(small, budget)] == [half, half - 1]
+        assert attempts == []
+        out = rank_batch(large, budget)
+        assert attempts == [{"max_workers": 2}]
+    assert out == rank_batch(large, ComputeBudget(max_workers=1))
+    assert [o.rank for o in out] == [half, half]
     assert multiprocessing.active_children() == []
 
 
@@ -335,6 +368,16 @@ def test_budget_rejects_nonpositive_limits(monkeypatch):
     monkeypatch.setenv("BETTI_WORKERS", "-1")
     with pytest.raises(ValueError):
         ComputeBudget()
-    monkeypatch.setenv("BETTI_WORKERS", "0")      # 0 means the CPU count
-    assert ComputeBudget().max_workers == (os.cpu_count() or 1)
     assert ComputeBudget(max_workers=1, memory_cap=1).memory_cap == 1
+
+
+def test_default_workers_follow_cpu_affinity(monkeypatch):
+    monkeypatch.delenv("BETTI_WORKERS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7},
+                        raising=False)
+    assert ComputeBudget().max_workers == 3
+    monkeypatch.setenv("BETTI_WORKERS", "0")      # 0 means the usable CPUs
+    assert ComputeBudget().max_workers == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert ComputeBudget().max_workers == 64
