@@ -23,8 +23,8 @@ from .closed_forms import (EmptyInterior, PathologicalPolygon, cg_lower_bound,
                            hering_schenck_zero_region,
                            kp1_predicted_first_zero, minimal_degree_predicate,
                            six_easy_entries, veronese_prediction_entries)
-from .engine import (AppendLog, EngineOptions, TableAborted, betti_table,
-                     block_dimensions, polygon_key, run_audits, verify_kp1)
+from .engine import (AppendLog, EngineOptions, betti_table, block_dimensions,
+                     polygon_key, run_audits, verify_kp1)
 from .linalg import (ComputeBudget, PrimeModulus, ResourceExceeded,
                      worker_pool)
 from .polygon import (LatticePolygon, classify, interior_hull, lattice_width,
@@ -59,27 +59,25 @@ def _load_polygon(model: str | None, vertices: str | None,
 
 
 def _parse_primes(prime: int, primes: str | None) -> list[PrimeModulus]:
+    tokens = [prime] if primes is None else primes.replace(",", " ").split()
     try:
-        if primes is not None:
-            return [PrimeModulus(int(tok))
-                    for tok in primes.replace(",", " ").split()]
-        return [PrimeModulus(prime)]
+        moduli = [PrimeModulus(int(tok)) for tok in tokens]
     except ValueError as exc:
         _fail(EXIT_INPUT, str(exc))
-
-
-def _budget(workers: int | None, memory_cap: int | None) -> ComputeBudget:
-    if workers is not None:
-        return ComputeBudget(max_workers=workers, memory_cap=memory_cap)
-    return ComputeBudget(memory_cap=memory_cap)
+    if not moduli:
+        _fail(EXIT_INPUT, f"no prime in --primes {primes!r}")
+    return moduli
 
 
 def _options(removal: str, no_symmetry: bool, bigraded: bool,
              checkpoint: str | None, workers: int | None,
              memory_cap: int | None) -> EngineOptions:
+    # no --workers leaves ComputeBudget's own default
+    workers_kw = {} if workers is None else {"max_workers": workers}
     return EngineOptions(removal=removal, use_symmetry=not no_symmetry,
                          keep_bigraded=bigraded, checkpoint=checkpoint,
-                         budget=_budget(workers, memory_cap))
+                         budget=ComputeBudget(memory_cap=memory_cap,
+                                              **workers_kw))
 
 
 _polygon_options = [
@@ -165,12 +163,12 @@ def table(model, vertices, file, prime, primes, removal, no_symmetry,
     for modulus in moduli:
         try:
             tables.append(betti_table(poly, modulus, opts))
-        except (TableAborted, ResourceExceeded) as exc:
+        except ResourceExceeded as exc:
             if checkpoint:
                 click.echo(f"partial progress kept in {checkpoint}",
                            err=True)
             _fail(EXIT_RESOURCE, str(exc))
-        except ValueError as exc:
+        except (ValueError, OSError) as exc:   # OSError: an unopenable log
             _fail(EXIT_INPUT, str(exc))
     first = tables[0]
     mismatches = [
@@ -201,7 +199,10 @@ def table(model, vertices, file, prime, primes, removal, no_symmetry,
             else:
                 click.echo(f"primes {plist} agree", err=True)
     if audit:
-        issues = run_audits(poly, moduli[0], opts, first)
+        try:
+            issues = run_audits(poly, moduli[0], opts, first)
+        except ResourceExceeded as exc:
+            _fail(EXIT_RESOURCE, str(exc))
         for issue in issues:
             click.echo(f"audit: {issue}", err=True)
         if issues:
@@ -315,7 +316,7 @@ def verify_kp1_cmd(corpus_dir, prime, removal, no_symmetry, workers,
         try:
             store = AppendLog(checkpoint, header, lambda rec: rec["key"],
                               sort_keys=True)
-        except ValueError as exc:
+        except (ValueError, OSError) as exc:
             _fail(EXIT_INPUT, str(exc))
     done: dict[str, dict] = dict(store.records) if store else {}
 

@@ -37,27 +37,16 @@ from .table import BettiTable
 
 
 class BlockFailed(ResourceExceeded):
-    """The rank job of one block of a strand entry failed; names the
-    block's bidegree."""
+    """The rank job of one block blew the budget or lost its worker;
+    names the strand, the position and the block's bidegree.  Every
+    block that did finish is in the checkpoint log, if there is one."""
 
-    def __init__(self, message: str, bidegree: Point):
-        super().__init__(message)
-        self.bidegree = bidegree
-
-
-class TableAborted(ResourceExceeded):
-    """A rank job blew the budget or lost its worker; carries whatever
-    was finished and the bidegree of the block that failed."""
-
-    def __init__(self, message: str, strand: str, ell: int, bidegree: Point,
-                 partial_b: dict, partial_c: dict, checkpoint: str | None):
-        super().__init__(message)
+    def __init__(self, strand: str, ell: int, bidegree: Point, error: str):
+        super().__init__(f"strand {strand} position {ell} bidegree "
+                         f"{bidegree}: {error}")
         self.strand = strand
         self.ell = ell
         self.bidegree = bidegree
-        self.partial_b = partial_b
-        self.partial_c = partial_c
-        self.checkpoint = checkpoint
 
 
 @dataclass(frozen=True)
@@ -197,20 +186,6 @@ def _orbit_partition(bidegrees, actions) -> list[tuple[Point, tuple]]:
     return out
 
 
-def _middle_orbits(poly: LatticePolygon, spec: ComplexSpec,
-                   plan: RemovalPlan, use_symmetry: bool
-                   ) -> tuple[dict[Point, int], list[tuple[Point, tuple]]]:
-    """The middle profile of spec and its nonzero bidegrees, folded into
-    symmetry orbits as (representative, members), or one orbit each
-    when symmetry is off."""
-    profile = middle_profile(spec)
-    bidegs = [ab for ab in sorted(profile, key=order_key) if profile[ab] > 0]
-    if not use_symmetry:
-        return profile, [(ab, (ab,)) for ab in bidegs]
-    actions = _bidegree_actions(poly, plan, spec.translate_degree)
-    return profile, _orbit_partition(bidegs, actions)
-
-
 @dataclass(frozen=True)
 class BlockTask:
     """One bidegree block of a coboundary, described by its spec and by
@@ -271,28 +246,34 @@ def _production_spec(poly: LatticePolygon, strand: str, ell: int,
     raise ValueError(f"strand must be 'b' or 'c', got {strand!r}")
 
 
-def strand_value(poly: LatticePolygon, strand: str, ell: int,
-                 prime: PrimeModulus, plan: RemovalPlan = EMPTY_PLAN, *,
-                 use_symmetry: bool = True,
-                 budget: ComputeBudget | None = None,
-                 store: AppendLog | None = None) -> EntryOutcome:
-    """One strand entry as a sum of per-bidegree kernel dimensions.
+def _orbit_cohomology(poly: LatticePolygon, spec: ComplexSpec,
+                      prime: PrimeModulus, plan: RemovalPlan, strand: str,
+                      ell: int, *, rank_left: bool = False,
+                      use_symmetry: bool = True,
+                      budget: ComputeBudget | None = None,
+                      store: AppendLog | None = None) -> EntryOutcome:
+    """Middle cohomology of spec as a sum of per-bidegree kernel
+    dimensions, ranked in one batch, one block per symmetry orbit of
+    the nonzero middle bidegrees (one orbit each when symmetry is off).
 
-    Row one subtracts the wedge-space dimension of the injective
-    incoming map instead of its rank; row two has no incoming term at
-    all.  Only the outgoing coboundary is ever reduced.  Finished blocks
-    are looked up in and appended to store, keyed by _block_key.
+    The outgoing coboundary is always reduced.  The incoming map is
+    ranked only when rank_left; otherwise it is injective and its
+    wedge-space dimension is subtracted instead.  A block whose ranks
+    are all zero modulo p is trivial, and an entry of trivial blocks is
+    exact.  Finished blocks are looked up in and appended to store,
+    keyed by _block_key; when blocks fail, every block that finished is
+    appended before the first failure is raised.
     """
-    spec = _production_spec(poly, strand, ell, plan)
-    profile, parts = _middle_orbits(poly, spec, plan, use_symmetry)
-    rows = target_profile(spec.right)
-    left_prof = side_profile(spec.left) if strand == "b" else {}
-    if strand == "c":
-        require(not side_profile(spec.left),
-                "twisted degree-0 term not empty")
-
-    done: list[tuple[Point, tuple, int, int]] = []   # rep, members, cols, rank
-    todo: list[tuple[Point, tuple, int, BlockTask]] = []
+    profile = middle_profile(spec)
+    bidegs = [ab for ab in sorted(profile, key=order_key) if profile[ab] > 0]
+    parts = (_orbit_partition(bidegs, _bidegree_actions(
+        poly, plan, spec.translate_degree)) if use_symmetry
+        else [(ab, (ab,)) for ab in bidegs])
+    rows, left = target_profile(spec.right), side_profile(spec.left)
+    require(strand != "c" or not left, "twisted degree-0 term not empty")
+    ranks: dict[Point, tuple[int, ...]] = {}
+    todo: list[tuple[Point, tuple]] = []
+    tasks: list[BlockTask] = []
     for rep, members in parts:
         cols = profile[rep]
         cached = store.records.get((strand, ell, rep)) if store else None
@@ -302,40 +283,64 @@ def strand_value(poly: LatticePolygon, strand: str, ell: int,
                     f"checkpoint record for {strand}{ell} at {rep} does not "
                     f"match this run (size {cached['orbit_size']} vs "
                     f"{len(members)}, cols {cached['cols']} vs {cols})")
-            done.append((rep, members, cols, cached["rank"]))
-        else:
-            todo.append((rep, members, cols, BlockTask(
-                spec, rep, prime, "right", rows.get(rep, 0), cols)))
+            ranks[rep] = (cached["rank"],)
+            continue
+        todo.append((rep, members))
+        tasks.append(BlockTask(spec, rep, prime, "right", rows.get(rep, 0),
+                               cols))
+        if rank_left:
+            # the left map lands in the middle term: its rows are profile's
+            tasks.append(BlockTask(spec, rep, prime, "left", cols,
+                                   left.get(rep, 0)))
 
-    outcomes = rank_batch([task for *_, task in todo], budget)
-    for (rep, members, cols, _), out in zip(todo, outcomes):
-        if not out.ok:
-            raise BlockFailed(
-                f"strand {strand} position {ell} bidegree {rep}: {out.error}",
-                rep)
+    step = 2 if rank_left else 1
+    outcomes = rank_batch(tasks, budget)
+    failed = None
+    for i, (rep, members) in enumerate(todo):
+        outs = outcomes[step * i:step * (i + 1)]
+        error = next((out.error for out in outs if not out.ok), None)
+        if error is not None:
+            failed = failed or BlockFailed(strand, ell, rep, error)
+            continue
         if store:
             store.append({"strand": strand, "ell": ell, "bidegree": list(rep),
-                          "orbit_size": len(members), "cols": cols,
-                          "rank": out.rank})
-        done.append((rep, members, cols, out.rank))
+                          "orbit_size": len(members), "cols": profile[rep],
+                          "rank": outs[0].rank})
+        ranks[rep] = tuple(out.rank for out in outs)
+    if failed:
+        raise failed
 
     value = 0
     bigraded: dict[Point, int] = {}
     blocks = []
     all_trivial = True
-    for rep, members, cols, rk in sorted(done, key=lambda t: order_key(t[0])):
-        block_val = cols - rk - left_prof.get(rep, 0)
+    for rep, members in parts:          # in order_key order of rep
+        cols, rk = profile[rep], ranks[rep]
+        incoming = 0 if rank_left else left.get(rep, 0)
+        block_val = cols - sum(rk) - incoming
         if block_val < 0:
             raise InvariantViolation(f"negative cohomology at {rep}: {cols} "
-                                     f"- {rk} - {left_prof.get(rep, 0)}")
+                                     f"- {rk} - {incoming}")
         value += len(members) * block_val
-        if rk:
-            all_trivial = False
+        all_trivial = all_trivial and not any(rk)
         if block_val:
-            for m in members:
-                bigraded[m] = block_val
-        blocks.append(BlockRecord(strand, ell, rep, len(members), cols, rk))
+            bigraded.update(dict.fromkeys(members, block_val))
+        blocks.append(BlockRecord(strand, ell, rep, len(members), cols, rk[0]))
     return EntryOutcome(value, value == 0 or all_trivial, bigraded, blocks)
+
+
+def strand_value(poly: LatticePolygon, strand: str, ell: int,
+                 prime: PrimeModulus, plan: RemovalPlan = EMPTY_PLAN, *,
+                 use_symmetry: bool = True,
+                 budget: ComputeBudget | None = None,
+                 store: AppendLog | None = None) -> EntryOutcome:
+    """One strand entry.  Row one subtracts the wedge-space dimension of
+    the injective incoming map instead of its rank; row two has no
+    incoming term at all."""
+    spec = _production_spec(poly, strand, ell, plan)
+    return _orbit_cohomology(poly, spec, prime, plan, strand, ell,
+                             use_symmetry=use_symmetry, budget=budget,
+                             store=store)
 
 
 def spec_cohomology(poly: LatticePolygon, spec: ComplexSpec,
@@ -346,40 +351,9 @@ def spec_cohomology(poly: LatticePolygon, spec: ComplexSpec,
     if use_symmetry:
         require(spec.wedge_support == poly.points,
                 "audit complexes run on unreduced supports")
-    profile, parts = _middle_orbits(poly, spec, EMPTY_PLAN, use_symmetry)
-    rows, left_cols = target_profile(spec.right), side_profile(spec.left)
-    tasks: list[BlockTask] = []
-    for rep, _ in parts:
-        # the left map lands in the middle term: its rows are profile's
-        tasks.append(BlockTask(spec, rep, prime, "right", rows.get(rep, 0),
-                               profile[rep]))
-        tasks.append(BlockTask(spec, rep, prime, "left", profile[rep],
-                               left_cols.get(rep, 0)))
-    outs = rank_batch(tasks, budget)
-    value = 0
-    bigraded: dict[Point, int] = {}
-    blocks = []
-    all_trivial = True
-    for i, (rep, members) in enumerate(parts):
-        right_out, left_out = outs[2 * i], outs[2 * i + 1]
-        for out in (right_out, left_out):
-            if not out.ok:
-                raise ResourceExceeded(
-                    f"audit complex at position {spec.ell} bidegree {rep}: "
-                    f"{out.error}")
-        cols = profile[rep]
-        block_val = cols - right_out.rank - left_out.rank
-        if block_val < 0:
-            raise InvariantViolation(f"negative cohomology at {rep}")
-        value += len(members) * block_val
-        if right_out.rank or left_out.rank:
-            all_trivial = False
-        if block_val:
-            for m in members:
-                bigraded[m] = block_val
-        blocks.append(BlockRecord("spec", spec.ell, rep, len(members), cols,
-                                  right_out.rank))
-    return EntryOutcome(value, value == 0 or all_trivial, bigraded, blocks)
+    return _orbit_cohomology(poly, spec, prime, EMPTY_PLAN, "spec", spec.ell,
+                             rank_left=True, use_symmetry=use_symmetry,
+                             budget=budget)
 
 
 def compute_b(poly: LatticePolygon, ell: int, prime: PrimeModulus,
@@ -412,7 +386,6 @@ class Strategy:
     c_preset: dict[int, str]
     removal_b: RemovalPlan
     removal_c: RemovalPlan
-    use_symmetry: bool
     estimates: dict[tuple[str, int], int]
 
     def __post_init__(self):
@@ -488,7 +461,7 @@ def plan_strategy(poly: LatticePolygon, prime: PrimeModulus,
     anti = range(1, n - 1)
     if not interior_hull(poly).points:
         return Strategy(n, True, {a: "shortcut" for a in anti}, {}, {},
-                        EMPTY_PLAN, EMPTY_PLAN, options.use_symmetry, {})
+                        EMPTY_PLAN, EMPTY_PLAN, {})
     plans = effective_plans(poly, options)
     b_preset, c_preset = _presets(poly)
     choices: dict[int, str] = {}
@@ -497,7 +470,7 @@ def plan_strategy(poly: LatticePolygon, prime: PrimeModulus,
         choices[a], est = _choose_side(poly, a, b_preset, c_preset, plans)
         estimates.update(est)
     return Strategy(n, False, choices, b_preset, c_preset, *plans,
-                    options.use_symmetry, estimates)
+                    estimates)
 
 
 def _validate_table(poly: LatticePolygon, table: BettiTable) -> None:
@@ -523,6 +496,47 @@ def _validate_table(poly: LatticePolygon, table: BettiTable) -> None:
                     f"row-two entry {j} beyond the interior count")
 
 
+def _resolve_antidiagonal(poly: LatticePolygon, a: int, choice: str,
+                          prime: PrimeModulus, presets: tuple[dict, dict],
+                          plans: tuple[RemovalPlan, RemovalPlan],
+                          options: EngineOptions,
+                          store: AppendLog | None = None
+                          ) -> tuple[dict[tuple[str, int], tuple], dict]:
+    """Both entries of antidiagonal a inside the table, keyed (strand,
+    position), as (value, provenance tag, rigorous); and the bigraded
+    breakdown of the computed side, keyed (strand, position, bidegree).
+
+    A preset zero or the table edge fixes one side; otherwise the side
+    that choice names is computed.  The missing side follows from the
+    difference b - c.  Entries cannot decrease modulo p, so a zero is
+    exact, and the difference is exact in every characteristic, so one
+    certified side certifies its partner.
+    """
+    pos = dict(zip("bc", _antidiagonal(poly.n_points, a)))
+    side = {s: (0, "edge" if pos[s] is None else preset[pos[s]], True)
+            for s, preset in zip("bc", presets)
+            if pos[s] is None or pos[s] in preset}
+    breakdown = {}
+    if not side:
+        strand = "b" if choice == "compute_b" else "c"
+        out = strand_value(poly, strand, pos[strand], prime,
+                           plans[0] if strand == "b" else plans[1],
+                           use_symmetry=options.use_symmetry,
+                           budget=options.budget, store=store)
+        side[strand] = (out.value, "computed", out.rigorous)
+        breakdown = {(strand, pos[strand], ab): v
+                     for ab, v in out.bigraded.items()}
+    diff = antidiagonal_difference(poly, a)
+    if "c" not in side:
+        side["c"] = (side["b"][0] - diff, "crossfilled", side["b"][2])
+    elif "b" not in side:
+        side["b"] = (side["c"][0] + diff, "crossfilled", side["c"][2])
+    rig = any(r or v == 0 for v, _, r in side.values())
+    return ({(strand, pos[strand]): (v, tag, rig)
+             for strand, (v, tag, _) in side.items()
+             if pos[strand] is not None}, breakdown)
+
+
 def betti_table(poly: LatticePolygon, prime: PrimeModulus | int = 40009,
                 options: EngineOptions | None = None) -> BettiTable:
     """The full graded Betti table, every entry tagged with how it was
@@ -534,17 +548,9 @@ def betti_table(poly: LatticePolygon, prime: PrimeModulus | int = 40009,
     if strategy.eagon_northcott:
         return eagon_northcott_table(poly, prime)
 
-    n = poly.n_points
-    width = n - 3
-    # position -> (value, provenance tag, rigorous), one dict per row
-    rows: dict[str, dict[int, tuple[int, str, bool]]] = {
-        "b": {pos: (0, tag, True) for pos, tag in strategy.b_preset.items()},
-        "c": {pos: (0, tag, True) for pos, tag in strategy.c_preset.items()}}
+    # (strand, position) -> (value, provenance tag, rigorous)
+    cells: dict[tuple[str, int], tuple[int, str, bool]] = {}
     bigraded: dict[tuple[str, int, Point], int] = {}
-
-    def values(strand: str) -> dict[int, int]:
-        return {pos: v for pos, (v, _, _) in rows[strand].items()}
-
     store = None
     if options.checkpoint:
         store = AppendLog(options.checkpoint, {
@@ -553,62 +559,28 @@ def betti_table(poly: LatticePolygon, prime: PrimeModulus | int = 40009,
     try:
         with worker_pool(options.budget):
             for a, choice in sorted(strategy.choices.items()):
-                if choice == "shortcut":
-                    continue
-                pb, pc = _antidiagonal(n, a)
-                strand, pos, plan = (("b", pb, strategy.removal_b)
-                                     if choice == "compute_b"
-                                     else ("c", pc, strategy.removal_c))
-                try:
-                    out = strand_value(poly, strand, pos, prime, plan,
-                                       use_symmetry=strategy.use_symmetry,
-                                       budget=options.budget, store=store)
-                except BlockFailed as exc:
-                    raise TableAborted(
-                        str(exc), strand, pos, exc.bidegree, values("b"),
-                        values("c"), options.checkpoint) from exc
-                rows[strand][pos] = (out.value, "computed", out.rigorous)
+                entries, breakdown = _resolve_antidiagonal(
+                    poly, a, choice, prime,
+                    (strategy.b_preset, strategy.c_preset),
+                    (strategy.removal_b, strategy.removal_c), options, store)
+                cells.update(entries)
                 if options.keep_bigraded:
-                    for ab, v in out.bigraded.items():
-                        bigraded[(strand, pos, ab)] = v
+                    bigraded.update(breakdown)
     finally:
         if store:
             store.close()
 
-    # closure, one antidiagonal at a time: the missing side follows from
-    # the difference b - c, and entries beyond the table edge are exact
-    # zeros; entries cannot decrease modulo p, so a computed zero is
-    # exact, and the difference is exact in every characteristic, so one
-    # certified side certifies its partner
-    edge = (0, "edge", True)
-    for a in range(1, n - 1):
-        pb, pc = _antidiagonal(n, a)
-        b = edge if pb is None else rows["b"].get(pb)
-        c = edge if pc is None else rows["c"].get(pc)
-        diff = antidiagonal_difference(poly, a)
-        if c is None:
-            c = (b[0] - diff, "crossfilled", b[2])
-        elif b is None:
-            b = (c[0] + diff, "crossfilled", c[2])
-        rig = b[2] or b[0] == 0 or c[2] or c[0] == 0
-        if pb is not None:
-            rows["b"][pb] = (b[0], b[1], rig)
-        if pc is not None:
-            rows["c"][pc] = (c[0], c[1], rig)
-
-    positions = range(1, width + 1)
-    require(set(rows["b"]) == set(positions), "row one incomplete")
-    require(set(rows["c"]) == set(positions), "row two incomplete")
-    b_row = [rows["b"][i] for i in positions]
-    c_row = [rows["c"][i] for i in positions]
-    table = BettiTable(
-        n=n, prime=prime,
-        b=[v for v, _, _ in b_row], c=[v for v, _, _ in c_row],
-        b_provenance=[t for _, t, _ in b_row],
-        c_provenance=[t for _, t, _ in c_row],
-        b_rigorous=[r for _, _, r in b_row],
-        c_rigorous=[r for _, _, r in c_row],
-        bigraded=bigraded)
+    positions = range(1, poly.n_points - 2)
+    require(set(cells) == {(s, i) for s in "bc" for i in positions},
+            "table incomplete")
+    fields = {}
+    for strand in "bc":
+        row = [cells[(strand, i)] for i in positions]
+        fields[strand] = [v for v, _, _ in row]
+        fields[f"{strand}_provenance"] = [t for _, t, _ in row]
+        fields[f"{strand}_rigorous"] = [r for _, _, r in row]
+    table = BettiTable(n=poly.n_points, prime=prime, bigraded=bigraded,
+                       **fields)
     _validate_table(poly, table)
     return table
 
@@ -631,29 +603,16 @@ def _resolve_entry_b(poly: LatticePolygon, ell: int, prime: PrimeModulus,
                      options: EngineOptions) -> tuple[int, bool]:
     """One row-one entry by the route the planner picks for its
     antidiagonal, without planning the others."""
-    n = poly.n_points
-    if not (1 <= ell <= n - 3):
-        return 0, True
     if not interior_hull(poly).points:
-        return ell * math.comb(n - 2, ell + 1), True
-    b_preset, c_preset = _presets(poly)
-    if ell in b_preset:
-        return 0, True
-    plan_b, plan_c = effective_plans(poly, options)
-    choice, _ = _choose_side(poly, ell, b_preset, c_preset, (plan_b, plan_c))
-    diff = antidiagonal_difference(poly, ell)
-    if choice == "shortcut":             # the row-two partner is a known zero
-        return diff, True
-    if choice == "compute_b":
-        out = strand_value(poly, "b", ell, prime, plan_b,
-                           use_symmetry=options.use_symmetry,
-                           budget=options.budget)
-        return out.value, out.rigorous
-    out = strand_value(poly, "c", n - 1 - ell, prime, plan_c,
-                       use_symmetry=options.use_symmetry,
-                       budget=options.budget)
-    val = out.value + diff
-    return val, out.rigorous or val == 0
+        table = eagon_northcott_table(poly, prime)
+        return table.b_entry(ell), table.b_rigorous[ell - 1]
+    presets = _presets(poly)
+    plans = effective_plans(poly, options)
+    choice, _ = _choose_side(poly, ell, *presets, plans)
+    entries, _ = _resolve_antidiagonal(poly, ell, choice, prime, presets,
+                                       plans, options)
+    value, _, rigorous = entries[("b", ell)]
+    return value, rigorous
 
 
 @dataclass
@@ -719,17 +678,17 @@ def verify_kp1(poly: LatticePolygon, prime: PrimeModulus | int = 40009,
 
 
 def audit_duality(poly: LatticePolygon, prime: PrimeModulus,
+                  direct: dict[tuple[str, int], EntryOutcome],
                   budget: ComputeBudget | None = None) -> list[str]:
     """Row one recomputed through the interior-twisted mirror complex
-    must agree with the direct route."""
+    must agree with the direct route, given as _direct_entries."""
     issues = []
     for ell in range(1, poly.n_points - 2):
-        direct = strand_value(poly, "b", ell, prime, EMPTY_PLAN,
-                              budget=budget)
         mirror = spec_cohomology(poly, twisted_quadratic_spec(poly, ell),
                                  prime, budget=budget)
-        if direct.value != mirror.value:
-            issues.append(f"row-one entry {ell}: direct {direct.value} vs "
+        value = direct[("b", ell)].value
+        if value != mirror.value:
+            issues.append(f"row-one entry {ell}: direct {value} vs "
                           f"mirror {mirror.value}")
     return issues
 
@@ -775,37 +734,45 @@ def audit_symmetry(poly: LatticePolygon, prime: PrimeModulus,
     return issues
 
 
-def audit_shortcuts(poly: LatticePolygon, prime: PrimeModulus,
-                    table: BettiTable,
-                    budget: ComputeBudget | None = None) -> list[str]:
-    """Recompute every entry the table got for free; the shortcuts must
-    be falsifiable, not baked in.  The direct bigraded breakdowns must
-    also keep every nonzero bidegree inside its support window, and on
-    each antidiagonal b_ell(ab) - c_(n-1-ell)(sigma - ab) must equal the
+def _direct_entries(poly: LatticePolygon, prime: PrimeModulus,
+                    budget: ComputeBudget | None = None
+                    ) -> dict[tuple[str, int], EntryOutcome]:
+    """Every entry of both rows computed directly, with no shortcut and
+    no support removal, keyed (strand, position)."""
+    return {(strand, pos): compute(poly, pos, prime, budget=budget)
+            for pos in range(1, poly.n_points - 2)
+            for strand, compute in (("b", compute_b), ("c", compute_c))}
+
+
+def audit_shortcuts(poly: LatticePolygon, table: BettiTable,
+                    direct: dict[tuple[str, int], EntryOutcome]
+                    ) -> list[str]:
+    """Compare every entry the table got for free with its direct
+    recomputation (_direct_entries); the shortcuts must be falsifiable,
+    not baked in.  The direct bigraded breakdowns must also keep every
+    nonzero bidegree inside its support window, and on each
+    antidiagonal b_ell(ab) - c_(n-1-ell)(sigma - ab) must equal the
     bidegree slice of the Euler characteristic."""
     n = poly.n_points
-    direct: dict[tuple[str, int], dict[Point, int]] = {}
     issues = []
-    for pos in range(1, n - 2):
-        for strand, compute in (("b", compute_b), ("c", compute_c)):
-            out = compute(poly, pos, prime, budget=budget)
-            direct[(strand, pos)] = out.bigraded
-            row = "row one" if strand == "b" else "row two"
-            have = getattr(table, f"{strand}_entry")(pos)
-            if out.value != have:
-                tag = getattr(table, f"{strand}_provenance")[pos - 1]
-                issues.append(f"{row} {pos}: table {have} vs recomputed "
-                              f"{out.value} ({tag})")
-            window = (support_window(poly, pos, 1, twisted=False)
-                      if strand == "b" else
-                      support_window(poly, pos - 1, 1, twisted=True))
-            for ab in sorted(set(out.bigraded) - window, key=order_key):
-                issues.append(f"{row} {pos}: bidegree {ab} outside its "
-                              f"support window")
+    for (strand, pos), out in direct.items():
+        row = "row one" if strand == "b" else "row two"
+        have = getattr(table, f"{strand}_entry")(pos)
+        if out.value != have:
+            tag = getattr(table, f"{strand}_provenance")[pos - 1]
+            issues.append(f"{row} {pos}: table {have} vs recomputed "
+                          f"{out.value} ({tag})")
+        window = (support_window(poly, pos, 1, twisted=False)
+                  if strand == "b" else
+                  support_window(poly, pos - 1, 1, twisted=True))
+        for ab in sorted(set(out.bigraded) - window, key=order_key):
+            issues.append(f"{row} {pos}: bidegree {ab} outside its "
+                          f"support window")
+    bigraded = {key: out.bigraded for key, out in direct.items()}
     sx, sy = sigma_point(poly)
     for ell in range(1, n - 1):
-        b_map = direct.get(("b", ell), {})
-        c_map = direct.get(("c", n - 1 - ell), {})
+        b_map = bigraded.get(("b", ell), {})
+        c_map = bigraded.get(("c", n - 1 - ell), {})
         expected = antidiagonal_difference_bigraded(poly, ell)
         keys = (set(expected) | set(b_map)
                 | {(sx - a, sy - b) for a, b in c_map})
@@ -849,11 +816,12 @@ def run_audits(poly: LatticePolygon, prime: PrimeModulus | int = 40009,
     with worker_pool(options.budget):
         if table is None:
             table = betti_table(poly, prime, options)
-        issues = audit_shortcuts(poly, prime, table, options.budget)
+        direct = _direct_entries(poly, prime, options.budget)
+        issues = audit_shortcuts(poly, table, direct)
         if n <= 9:
             issues += audit_quotient(poly, prime, table, options)
         if n <= 8:
-            issues += audit_duality(poly, prime, options.budget)
+            issues += audit_duality(poly, prime, direct, options.budget)
             issues += audit_symmetry(poly, prime, options)
             issues += audit_prune(poly, prime, table, options)
         if n <= 7:

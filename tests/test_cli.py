@@ -99,6 +99,14 @@ def test_table_accepts_vertices_and_files(runner, tmp_path):
     # refused before the first prime is computed: the log pins one prime
     ("table", "--model", "Upsilon_2", "--primes", "3,40009",
      "--checkpoint", os.devnull),
+    ("table", "--model", "Upsilon", "--primes", ""),
+    ("table", "--model", "Upsilon", "--primes", ","),
+    ("oracle-check", "--model", "Upsilon", "--primes", ""),
+    # a log that cannot be opened: nothing exists below os.devnull
+    ("table", "--model", "Upsilon_2",
+     "--checkpoint", os.path.join(os.devnull, "x.jsonl")),
+    ("verify-kp1", os.path.dirname(os.path.abspath(__file__)),
+     "--checkpoint", os.path.join(os.devnull, "y.jsonl")),
 ])
 def test_invalid_input_exits_2(runner, args):
     r = invoke(runner, *args)
@@ -243,6 +251,16 @@ def test_over_cap_block_is_never_built(runner, tmp_path, built_blocks):
     assert built
     assert ["dual_c", ell, [a, b], "right"] not in [rec[1:5] for rec in built]
     assert all(8 * rows * cols <= 5000 for *_, rows, cols in built)
+
+
+def test_audit_over_memory_cap_exits_3(runner):
+    r = invoke(runner, "table", "--model", "Upsilon_2", "--audit",
+               "--memory-cap", "3000", "--workers", "1")
+    assert r.exit_code == 3
+    n, b, c, _, _ = parse_ascii(r.stdout)       # the table still printed
+    assert (b, c) == REFERENCE_TABLES["Upsilon_2"]
+    assert re.search(r"error: strand b position \d+ bidegree .*cap is 3000",
+                     r.stderr)
 
 
 @pytest.mark.parametrize("flag,value", [("--memory-cap", "-1"),

@@ -1,6 +1,7 @@
 """Production table engine: strategy, symmetry, checkpoints, audits."""
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
 import subprocess
@@ -10,8 +11,9 @@ import pytest
 
 from conftest import REFERENCE_TABLES
 from polybetti import engine, linalg
-from polybetti.engine import (EngineOptions, EntryOutcome, Kp1Report,
-                              TableAborted, _bidegree_actions,
+from polybetti.corpus import kp1_corpus
+from polybetti.engine import (BlockFailed, EngineOptions, EntryOutcome,
+                              Kp1Report, _bidegree_actions,
                               _orbit_partition, betti_table, block_dimensions,
                               compute_b, compute_c, effective_plans,
                               options_key, plan_strategy, polygon_key,
@@ -242,7 +244,6 @@ def test_checkpoint_header_keys(tmp_path, prime):
     opts = EngineOptions(checkpoint=path,
                          budget=ComputeBudget(max_workers=1))
     betti_table(poly, prime, opts)
-    import json
     header = json.loads(open(path).readline())
     assert header == {"polygon": polygon_key(poly),
                       "prime": prime.p,
@@ -255,13 +256,15 @@ def test_aborted_run_keeps_partials_and_resumes(tmp_path, prime):
     tight = EngineOptions(checkpoint=path,
                           budget=ComputeBudget(max_workers=1,
                                                memory_cap=5_000))
-    with pytest.raises(TableAborted) as exc_info:
+    with pytest.raises(BlockFailed) as exc_info:
         betti_table(poly, prime, tight)
     exc = exc_info.value
-    assert exc.checkpoint == path
     assert (exc.strand, exc.ell) == ("c", 6)
-    assert exc.partial_b == {8: 0}
-    assert exc.partial_c == {8: 0, 7: 0}
+    # 2 of the 25 blocks of c6 are refused; the 23 others, ranked before
+    # and after the first refusal, are all in the log
+    with open(path) as fh:
+        records = [json.loads(line) for line in fh.readlines()[1:]]
+    assert sum((r["strand"], r["ell"]) == ("c", 6) for r in records) == 23
     # the failing block is named: a bidegree of c6 too large for the cap
     spec = twisted_strand_spec(poly, 6,
                                plan_strategy(poly, prime, tight).removal_c)
@@ -474,6 +477,28 @@ def test_run_audits_catch_shifted_bidegrees(prime, serial_options,
     assert any(i.startswith("antidiagonal ") for i in issues)
 
 
+def test_duality_audit_reuses_the_direct_entries(prime, serial_options,
+                                                 monkeypatch):
+    poly = named_polygon("Upsilon_2")
+    direct = engine._direct_entries(poly, prime, serial_options.budget)
+    calls = []
+    real_strand_value = engine.strand_value
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return real_strand_value(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "strand_value", counted)
+    assert engine.audit_duality(poly, prime, direct,
+                                serial_options.budget) == []
+    assert calls == []          # only the mirror complexes are ranked
+    out = direct[("b", 2)]
+    direct[("b", 2)] = EntryOutcome(out.value + 1, out.rigorous,
+                                    out.bigraded, out.blocks)
+    assert engine.audit_duality(poly, prime, direct, serial_options.budget) \
+        == [f"row-one entry 2: direct {out.value + 1} vs mirror {out.value}"]
+
+
 def test_compute_entry_positions_out_of_strategy(prime):
     poly = named_polygon("Upsilon_2")
     budget = ComputeBudget(max_workers=1)
@@ -481,6 +506,17 @@ def test_compute_entry_positions_out_of_strategy(prime):
     for ell in range(1, 5):
         assert compute_b(poly, ell, prime, budget=budget).value == b[ell - 1]
         assert compute_c(poly, ell, prime, budget=budget).value == c[ell - 1]
+
+
+@pytest.mark.parametrize("p", [2, 40009])
+def test_kp1_entries_match_the_full_table(p, serial_options):
+    """verify_kp1 plans one antidiagonal at a time; its entries and
+    their rigor must be the table's."""
+    for poly in kp1_corpus(2028, 20, n_max=12):
+        report = verify_kp1(poly, p, serial_options)
+        table = betti_table(poly, p, serial_options)
+        for t, entry in report.entries.items():
+            assert entry == (table.b_entry(t), table.b_rigorous[t - 1])
 
 
 def test_polygon_key_is_class_invariant():
