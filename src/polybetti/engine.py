@@ -193,7 +193,8 @@ class BlockTask:
 
     Whoever ranks the block builds it, a pool worker included, so the
     parent neither holds nor pickles the matrices; the memory cap is
-    checked against the predicted sizes before the block exists.
+    checked against the predicted sizes before the block exists.  Each
+    build is a fresh matrix, which the rank consumes.
     """
 
     spec: ComplexSpec
@@ -714,9 +715,12 @@ def audit_quotient(poly: LatticePolygon, prime: PrimeModulus,
 
 
 def audit_symmetry(poly: LatticePolygon, prime: PrimeModulus,
+                   direct: dict[tuple[str, int], EntryOutcome],
                    options: EngineOptions | None = None) -> list[str]:
     """Orbit-reduced and full-bidegree computations must agree entry by
-    entry, including the bigraded breakdown."""
+    entry, including the bigraded breakdown.  Where a strand removes no
+    points, the orbit-reduced entry is the one in direct
+    (_direct_entries)."""
     options = options or EngineOptions()
     plan_b, plan_c = effective_plans(poly, options)
     issues = []
@@ -724,8 +728,9 @@ def audit_symmetry(poly: LatticePolygon, prime: PrimeModulus,
         if strand == "c" and not interior_hull(poly).points:
             continue
         for ell in range(1, poly.n_points - 2):
-            fast = strand_value(poly, strand, ell, prime, plan,
-                                use_symmetry=True, budget=options.budget)
+            fast = direct[(strand, ell)] if plan == EMPTY_PLAN else \
+                strand_value(poly, strand, ell, prime, plan,
+                             use_symmetry=True, budget=options.budget)
             slow = strand_value(poly, strand, ell, prime, plan,
                                 use_symmetry=False, budget=options.budget)
             if fast.value != slow.value or fast.bigraded != slow.bigraded:
@@ -822,7 +827,7 @@ def run_audits(poly: LatticePolygon, prime: PrimeModulus | int = 40009,
             issues += audit_quotient(poly, prime, table, options)
         if n <= 8:
             issues += audit_duality(poly, prime, direct, options.budget)
-            issues += audit_symmetry(poly, prime, options)
+            issues += audit_symmetry(poly, prime, direct, options)
             issues += audit_prune(poly, prime, table, options)
         if n <= 7:
             from .oracle import oracle_betti

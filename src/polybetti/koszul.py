@@ -366,46 +366,43 @@ def wedge_basis(support: PointSet, coeffs: PointSet, p: int,
                                          for k in ks])
 
 
-def map_entries(triple: SupportTriple, ab: Point
-                ) -> tuple[int, int, np.ndarray, np.ndarray, np.ndarray]:
-    """(n_rows, n_cols, indptr, indices, signs) of the coboundary at one
-    bidegree, column-compressed with rows increasing in each column.
+def coboundary_matrix(spec: ComplexSpec, ab: Point, prime: PrimeModulus,
+                      which: str = "right") -> SparseMatrixFp:
+    """Matrix of the outgoing (or incoming) coboundary at one bidegree.
 
     The s-th omission carries sign (-1)^s, s counted from 1 along the
     increasing wedge order.  A term whose shifted cofactor leaves the
     target support is dropped: its mask is not a row, the row buckets
     being those with cofactor in it.  Columns have at most p entries.
+    One pass over each column's omissions fills the row maps and the
+    column sets that ``linalg.rank`` eliminates on.
     """
+    triple = spec.right if which == "right" else spec.left
     a, p = triple.wedge_support, triple.wedge_degree
     cols = wedge_basis(a, triple.source_support, p, ab)
-    rows = wedge_basis(a, triple.target_support, p - 1, ab)
-    n_rows, n_cols = len(rows), len(cols)
-    indptr = np.zeros(n_cols + 1, dtype=np.int64)
-    if not (n_rows and n_cols):
-        return n_rows, n_cols, indptr, indptr[:0], indptr[:0]
-    # every column has exactly p bits: omission k of the scan is the
-    # (k % p + 1)-th of its column, odd (sign -1) when k % p is even
-    jj, ii = (cols[:, None] & _BITS[:len(a)]).nonzero()
-    sign = np.where(np.arange(len(jj)) % p % 2, 1, -1)
-    targets = cols[jj] ^ _BITS[ii]
-    by_mask = rows.argsort()
-    sorted_rows = rows[by_mask]
-    pos = sorted_rows.searchsorted(targets)
-    np.minimum(pos, n_rows - 1, out=pos)
-    hit = sorted_rows[pos] == targets
-    jj, rr, sign = jj[hit], by_mask[pos[hit]], sign[hit]
-    order = np.lexsort((rr, jj))
-    np.bincount(jj, minlength=n_cols).cumsum(out=indptr[1:])
-    return n_rows, n_cols, indptr, rr[order], sign[order]
-
-
-def coboundary_matrix(spec: ComplexSpec, ab: Point, prime: PrimeModulus,
-                      which: str = "right") -> SparseMatrixFp:
-    """Matrix of the outgoing (or incoming) coboundary at one bidegree."""
-    triple = spec.right if which == "right" else spec.left
-    n_rows, n_cols, indptr, indices, signs = map_entries(triple, ab)
-    return SparseMatrixFp(n_rows, n_cols, indptr, indices,
-                          np.where(signs < 0, prime.p - 1, 1), prime)
+    row_masks = wedge_basis(a, triple.target_support, p - 1, ab)
+    row_of = dict(zip(row_masks.tolist(), range(len(row_masks))))
+    rows: dict[int, dict[int, int]] = {}
+    col_rows: dict[int, set[int]] = {}
+    minus = prime.p - 1
+    flip = minus ^ 1        # v ^= flip swaps 1 and p - 1 (no-op at p = 2)
+    for j, w in enumerate(cols.tolist() if row_of else ()):
+        v, rest, hits = minus, w, []
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            r = row_of.get(w ^ low)
+            if r is not None:
+                hits.append(r)
+                row = rows.get(r)
+                if row is None:
+                    rows[r] = {j: v}
+                else:
+                    row[j] = v
+            v ^= flip
+        if hits:
+            col_rows[j] = set(hits)
+    return SparseMatrixFp(len(row_masks), len(cols), rows, col_rows, prime)
 
 
 @lru_cache(maxsize=64)

@@ -2,17 +2,20 @@
 
 Only ranks are ever needed downstream; kernels are sized as
 ``n_cols - rank`` and never materialized.  Every block goes through one
-kernel, ``rank``: singleton rows and columns are taken as pivots that
-only delete (structured Gaussian elimination), Markowitz pivots follow
-while the matrix stays sparse, and once fill passes DENSE_FILL_CUTOFF
-the remainder goes to dense row reduction with delayed reduction mod p.
-``rank_batch`` ranks a batch of blocks on a process pool, shared by
-every batch inside one ``worker_pool`` block, when the batch is large
-enough to pay for the pool; smaller batches rank in-process.  A block
-is anything with ``n_rows``, ``n_cols`` and ``build()``: a matrix
-builds to itself, and a block described by its sizes is assembled by
-the process that ranks it, after the memory cap has been checked
-against those sizes.
+kernel, ``rank``, on the row maps and column sets that
+``SparseMatrixFp`` holds: singleton rows and columns are taken as
+pivots that only delete (structured Gaussian elimination), Markowitz
+pivots follow, and the remainder goes to dense row reduction with
+delayed reduction mod p once it is more than DENSE_FILL_CUTOFF full,
+counted against at least DENSE_MIN_CELLS cells, so that a small
+remainder stays sparse whatever its fill.  ``rank_batch`` ranks a batch
+of blocks on a process pool, shared by every batch inside one
+``worker_pool`` block, when the batch is large enough to pay for the
+pool; smaller batches rank in-process.  A block is anything with
+``n_rows``, ``n_cols`` and ``build()``, and ``rank`` consumes what
+``build()`` returns: a matrix builds to a copy of itself, and a block
+described by its sizes is assembled by the process that ranks it, after
+the memory cap has been checked against those sizes.
 """
 from __future__ import annotations
 
@@ -26,7 +29,16 @@ from itertools import chain
 
 import numpy as np
 
+# The sparse loop hands its remainder to dense_rank_mod once the
+# remainder holds more than DENSE_FILL_CUTOFF times its cells, its cells
+# counted as at least DENSE_MIN_CELLS: a smaller remainder must hold
+# more than 819 nonzeros.  Finishing the benchmark's remainders both
+# ways from their first 20% fill, numpy's per-step overhead made the
+# dense path the slower one below about 3,500 cells: it lost all 2,234
+# remainders under 2,048 cells, won 6 of the 22 up to 4,096 (every one
+# from 3,478 cells) and all 22 above.
 DENSE_FILL_CUTOFF = 0.20
+DENSE_MIN_CELLS = 4096
 
 
 class ResourceExceeded(RuntimeError):
@@ -88,17 +100,16 @@ DEFAULT_PRIME = 40009
 
 @dataclass
 class SparseMatrixFp:
-    """Column-compressed (CSC) sparse matrix over the field with
-    ``modulus.p`` elements: column c holds rows
-    ``indices[indptr[c]:indptr[c + 1]]``, strictly increasing, with the
-    nonzero residues ``data`` at the same positions.
+    """Sparse matrix over the field with ``modulus.p`` elements, held as
+    the rank kernel consumes it: ``rows`` maps each row that has a
+    nonzero to ``{column: nonzero residue}``, and ``col_rows`` maps each
+    column that has a nonzero to the set of its rows.
     """
 
     n_rows: int
     n_cols: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
+    rows: dict[int, dict[int, int]]
+    col_rows: dict[int, set[int]]
     modulus: PrimeModulus
 
     @classmethod
@@ -111,25 +122,31 @@ class SparseMatrixFp:
                 raise ValueError(f"entry ({r}, {c}) out of range")
             if v % p:
                 kept.append((c, r, v % p))
-        kept.sort()
-        for (c0, r0, _), (c1, r1, _) in zip(kept, kept[1:]):
-            if (c0, r0) == (c1, r1):
-                raise ValueError(f"duplicate row {r0} within a column")
-        cols, rows, vals = np.array(kept, dtype=np.int64).reshape(-1, 3).T
-        indptr = cols.searchsorted(np.arange(n_cols + 1))
-        return cls(n_rows, n_cols, indptr, rows, vals, modulus)
+        rows: dict[int, dict[int, int]] = {}
+        col_rows: dict[int, set[int]] = {}
+        for c, r, v in sorted(kept):    # column-major, as blocks are built
+            if r in col_rows.setdefault(c, set()):
+                raise ValueError(f"duplicate row {r} within a column")
+            col_rows[c].add(r)
+            rows.setdefault(r, {})[c] = v
+        return cls(n_rows, n_cols, rows, col_rows, modulus)
 
     @property
     def nnz(self) -> int:
-        return len(self.indices)
+        return sum(map(len, self.col_rows.values()))
 
     def build(self) -> "SparseMatrixFp":
-        return self
+        """A copy for ``rank`` to consume, so that this matrix is left as
+        it was."""
+        return SparseMatrixFp(
+            self.n_rows, self.n_cols,
+            {r: dict(row) for r, row in self.rows.items()},
+            {c: set(rs) for c, rs in self.col_rows.items()}, self.modulus)
 
     def to_dense(self) -> np.ndarray:
         a = np.zeros((self.n_rows, self.n_cols), dtype=np.int64)
-        a[self.indices,
-          np.repeat(np.arange(self.n_cols), np.diff(self.indptr))] = self.data
+        for r, row in self.rows.items():
+            a[r, list(row)] = list(row.values())
         return a
 
 
@@ -174,35 +191,25 @@ def dense_rank_mod(a: np.ndarray, p: int) -> int:
 
 
 class _Eliminator:
-    """Destructive elimination of one block.
+    """Destructive elimination of one block, in the block's own maps.
 
     Singleton columns and rows are pivots that cost no arithmetic and
     make no fill: taking one only deletes its row or its column.  They
     are taken first and whenever an elimination creates one.  Otherwise
-    the pivot is a Markowitz choice, until fill passes DENSE_FILL_CUTOFF
-    and the remainder goes to ``dense_rank_mod``.
+    the pivot is a Markowitz choice, until the remainder is more than
+    DENSE_FILL_CUTOFF full, its cells counted as at least
+    DENSE_MIN_CELLS, and goes to ``dense_rank_mod``.
     """
 
     def __init__(self, m: SparseMatrixFp):
         self.p = m.modulus.p
-        ptr, idx = m.indptr.tolist(), m.indices.tolist()
-        col_rows: dict[int, set[int]] = {
-            c: set(idx[a:b])
-            for c, a, b in zip(range(m.n_cols), ptr, ptr[1:]) if a < b}
-        # a column-major scan: its insertion order fixes the pivot sequence
-        rows: dict[int, dict[int, int]] = {}
-        cols = np.arange(m.n_cols).repeat(m.indptr[1:] - m.indptr[:-1])
-        for r, c, v in zip(idx, cols.tolist(), m.data.tolist()):
-            row = rows.get(r)
-            if row is None:
-                rows[r] = {c: v}
-            else:
-                row[c] = v
-        self.rows, self.col_rows = rows, col_rows
+        # the block's own maps, in the order it was built in (column by
+        # column): their insertion order fixes the pivot sequence
+        self.rows, self.col_rows = m.rows, m.col_rows
         self.nnz = m.nnz
         self.rank = 0
-        self.single_cols = [c for c, rs in col_rows.items() if len(rs) == 1]
-        self.single_rows = [r for r, row in rows.items() if len(row) == 1]
+        self.single_cols = [c for c, rs in m.col_rows.items() if len(rs) == 1]
+        self.single_rows = [r for r, row in m.rows.items() if len(row) == 1]
         # (count, column), built after the first structural pass and kept
         # lazily: a popped entry that undercounts is pushed again with the
         # true count; one that overcounts only makes the choice approximate
@@ -321,7 +328,8 @@ class _Eliminator:
             nr, nc = len(self.rows), len(self.col_rows)
             if not nc:
                 return self.rank
-            if self.nnz > DENSE_FILL_CUTOFF * nr * nc:
+            if self.nnz > DENSE_FILL_CUTOFF * max(nr * nc,
+                                                  DENSE_MIN_CELLS):
                 return self.rank + self._dense_remainder()
             if not self.heap:
                 self.heap = [(len(rs), c) for c, rs in self.col_rows.items()]
@@ -330,7 +338,8 @@ class _Eliminator:
 
 
 def rank(block, memory_cap: int | None = None) -> int:
-    """Rank over its prime field of ``block.build()``.
+    """Rank over its prime field of ``block.build()``, which the
+    elimination consumes.
 
     A block whose dense form (8 bytes an entry) exceeds ``memory_cap``
     is refused by its ``n_rows`` and ``n_cols`` before it is built; no
@@ -397,9 +406,10 @@ def _rank_chunk(chunk: list) -> list[tuple[int | None, str | None]]:
 
 # Σ(n_rows + n_cols) over a batch from which it goes to the pool; a
 # smaller batch ranks in the calling process.  Forking and joining a
-# 2-worker pool costs 11-13 ms, more than a batch below 1,000 takes
-# in-process (1.4-6.8 ms).  Against 4,000 on the benchmark, 2,000 made
-# sweep items slower and 8,000 made big-table slower.
+# 2-worker pool costs 16-18 ms, more than a batch below 1,000 takes
+# in-process (0.3-5.2 ms on a sweep pass; 1,000-3,999 take 3.7-17 ms).
+# Against 4,000 on the benchmark, 2,000 made sweep items slower and
+# 8,000 made big-table slower.
 POOL_MIN_COST = 4000
 
 # the outermost open worker_pool block: its executor, built by the first

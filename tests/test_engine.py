@@ -499,6 +499,24 @@ def test_duality_audit_reuses_the_direct_entries(prime, serial_options,
         == [f"row-one entry 2: direct {out.value + 1} vs mirror {out.value}"]
 
 
+def test_audits_rank_each_entry_once(prime, serial_options, monkeypatch):
+    """On a polygon that removes no points, the symmetry audit takes its
+    orbit-reduced entries from the direct ones instead of recomputing
+    them."""
+    poly = parse_polygon("0,0 2,0 2,1 0,2")
+    calls = []
+    real_strand_value = engine.strand_value
+
+    def counted(*args, **kwargs):
+        calls.append((args[1:3], args[4:], tuple(sorted(kwargs.items()))))
+        return real_strand_value(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "strand_value", counted)
+    assert run_audits(poly, prime, serial_options) == []
+    assert len(calls) == 16
+    assert len(set(calls)) == len(calls)
+
+
 def test_compute_entry_positions_out_of_strategy(prime):
     poly = named_polygon("Upsilon_2")
     budget = ComputeBudget(max_workers=1)

@@ -1,17 +1,18 @@
 """Koszul coboundary complexes, removal plans, and regularity tests."""
 from __future__ import annotations
 
+import random
 from itertools import combinations, permutations
 
 import numpy as np
 import pytest
 
 from polybetti.engine import BlockTask
-from polybetti.koszul import (EMPTY_PLAN, InvalidPlan, NotInPolygon,
-                              RemovalPlan, SupportTriple, _mask_layer,
-                              choose_removal, coboundary_matrix,
+from polybetti.koszul import (EMPTY_PLAN, ComplexSpec, InvalidPlan,
+                              NotInPolygon, RemovalPlan, SupportTriple,
+                              _mask_layer, choose_removal, coboundary_matrix,
                               enumerate_bidegrees,
-                              linear_strand_spec, map_entries, middle_profile,
+                              linear_strand_spec, middle_profile,
                               pair_criterion_by_enumeration, peak_block,
                               reduced_complex_spec, reduced_supports,
                               regular_pair, regular_triple, side_profile,
@@ -32,20 +33,14 @@ def spec_for(poly, kind, ell):
     return builders[kind](poly, ell)
 
 
-def signed_entries(triple, ab):
-    """(n_rows, n_cols, [(row, col, +-1)]) of the coboundary at ab."""
-    n_rows, n_cols, indptr, indices, signs = map_entries(triple, ab)
-    cols = np.repeat(np.arange(n_cols), np.diff(indptr))
-    return n_rows, n_cols, list(zip(indices.tolist(), cols.tolist(),
-                                    signs.tolist()))
+P40009 = PrimeModulus(40009)
 
 
-def dense_map(triple, ab):
-    n_rows, n_cols, entries = signed_entries(triple, ab)
-    m = np.zeros((n_rows, n_cols), dtype=np.int64)
-    for r, c, v in entries:
-        m[r, c] += v
-    return m
+def signed_map(spec, ab, which):
+    """The coboundary at ab as an integer array, its entries lifted from
+    the field with 40009 elements to -1, 0 and 1."""
+    a = coboundary_matrix(spec, ab, P40009, which).to_dense()
+    return np.where(a > P40009.p // 2, a - P40009.p, a)
 
 
 def source_basis(triple, ab):
@@ -97,8 +92,8 @@ SPEC_CASES = [
 def test_composition_is_zero_over_the_integers(name, kind, ell):
     spec = spec_for(named_polygon(name), kind, ell)
     for ab in enumerate_bidegrees(spec):
-        left = dense_map(spec.left, ab)
-        right = dense_map(spec.right, ab)
+        left = signed_map(spec, ab, "left")
+        right = signed_map(spec, ab, "right")
         assert left.shape[0] == right.shape[1]
         assert not (right @ left).any()
 
@@ -107,14 +102,18 @@ def test_composition_is_zero_over_the_integers(name, kind, ell):
 def test_basis_count_matches_generating_function(name, kind, ell):
     spec = spec_for(named_polygon(name), kind, ell)
     middle = middle_profile(spec)
-    left = side_profile(spec.left)
+    left_cols = side_profile(spec.left)
     below = target_profile(spec.right)
     for ab in enumerate_bidegrees(spec):
         assert len(source_basis(spec.right, ab)) == middle.get(ab, 0)
-        assert len(source_basis(spec.left, ab)) == left.get(ab, 0)
-        # the row counts block tasks carry for the memory cap check
-        assert map_entries(spec.right, ab)[0] == below.get(ab, 0)
-        assert map_entries(spec.left, ab)[0] == middle.get(ab, 0)
+        assert len(source_basis(spec.left, ab)) == left_cols.get(ab, 0)
+        # the sizes block tasks carry for the memory cap check
+        right = coboundary_matrix(spec, ab, P40009, "right")
+        assert (right.n_rows, right.n_cols) == (below.get(ab, 0),
+                                                middle.get(ab, 0))
+        left = coboundary_matrix(spec, ab, P40009, "left")
+        assert (left.n_rows, left.n_cols) == (middle.get(ab, 0),
+                                              left_cols.get(ab, 0))
     assert peak_block(spec) == max(middle.values(), default=0)
 
 
@@ -122,13 +121,10 @@ def test_basis_count_matches_generating_function(name, kind, ell):
 def test_columns_are_sparse_sign_vectors(name, kind, ell):
     spec = spec_for(named_polygon(name), kind, ell)
     for ab in enumerate_bidegrees(spec):
-        for triple in (spec.left, spec.right):
-            _, n_cols, entries = signed_entries(triple, ab)
-            per_col = [0] * n_cols
-            for _, c, v in entries:
-                assert v in (1, -1)
-                per_col[c] += 1
-            assert all(cnt <= triple.wedge_degree for cnt in per_col)
+        for which, triple in (("left", spec.left), ("right", spec.right)):
+            a = signed_map(spec, ab, which)
+            assert set(np.unique(a)) <= {-1, 0, 1}
+            assert (np.count_nonzero(a, axis=0) <= triple.wedge_degree).all()
 
 
 def test_basis_elements_are_increasing_wedges():
@@ -197,13 +193,56 @@ def test_assembly_matches_the_definition(spec):
             n_rows, n_cols, want = reference_map(triple, ab)
             m = coboundary_matrix(spec, ab, prime, which)
             assert (m.n_rows, m.n_cols) == (n_rows, n_cols)
-            got = {}
-            for c in range(n_cols):
-                rs = m.indices[m.indptr[c]:m.indptr[c + 1]].tolist()
-                assert rs == sorted(set(rs))
-                for r, v in zip(rs, m.data[m.indptr[c]:m.indptr[c + 1]]):
-                    got[(r, c)] = int(v)
+            got = {(r, c): v for r, row in m.rows.items()
+                   for c, v in row.items()}
             assert got == {rc: v % prime.p for rc, v in want.items()}
+            # the column sets index the same nonzeros
+            assert {(r, c) for c, rs in m.col_rows.items() for r in rs} \
+                == set(got)
+            assert m.nnz == len(got)
+
+
+def _random_spec(rng):
+    """A complex over random small supports: a wedge support of 3-7
+    points of a 4x5 box, non-convex coefficient supports drawn from a
+    5x5 box, and a wedge degree from 0 to one past the support size."""
+    box = [(x, y) for x in range(5) for y in range(5)]
+    wedge = PointSet.of(rng.sample(box[:20], rng.randint(3, 7)))
+    b, c, d = (PointSet.of(rng.sample(box, rng.randint(1, 12)))
+               for _ in range(3))
+    p = rng.randint(0, len(wedge) + 1)
+    return ComplexSpec(kind="custom", ell=1,
+                       left=SupportTriple(wedge, d, b, p + 1),
+                       right=SupportTriple(wedge, b, c, p),
+                       region=((0, 0),), translate_degree=0)
+
+
+def _reachable_bidegrees(triple):
+    """Every bidegree where the map has a column, and one where it has
+    none."""
+    pts = triple.wedge_support.points
+    sums = {(sum(pts[i][0] for i in w), sum(pts[i][1] for i in w))
+            for w in combinations(range(len(pts)), triple.wedge_degree)}
+    return sorted({(x + bx, y + by) for x, y in sums
+                   for bx, by in triple.source_support} | {(-9, -9)})
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_blocks_match_an_independent_construction(seed):
+    """Every block of a random small complex against reference_map, at
+    p = 3, where a wrong omission sign shows (at p = 2 it would not),
+    and at p = 40009."""
+    rng = random.Random(seed)
+    spec = _random_spec(rng)
+    for which, triple in (("left", spec.left), ("right", spec.right)):
+        for ab in _reachable_bidegrees(triple):
+            n_rows, n_cols, want = reference_map(triple, ab)
+            for p in (3, 40009):
+                m = coboundary_matrix(spec, ab, PrimeModulus(p), which)
+                expected = np.zeros((n_rows, n_cols), dtype=np.int64)
+                for (r, c), v in want.items():
+                    expected[r, c] = v % p
+                assert np.array_equal(m.to_dense(), expected)
 
 
 def test_wedge_support_over_64_points_is_refused():
@@ -315,8 +354,11 @@ def test_oversized_wedge_degree_is_the_zero_space():
     pts = PointSet.of([(0, 0), (1, 0), (0, 1)])
     triple = SupportTriple(pts, pts, pts, wedge_degree=5)
     assert len(source_basis(triple, (1, 1))) == 0
-    n_rows, n_cols, entries = signed_entries(triple, (1, 1))
-    assert n_cols == 0 and entries == []
+    spec = ComplexSpec(kind="custom", ell=1,
+                       left=SupportTriple(pts, pts, pts, 6), right=triple,
+                       region=((0, 0),), translate_degree=0)
+    m = coboundary_matrix(spec, (1, 1), P40009, "right")
+    assert m.n_cols == 0 and m.nnz == 0
     with pytest.raises(ValueError):
         SupportTriple(pts, pts, pts, wedge_degree=-1)
 

@@ -22,8 +22,7 @@ P40009 = PrimeModulus(40009)
 
 
 def transpose(m):
-    cols = np.repeat(np.arange(m.n_cols), np.diff(m.indptr))
-    entries = zip(cols.tolist(), m.indices.tolist(), m.data.tolist())
+    entries = [(c, r, v) for r, row in m.rows.items() for c, v in row.items()]
     return SparseMatrixFp.from_entries(m.n_cols, m.n_rows, entries, m.modulus)
 
 
@@ -199,11 +198,52 @@ def test_structural_pivots_need_no_dense_step(monkeypatch):
 def test_dense_block_reaches_dense_step(monkeypatch):
     calls = _count_dense_calls(monkeypatch)
     rng = random.Random(3)
+    # 80x60 cells: above the DENSE_MIN_CELLS floor, so half full is dense
     entries = [(r, c, rng.choice((1, -1)))
-               for r in range(40) for c in range(30) if rng.random() < 0.5]
-    m = SparseMatrixFp.from_entries(40, 30, entries, P40009)
-    assert rank(m) == exact_rank(entries, 40, 30, 40009)
+               for r in range(80) for c in range(60) if rng.random() < 0.5]
+    m = SparseMatrixFp.from_entries(80, 60, entries, P40009)
+    assert rank(m) == exact_rank(entries, 80, 60, 40009)
     assert len(calls) == 1
+
+
+def _low_rank(n_rows, n_cols, k, p, rng):
+    """Entries of B @ C mod p for random B (n_rows x k) and C (k x
+    n_cols), each about half nonzero residues: a matrix of rank at most
+    k mod p."""
+    def factor(n, m):
+        return [[rng.randrange(1, p) if rng.random() < 0.5 else 0
+                 for _ in range(m)] for _ in range(n)]
+    b, c = factor(n_rows, k), factor(k, n_cols)
+    entries = []
+    for i, row in enumerate(b):
+        for j in range(n_cols):
+            v = sum(x * c[t][j] for t, x in enumerate(row) if x) % p
+            if v:
+                entries.append((i, j, v))
+    return entries
+
+
+# (n_rows, n_cols, k, whether the remainder goes dense): 480 cells stay
+# sparse even when full; 72x64 is past the cell floor and full from the
+# start
+GATE_CASES = [(24, 20, 9, False), (72, 64, 30, True)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 40009, 2 ** 31 - 1])
+@pytest.mark.parametrize("n_rows,n_cols,k,dense", GATE_CASES)
+def test_rank_deficient_blocks_either_side_of_the_dense_rule(
+        monkeypatch, p, n_rows, n_cols, k, dense):
+    calls = _count_dense_calls(monkeypatch)
+    entries = _low_rank(n_rows, n_cols, k, p, random.Random(n_rows * p))
+    m = SparseMatrixFp.from_entries(n_rows, n_cols, entries, PrimeModulus(p))
+    want = exact_rank(entries, n_rows, n_cols, p)
+    assert want <= k
+    before = m.to_dense()
+    assert rank(m) == want
+    assert bool(calls) == dense
+    # ranking consumes a copy: the caller's matrix is left as it was
+    assert np.array_equal(m.to_dense(), before)
+    assert rank(m) == want
 
 
 @pytest.mark.parametrize("p", [40009, 2147483647])
