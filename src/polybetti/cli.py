@@ -92,7 +92,10 @@ _compute_options = [
     click.option("--removal", type=click.Choice(["auto", "on", "off"]),
                  default="auto", show_default=True,
                  help="Quotient out the exact subcomplex from removed "
-                      "points (auto: triangles only)."),
+                      "points.  auto: route as before (reduced size "
+                      "estimates on triangles only) and compute every "
+                      "polygon reduced; on: route and compute reduced; "
+                      "off: remove nothing."),
     click.option("--no-symmetry", is_flag=True,
                  help="Do not fold bidegrees into symmetry orbits."),
     click.option("--workers", type=int, default=None,

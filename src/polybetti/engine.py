@@ -385,8 +385,7 @@ class Strategy:
     choices: dict[int, str]        # antidiagonal -> compute_b/compute_c/shortcut
     b_preset: dict[int, str]       # position -> zero tag
     c_preset: dict[int, str]
-    removal_b: RemovalPlan
-    removal_c: RemovalPlan
+    removal: ComputePlans          # strand -> plan its entries compute on
     estimates: dict[tuple[str, int], int]
 
     def __post_init__(self):
@@ -396,19 +395,40 @@ class Strategy:
                     for ch in self.choices.values()), "unknown route")
 
 
-def _removes_support(poly: LatticePolygon, options: EngineOptions) -> bool:
-    """Whether the requested mode removes support; "auto" does so only
-    for triangles, where it strips all three corners."""
-    return options.removal == "on" or (options.removal == "auto"
-                                       and len(poly.vertices) == 3)
-
-
 def effective_plans(poly: LatticePolygon,
                     options: EngineOptions) -> tuple[RemovalPlan, RemovalPlan]:
-    """Removal plans for the two strands under the requested mode."""
-    if not _removes_support(poly, options):
+    """Removal plans the routing estimates use for the two strands: "on"
+    removes support everywhere, "auto" only from triangles, where it
+    strips all three corners.  Entries compute on ComputePlans."""
+    if not (options.removal == "on" or (options.removal == "auto"
+                                        and len(poly.vertices) == 3)):
         return EMPTY_PLAN, EMPTY_PLAN
     return (choose_removal(poly, "primal_b"), choose_removal(poly, "dual_c"))
+
+
+class ComputePlans:
+    """The removal plan each strand's entries are computed on, keyed by
+    strand, made the first time it is asked for and kept.
+
+    Every mode but "off" computes on choose_removal's plan for every
+    polygon; the routing plan (effective_plans) is reused where it
+    removes support, and otherwise a strand that computes nothing plans
+    nothing.  Removal never changes a value, so the routes and tags
+    stay those the routing plans give.
+    """
+
+    def __init__(self, poly: LatticePolygon, options: EngineOptions,
+                 routing: tuple[RemovalPlan, RemovalPlan] = (EMPTY_PLAN,
+                                                             EMPTY_PLAN)):
+        self._poly = poly
+        self._plans = {strand: plan for strand, plan in zip("bc", routing)
+                       if plan != EMPTY_PLAN or options.removal == "off"}
+
+    def __getitem__(self, strand: str) -> RemovalPlan:
+        if strand not in self._plans:
+            self._plans[strand] = choose_removal(
+                self._poly, "primal_b" if strand == "b" else "dual_c")
+        return self._plans[strand]
 
 
 def _antidiagonal(n: int, a: int) -> tuple[int | None, int | None]:
@@ -462,7 +482,7 @@ def plan_strategy(poly: LatticePolygon, prime: PrimeModulus,
     anti = range(1, n - 1)
     if not interior_hull(poly).points:
         return Strategy(n, True, {a: "shortcut" for a in anti}, {}, {},
-                        EMPTY_PLAN, EMPTY_PLAN, {})
+                        ComputePlans(poly, options), {})
     plans = effective_plans(poly, options)
     b_preset, c_preset = _presets(poly)
     choices: dict[int, str] = {}
@@ -470,8 +490,8 @@ def plan_strategy(poly: LatticePolygon, prime: PrimeModulus,
     for a in anti:
         choices[a], est = _choose_side(poly, a, b_preset, c_preset, plans)
         estimates.update(est)
-    return Strategy(n, False, choices, b_preset, c_preset, *plans,
-                    estimates)
+    return Strategy(n, False, choices, b_preset, c_preset,
+                    ComputePlans(poly, options, plans), estimates)
 
 
 def _validate_table(poly: LatticePolygon, table: BettiTable) -> None:
@@ -499,8 +519,7 @@ def _validate_table(poly: LatticePolygon, table: BettiTable) -> None:
 
 def _resolve_antidiagonal(poly: LatticePolygon, a: int, choice: str,
                           prime: PrimeModulus, presets: tuple[dict, dict],
-                          plans: tuple[RemovalPlan, RemovalPlan],
-                          options: EngineOptions,
+                          plans: ComputePlans, options: EngineOptions,
                           store: AppendLog | None = None
                           ) -> tuple[dict[tuple[str, int], tuple], dict]:
     """Both entries of antidiagonal a inside the table, keyed (strand,
@@ -520,8 +539,7 @@ def _resolve_antidiagonal(poly: LatticePolygon, a: int, choice: str,
     breakdown = {}
     if not side:
         strand = "b" if choice == "compute_b" else "c"
-        out = strand_value(poly, strand, pos[strand], prime,
-                           plans[0] if strand == "b" else plans[1],
+        out = strand_value(poly, strand, pos[strand], prime, plans[strand],
                            use_symmetry=options.use_symmetry,
                            budget=options.budget, store=store)
         side[strand] = (out.value, "computed", out.rigorous)
@@ -554,16 +572,19 @@ def betti_table(poly: LatticePolygon, prime: PrimeModulus | int = 40009,
     bigraded: dict[tuple[str, int, Point], int] = {}
     store = None
     if options.checkpoint:
+        # the plans pin which blocks the records are ranks of
         store = AppendLog(options.checkpoint, {
             "polygon": polygon_key(poly), "prime": prime.p,
-            "options": options_key(prime, options)}, _block_key)
+            "options": options_key(prime, options),
+            "removed": {s: [list(pt) for pt in strategy.removal[s].removed]
+                        for s in "bc"}}, _block_key)
     try:
         with worker_pool(options.budget):
             for a, choice in sorted(strategy.choices.items()):
                 entries, breakdown = _resolve_antidiagonal(
                     poly, a, choice, prime,
-                    (strategy.b_preset, strategy.c_preset),
-                    (strategy.removal_b, strategy.removal_c), options, store)
+                    (strategy.b_preset, strategy.c_preset), strategy.removal,
+                    options, store)
                 cells.update(entries)
                 if options.keep_bigraded:
                     bigraded.update(breakdown)
@@ -589,11 +610,11 @@ def betti_table(poly: LatticePolygon, prime: PrimeModulus | int = 40009,
 def block_dimensions(poly: LatticePolygon, strand: str, ell: int,
                      options: EngineOptions | None = None) -> list[tuple]:
     """(bidegree, rows, cols) over the whole middle region, zero blocks
-    included, without building a single matrix."""
+    included, without building a single matrix: the blocks a table run
+    builds, on the strand's compute plan."""
     options = options or EngineOptions()
-    plan_b, plan_c = effective_plans(poly, options)
     spec = _production_spec(poly, strand, ell,
-                            plan_b if strand == "b" else plan_c)
+                            ComputePlans(poly, options)[strand])
     cols_prof = middle_profile(spec)
     rows_prof = target_profile(spec.right)
     return [(ab, rows_prof.get(ab, 0), cols_prof.get(ab, 0))
@@ -608,10 +629,11 @@ def _resolve_entry_b(poly: LatticePolygon, ell: int, prime: PrimeModulus,
         table = eagon_northcott_table(poly, prime)
         return table.b_entry(ell), table.b_rigorous[ell - 1]
     presets = _presets(poly)
-    plans = effective_plans(poly, options)
-    choice, _ = _choose_side(poly, ell, *presets, plans)
+    routing = effective_plans(poly, options)
+    choice, _ = _choose_side(poly, ell, *presets, routing)
     entries, _ = _resolve_antidiagonal(poly, ell, choice, prime, presets,
-                                       plans, options)
+                                       ComputePlans(poly, options, routing),
+                                       options)
     value, _, rigorous = entries[("b", ell)]
     return value, rigorous
 
@@ -701,7 +723,7 @@ def audit_quotient(poly: LatticePolygon, prime: PrimeModulus,
     computed under options, must match the table with removal switched
     the other way."""
     base = options or EngineOptions()
-    removed = _removes_support(poly, base)
+    removed = base.removal != "off"
     other = betti_table(poly, prime, EngineOptions(
         removal="off" if removed else "on", use_symmetry=base.use_symmetry,
         budget=base.budget))
@@ -717,16 +739,17 @@ def audit_quotient(poly: LatticePolygon, prime: PrimeModulus,
 def audit_symmetry(poly: LatticePolygon, prime: PrimeModulus,
                    direct: dict[tuple[str, int], EntryOutcome],
                    options: EngineOptions | None = None) -> list[str]:
-    """Orbit-reduced and full-bidegree computations must agree entry by
-    entry, including the bigraded breakdown.  Where a strand removes no
-    points, the orbit-reduced entry is the one in direct
-    (_direct_entries)."""
+    """Orbit-reduced and full-bidegree computations on the plans a table
+    computes on must agree entry by entry, including the bigraded
+    breakdown.  Where a strand removes no points, the orbit-reduced
+    entry is the one in direct (_direct_entries)."""
     options = options or EngineOptions()
-    plan_b, plan_c = effective_plans(poly, options)
+    plans = ComputePlans(poly, options)
     issues = []
-    for strand, plan in (("b", plan_b), ("c", plan_c)):
+    for strand in "bc":
         if strand == "c" and not interior_hull(poly).points:
             continue
+        plan = plans[strand]
         for ell in range(1, poly.n_points - 2):
             fast = direct[(strand, ell)] if plan == EMPTY_PLAN else \
                 strand_value(poly, strand, ell, prime, plan,

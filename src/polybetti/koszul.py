@@ -316,15 +316,13 @@ _BITS = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
 
 
 @lru_cache(maxsize=4)
-def _mask_layer(support: PointSet, p: int
-                ) -> tuple[np.ndarray, np.ndarray, dict[Point, int]]:
-    """All p-subsets of support as uint64 masks grouped by coordinate
-    sum: (masks, offsets, index), bucket k being masks[offsets[k]:
-    offsets[k + 1]], buckets in order_key order of their sums, index
-    mapping a sum to its bucket; in a bucket, combinations order.
+def _mask_layer(support: PointSet, p: int) -> dict[Point, list[int]]:
+    """All p-subsets of support as int masks, bucketed by coordinate
+    sum: a dict from sum to bucket, its keys in order_key order; in a
+    bucket, combinations order.
 
     Bounded because a worker needs only the layers of the entry it is
-    ranking; treat the arrays as read-only.
+    ranking; treat the buckets as read-only.
     """
     n = len(support)
     if n > 64:
@@ -347,23 +345,44 @@ def _mask_layer(support: PointSet, p: int
     masks, sums = masks[order], sums[order]
     first = np.ones(len(masks), dtype=bool)
     first[1:] = (sums[1:, 0] != sums[:-1, 0]) | (sums[1:, 1] != sums[:-1, 1])
-    starts = first.nonzero()[0]
-    index = {pt: k for k, pt in enumerate(map(tuple, sums[starts].tolist()))}
-    return masks, np.concatenate((starts, [len(masks)])), index
+    starts = first.nonzero()[0].tolist()
+    flat = masks.tolist()
+    return {pt: flat[lo:hi] for pt, lo, hi in zip(
+        map(tuple, sums[starts].tolist()), starts, starts[1:] + [len(flat)])}
+
+
+def _buckets(support: PointSet, coeffs: PointSet, p: int, ab: Point):
+    """(cofactor, bucket) for every nonempty bucket of p-wedges at
+    bidegree ab whose cofactor ab - sum lies in coeffs, in order_key
+    order of the sums: coeffs walked backwards."""
+    if not 0 <= p <= len(support):
+        return
+    layer = _mask_layer(support, p)
+    x, y = ab
+    for c in reversed(coeffs.points):
+        bucket = layer.get((x - c[0], y - c[1]))
+        if bucket:
+            yield c, bucket
 
 
 def wedge_basis(support: PointSet, coeffs: PointSet, p: int,
-                ab: Point) -> np.ndarray:
+                ab: Point) -> list[int]:
     """Masks of the p-wedges at bidegree ab whose cofactor ab - sum lies
-    in coeffs: the bucket slices in order, so the basis order is the
+    in coeffs: the buckets in order, so the basis order is the
     layer's."""
-    if not 0 <= p <= len(support):
-        return np.zeros(0, dtype=np.uint64)
-    masks, offsets, index = _mask_layer(support, p)
-    ks = sorted(k for k in (index.get((ab[0] - cx, ab[1] - cy))
-                            for cx, cy in coeffs) if k is not None)
-    return np.concatenate([masks[:0]] + [masks[offsets[k]:offsets[k + 1]]
-                                         for k in ks])
+    return [w for _, bucket in _buckets(support, coeffs, p, ab)
+            for w in bucket]
+
+
+@lru_cache(maxsize=16)
+def _reach(wedge: PointSet, source: PointSet,
+           target: PointSet) -> dict[Point, int]:
+    """For each cofactor c in source, the mask of the wedge points x
+    with c + x in target: the omissions of a column with cofactor c
+    that land on a row."""
+    return {c: sum(1 << i for i, (x, y) in enumerate(wedge)
+                   if (c[0] + x, c[1] + y) in target)
+            for c in source}
 
 
 def coboundary_matrix(spec: ComplexSpec, ab: Point, prime: PrimeModulus,
@@ -373,36 +392,44 @@ def coboundary_matrix(spec: ComplexSpec, ab: Point, prime: PrimeModulus,
     The s-th omission carries sign (-1)^s, s counted from 1 along the
     increasing wedge order.  A term whose shifted cofactor leaves the
     target support is dropped: its mask is not a row, the row buckets
-    being those with cofactor in it.  Columns have at most p entries.
-    One pass over each column's omissions fills the row maps and the
-    column sets that ``linalg.rank`` eliminates on.
+    being those with cofactor in it, and the column's reach mask skips
+    it.  Columns have at most p entries.  One pass over each column's
+    omissions fills the row maps and the column sets that
+    ``linalg.rank`` eliminates on.
     """
     triple = spec.right if which == "right" else spec.left
     a, p = triple.wedge_support, triple.wedge_degree
-    cols = wedge_basis(a, triple.source_support, p, ab)
+    cols = _buckets(a, triple.source_support, p, ab)
     row_masks = wedge_basis(a, triple.target_support, p - 1, ab)
-    row_of = dict(zip(row_masks.tolist(), range(len(row_masks))))
+    if not row_masks:
+        return SparseMatrixFp(0, sum(len(bucket) for _, bucket in cols), {},
+                              {}, prime)
+    row_of = dict(zip(row_masks, range(len(row_masks))))
+    reach = _reach(a, triple.source_support, triple.target_support)
     rows: dict[int, dict[int, int]] = {}
     col_rows: dict[int, set[int]] = {}
     minus = prime.p - 1
-    flip = minus ^ 1        # v ^= flip swaps 1 and p - 1 (no-op at p = 2)
-    for j, w in enumerate(cols.tolist() if row_of else ()):
-        v, rest, hits = minus, w, []
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            r = row_of.get(w ^ low)
-            if r is not None:
+    j = 0
+    for c, bucket in cols:
+        hit_mask = reach[c]
+        for w in bucket:
+            rest, hits = w & hit_mask, []
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                r = row_of[w ^ low]
                 hits.append(r)
+                # (-1)^s, s - 1 being the number of points below low
+                v = 1 if (w & (low - 1)).bit_count() & 1 else minus
                 row = rows.get(r)
                 if row is None:
                     rows[r] = {j: v}
                 else:
                     row[j] = v
-            v ^= flip
-        if hits:
-            col_rows[j] = set(hits)
-    return SparseMatrixFp(len(row_masks), len(cols), rows, col_rows, prime)
+            if hits:
+                col_rows[j] = set(hits)
+            j += 1
+    return SparseMatrixFp(len(row_masks), j, rows, col_rows, prime)
 
 
 @lru_cache(maxsize=64)

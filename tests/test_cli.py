@@ -11,6 +11,9 @@ from click.testing import CliRunner
 from conftest import REFERENCE_TABLES
 from polybetti import cli, engine, linalg
 from polybetti.cli import main
+from polybetti.engine import EngineOptions, options_key, polygon_key
+from polybetti.linalg import PrimeModulus
+from polybetti.polygon import parse_polygon
 from polybetti.table import parse_ascii
 
 _real_rank_task = linalg._rank_task
@@ -203,6 +206,33 @@ def test_table_checkpoint_resume_identical(runner, tmp_path):
     assert clash.exit_code == 2
 
 
+def test_table_refuses_a_checkpoint_of_unreduced_blocks(runner, tmp_path):
+    """A log from when auto ranked quadrilaterals on full supports: the
+    header pins no removal plans, and the log is refused before a record
+    is read rather than resumed with ranks of other blocks."""
+    quad = "1,0 2,0 3,4 0,3"
+    path = tmp_path / "old.jsonl"
+    # those runs logged the blocks that removal off ranks
+    off = invoke(runner, "table", "--vertices", quad, "--removal", "off",
+                 "--workers", "1", "--checkpoint", str(path))
+    assert off.exit_code == 0
+    poly = parse_polygon(quad)
+    old_header = {"polygon": polygon_key(poly), "prime": 40009,
+                  "options": options_key(PrimeModulus(40009),
+                                         EngineOptions())}
+    records = path.read_text().splitlines()[1:]
+    assert records
+    path.write_text("\n".join([json.dumps(old_header, sort_keys=True)]
+                              + records) + "\n")
+    before = path.read_text()
+    r = invoke(runner, "table", "--vertices", quad, "--workers", "1",
+               "--checkpoint", str(path))
+    assert r.exit_code == 2
+    assert "belongs to a different run" in r.stderr
+    assert r.stdout == ""
+    assert path.read_text() == before
+
+
 def test_table_worker_death_aborts_with_checkpoint(runner, tmp_path,
                                                    monkeypatch,
                                                    pool_every_batch):
@@ -296,6 +326,26 @@ def test_predict_square(runner):
     r = invoke(runner, "predict", "--vertices", "0,0 1,0 1,1 0,1")
     assert "n = 4, interior points = 0, lattice width = 1" in r.stdout
     assert "no interior points" in r.stdout
+
+
+def test_dims_lists_the_blocks_a_table_ranks(runner, built_blocks):
+    quad = "1,0 2,0 3,4 0,3"
+    r = invoke(runner, "table", "--vertices", quad, "--workers", "1")
+    assert r.exit_code == 0
+    built = [rec for rec in built_blocks() if rec[4] == "right"]
+    assert {rec[1] for rec in built} == {"primal_b", "dual_c"}
+    listed = {}
+    for kind, ell in {(rec[1], rec[2]) for rec in built}:
+        strand = "b" if kind == "primal_b" else "c"
+        d = invoke(runner, "dims", "--vertices", quad, "--strand", strand,
+                   "--position", str(ell))
+        assert d.exit_code == 0
+        for a, b, rows, cols in re.findall(
+                r"^\((-?\d+),(-?\d+)\)  (\d+) x (\d+)$", d.stdout,
+                re.MULTILINE):
+            listed[(kind, ell, int(a), int(b))] = (int(rows), int(cols))
+    for _, kind, ell, (a, b), _, rows, cols in built:
+        assert listed[(kind, ell, a, b)] == (rows, cols)
 
 
 def test_dims_small_and_frozen(runner):

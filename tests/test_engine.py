@@ -6,12 +6,13 @@ import multiprocessing
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 from conftest import REFERENCE_TABLES
 from polybetti import engine, linalg
-from polybetti.corpus import kp1_corpus
+from polybetti.corpus import build_corpus, kp1_corpus, removal_corpus
 from polybetti.engine import (BlockFailed, EngineOptions, EntryOutcome,
                               Kp1Report, _bidegree_actions,
                               _orbit_partition, betti_table, block_dimensions,
@@ -24,7 +25,8 @@ from polybetti.koszul import (EMPTY_PLAN, SupportTriple, coboundary_matrix,
                               wedge_basis)
 from polybetti.linalg import ComputeBudget, PrimeModulus
 from polybetti.polygon import (AffineUnimodularMap, from_vertices,
-                               named_polygon, parse_polygon)
+                               interior_hull, named_polygon, parse_polygon)
+from polybetti.table import render_json
 
 
 def mapped(poly, matrix, shift):
@@ -135,6 +137,86 @@ def test_effective_plans_modes():
     assert effective_plans(tri, off) == (EMPTY_PLAN, EMPTY_PLAN)
 
 
+def shape_corpus(per_shape=4):
+    """Seeded quadrilaterals, pentagons and hexagons with interior
+    points: auto routes them unreduced and computes them reduced."""
+    drawn = build_corpus(1212, 400, n_min=6, n_max=10, box=5,
+                         max_vertices=7)
+    return [poly for k in (4, 5, 6)
+            for poly in [q for q in drawn if len(q.vertices) == k
+                         and interior_hull(q).points][:per_shape]]
+
+
+@pytest.mark.parametrize("p", [3, 40009])
+def test_auto_tables_identical_to_the_mode_routing_alike(p):
+    budget = ComputeBudget(max_workers=1)
+    for poly in removal_corpus() + shape_corpus():
+        # auto routes triangles as "on" does and everything else as "off"
+        same_routes = "on" if len(poly.vertices) == 3 else "off"
+        auto, other = (render_json(betti_table(poly, p, EngineOptions(
+            removal=mode, keep_bigraded=True, budget=budget)))
+            for mode in ("auto", same_routes))
+        assert auto == other, poly.vertices
+
+
+def test_auto_routes_non_triangles_unreduced(prime):
+    """Routing reads the unreduced estimates, so routes, provenance tags
+    and rigor flags are those of removal off."""
+    for poly in shape_corpus():
+        auto = plan_strategy(poly, prime, EngineOptions())
+        off = plan_strategy(poly, prime, EngineOptions(removal="off"))
+        assert (auto.choices, auto.estimates) == (off.choices, off.estimates)
+
+
+def test_auto_ranks_a_quadrilateral_on_reduced_supports(prime, monkeypatch):
+    poly = parse_polygon("1,0 2,0 3,4 0,3")
+    pair = {(2, 0), (0, 3)}         # the diagonal choose_removal picks
+    supports = []
+    real = engine.coboundary_matrix
+
+    def recording(spec, ab, prime, which="right"):
+        supports.append(spec.wedge_support)
+        return real(spec, ab, prime, which)
+
+    monkeypatch.setattr(engine, "coboundary_matrix", recording)
+    serial = ComputeBudget(max_workers=1)
+    auto = betti_table(poly, prime, EngineOptions(budget=serial))
+    assert supports
+    assert {pt for pt in poly.points if all(pt not in a for a in supports)} \
+        == pair
+    off = betti_table(poly, prime, EngineOptions(removal="off", budget=serial))
+    assert (auto.b, auto.c) == (off.b, off.c)
+
+
+def test_plans_are_made_once_and_only_for_computed_strands(prime,
+                                                          monkeypatch):
+    made = []
+    real = engine.choose_removal
+
+    def counted(poly, kind="primal_b", ell=None):
+        made.append(kind)
+        return real(poly, kind, ell)
+
+    monkeypatch.setattr(engine, "choose_removal", counted)
+    serial = ComputeBudget(max_workers=1)
+    # every antidiagonal a shortcut: presets and the table edge
+    for text in ("-1,0 0,-1 1,0 0,1", "-1,0 0,-1 1,-1 1,0 0,1 -1,1"):
+        poly = parse_polygon(text)
+        assert set(plan_strategy(poly, prime).choices.values()) \
+            == {"shortcut"}
+        betti_table(poly, prime, EngineOptions(budget=serial))
+        assert made == []
+    # a computed strand plans once per table, however many entries
+    poly = parse_polygon("1,0 2,0 3,4 0,3")
+    strategy = plan_strategy(poly, prime)
+    sides = {ch for ch in strategy.choices.values() if ch != "shortcut"}
+    assert list(strategy.choices.values()).count("compute_c") > 1
+    betti_table(poly, prime, EngineOptions(budget=serial))
+    assert sorted(made) == sorted({"compute_b": "primal_b",
+                                   "compute_c": "dual_c"}[ch]
+                                  for ch in sides)
+
+
 @pytest.mark.parametrize("name", ["Upsilon_2", "2*Upsilon"])
 def test_removal_does_not_change_values(name, prime):
     poly = named_polygon(name)
@@ -239,15 +321,21 @@ def test_checkpoint_resume_and_refusal(tmp_path, prime):
 
 
 def test_checkpoint_header_keys(tmp_path, prime):
-    path = str(tmp_path / "hdr.jsonl")
-    poly = named_polygon("Upsilon_2")
-    opts = EngineOptions(checkpoint=path,
-                         budget=ComputeBudget(max_workers=1))
-    betti_table(poly, prime, opts)
-    header = json.loads(open(path).readline())
-    assert header == {"polygon": polygon_key(poly),
-                      "prime": prime.p,
-                      "options": options_key(prime, opts)}
+    # the removed points of both compute plans: a triangle's corners, and
+    # a quadrilateral's diagonal pair under auto, which routes unreduced
+    cases = [("-1,-1 2,0 0,2", [[-1, -1], [2, 0], [0, 2]]),
+             ("0,0 2,0 2,1 0,2", [[0, 0], [2, 1]])]
+    for i, (text, removed) in enumerate(cases):
+        path = str(tmp_path / f"hdr{i}.jsonl")
+        poly = parse_polygon(text)
+        opts = EngineOptions(checkpoint=path,
+                             budget=ComputeBudget(max_workers=1))
+        betti_table(poly, prime, opts)
+        header = json.loads(open(path).readline())
+        assert header == {"polygon": polygon_key(poly),
+                          "prime": prime.p,
+                          "options": options_key(prime, opts),
+                          "removed": {"b": removed, "c": removed}}
 
 
 def test_aborted_run_keeps_partials_and_resumes(tmp_path, prime):
@@ -267,7 +355,7 @@ def test_aborted_run_keeps_partials_and_resumes(tmp_path, prime):
     assert sum((r["strand"], r["ell"]) == ("c", 6) for r in records) == 23
     # the failing block is named: a bidegree of c6 too large for the cap
     spec = twisted_strand_spec(poly, 6,
-                               plan_strategy(poly, prime, tight).removal_c)
+                               plan_strategy(poly, prime, tight).removal["c"])
     assert middle_profile(spec).get(exc.bidegree, 0) > 0
     block = coboundary_matrix(spec, exc.bidegree, prime, "right")
     assert 8 * block.n_rows * block.n_cols > 5_000
@@ -500,10 +588,11 @@ def test_duality_audit_reuses_the_direct_entries(prime, serial_options,
 
 
 def test_audits_rank_each_entry_once(prime, serial_options, monkeypatch):
-    """On a polygon that removes no points, the symmetry audit takes its
+    """Where a table removes no points, the symmetry audit takes its
     orbit-reduced entries from the direct ones instead of recomputing
     them."""
     poly = parse_polygon("0,0 2,0 2,1 0,2")
+    serial_options = replace(serial_options, removal="off")
     calls = []
     real_strand_value = engine.strand_value
 

@@ -131,7 +131,7 @@ def test_basis_elements_are_increasing_wedges():
     spec = spec_for(named_polygon("Upsilon_2"), "primal_b", 2)
     pts = spec.wedge_support.points
     for ab in enumerate_bidegrees(spec):
-        masks = source_basis(spec.right, ab).tolist()
+        masks = source_basis(spec.right, ab)
         assert len(set(masks)) == len(masks)
         keys = []
         for mask in masks:
@@ -149,19 +149,20 @@ def test_mask_layers_match_combinations():
     # past half the support size a layer is built from complements
     pts = named_polygon("Upsilon_2").points.points
     for p in range(len(pts) + 1):
-        masks, offsets, index = _mask_layer(PointSet(pts), p)
+        layer = _mask_layer(PointSet(pts), p)
 
         def wsum(c):
             return (sum(pts[i][0] for i in c), sum(pts[i][1] for i in c))
 
         want = sorted(combinations(range(len(pts)), p),
                       key=lambda c: order_key(wsum(c)))
-        assert masks.tolist() == [sum(1 << i for i in c) for c in want]
-        assert sorted(index, key=order_key) == sorted(set(map(wsum, want)),
-                                                      key=order_key)
-        for s, k in index.items():
+        # buckets keyed in order_key order of their sums
+        assert [m for bucket in layer.values() for m in bucket] == \
+            [sum(1 << i for i in c) for c in want]
+        assert list(layer) == sorted(set(map(wsum, want)), key=order_key)
+        for s, bucket in layer.items():
             assert all(wsum([i for i in range(len(pts)) if m >> i & 1]) == s
-                       for m in masks[offsets[k]:offsets[k + 1]].tolist())
+                       for m in bucket)
 
 
 # one reduced spec per removal certificate: removal leaves non-convex
