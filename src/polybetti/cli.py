@@ -434,13 +434,17 @@ def oracle_check(model, vertices, file, primes):
 
     poly = _load_polygon(model, vertices, file)
     moduli = _parse_primes(40009, primes)
+    try:
+        opts = EngineOptions()      # reads BETTI_WORKERS
+    except ValueError as exc:
+        _fail(EXIT_INPUT, str(exc))
     failed = False
     for modulus in moduli:
         try:
             ref = oracle_betti(poly, modulus)
         except TooLarge as exc:
             _fail(EXIT_CAP, str(exc))
-        mine = betti_table(poly, modulus)
+        mine = betti_table(poly, modulus, opts)
         if mine.b == ref.b and mine.c == ref.c:
             click.echo(f"p={modulus.p}: PASS  b={mine.b} c={mine.c}")
         else:

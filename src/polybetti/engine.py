@@ -25,8 +25,9 @@ from .closed_forms import (antidiagonal_difference,
 from .koszul import (EMPTY_PLAN, ComplexSpec, RemovalPlan, choose_removal,
                      coboundary_matrix, enumerate_bidegrees,
                      linear_strand_spec, middle_profile, peak_block,
-                     side_profile, support_window, target_profile,
-                     twisted_quadratic_spec, twisted_strand_spec)
+                     reduced_complex_spec, side_profile, support_window,
+                     target_profile, twisted_quadratic_spec,
+                     twisted_strand_spec)
 from .linalg import (ComputeBudget, InvariantViolation, PrimeModulus,
                      ResourceExceeded, SparseMatrixFp, rank_batch, require,
                      worker_pool)
@@ -139,6 +140,10 @@ def _block_key(rec: dict) -> tuple[str, int, Point]:
     return rec["strand"], rec["ell"], tuple(rec["bidegree"])
 
 
+# the complex kind whose middle cohomology gives each strand's entries
+_KINDS = {"b": "primal_b", "c": "dual_c"}
+
+
 def _bidegree_actions(poly: LatticePolygon, plan: RemovalPlan,
                       translate_degree: int):
     """Bidegree maps induced by the polygon symmetries compatible with
@@ -217,34 +222,12 @@ class BlockTask:
 
 
 @dataclass
-class BlockRecord:
-    """One finished bidegree block of one strand entry."""
-
-    strand: str
-    ell: int
-    bidegree: Point
-    orbit_size: int
-    cols: int
-    rank: int
-
-
-@dataclass
 class EntryOutcome:
     """A single strand entry with its bidegree breakdown."""
 
     value: int
     rigorous: bool
     bigraded: dict[Point, int]
-    blocks: list[BlockRecord]
-
-
-def _production_spec(poly: LatticePolygon, strand: str, ell: int,
-                     plan: RemovalPlan) -> ComplexSpec:
-    if strand == "b":
-        return linear_strand_spec(poly, ell, plan)
-    if strand == "c":
-        return twisted_strand_spec(poly, ell, plan)
-    raise ValueError(f"strand must be 'b' or 'c', got {strand!r}")
 
 
 def _orbit_cohomology(poly: LatticePolygon, spec: ComplexSpec,
@@ -261,9 +244,10 @@ def _orbit_cohomology(poly: LatticePolygon, spec: ComplexSpec,
     ranked only when rank_left; otherwise it is injective and its
     wedge-space dimension is subtracted instead.  A block whose ranks
     are all zero modulo p is trivial, and an entry of trivial blocks is
-    exact.  Finished blocks are looked up in and appended to store,
-    keyed by _block_key; when blocks fail, every block that finished is
-    appended before the first failure is raised.
+    exact.  A finished block is one record (strand, ell, bidegree,
+    orbit_size, cols and the outgoing rank), looked up in and appended
+    to store, keyed by _block_key; when blocks fail, every block that
+    finished is appended before the first failure is raised.
     """
     profile = middle_profile(spec)
     bidegs = [ab for ab in sorted(profile, key=order_key) if profile[ab] > 0]
@@ -273,20 +257,22 @@ def _orbit_cohomology(poly: LatticePolygon, spec: ComplexSpec,
     rows, left = target_profile(spec.right), side_profile(spec.left)
     require(strand != "c" or not left, "twisted degree-0 term not empty")
     ranks: dict[Point, tuple[int, ...]] = {}
-    todo: list[tuple[Point, tuple]] = []
+    todo: list[tuple[Point, dict]] = []
     tasks: list[BlockTask] = []
     for rep, members in parts:
         cols = profile[rep]
+        record = {"strand": strand, "ell": ell, "bidegree": list(rep),
+                  "orbit_size": len(members), "cols": cols}
         cached = store.records.get((strand, ell, rep)) if store else None
         if cached is not None:
-            if cached["orbit_size"] != len(members) or cached["cols"] != cols:
+            if {key: cached[key] for key in record} != record:
                 raise ValueError(
                     f"checkpoint record for {strand}{ell} at {rep} does not "
                     f"match this run (size {cached['orbit_size']} vs "
                     f"{len(members)}, cols {cached['cols']} vs {cols})")
             ranks[rep] = (cached["rank"],)
             continue
-        todo.append((rep, members))
+        todo.append((rep, record))
         tasks.append(BlockTask(spec, rep, prime, "right", rows.get(rep, 0),
                                cols))
         if rank_left:
@@ -297,23 +283,21 @@ def _orbit_cohomology(poly: LatticePolygon, spec: ComplexSpec,
     step = 2 if rank_left else 1
     outcomes = rank_batch(tasks, budget)
     failed = None
-    for i, (rep, members) in enumerate(todo):
+    for i, (rep, record) in enumerate(todo):
         outs = outcomes[step * i:step * (i + 1)]
-        error = next((out.error for out in outs if not out.ok), None)
+        error = next((err for _, err in outs if err is not None), None)
         if error is not None:
             failed = failed or BlockFailed(strand, ell, rep, error)
             continue
+        record["rank"] = outs[0][0]
         if store:
-            store.append({"strand": strand, "ell": ell, "bidegree": list(rep),
-                          "orbit_size": len(members), "cols": profile[rep],
-                          "rank": outs[0].rank})
-        ranks[rep] = tuple(out.rank for out in outs)
+            store.append(record)
+        ranks[rep] = tuple(rk for rk, _ in outs)
     if failed:
         raise failed
 
     value = 0
     bigraded: dict[Point, int] = {}
-    blocks = []
     all_trivial = True
     for rep, members in parts:          # in order_key order of rep
         cols, rk = profile[rep], ranks[rep]
@@ -326,8 +310,7 @@ def _orbit_cohomology(poly: LatticePolygon, spec: ComplexSpec,
         all_trivial = all_trivial and not any(rk)
         if block_val:
             bigraded.update(dict.fromkeys(members, block_val))
-        blocks.append(BlockRecord(strand, ell, rep, len(members), cols, rk[0]))
-    return EntryOutcome(value, value == 0 or all_trivial, bigraded, blocks)
+    return EntryOutcome(value, value == 0 or all_trivial, bigraded)
 
 
 def strand_value(poly: LatticePolygon, strand: str, ell: int,
@@ -338,7 +321,7 @@ def strand_value(poly: LatticePolygon, strand: str, ell: int,
     """One strand entry.  Row one subtracts the wedge-space dimension of
     the injective incoming map instead of its rank; row two has no
     incoming term at all."""
-    spec = _production_spec(poly, strand, ell, plan)
+    spec = reduced_complex_spec(poly, plan, _KINDS[strand], ell)
     return _orbit_cohomology(poly, spec, prime, plan, strand, ell,
                              use_symmetry=use_symmetry, budget=budget,
                              store=store)
@@ -371,7 +354,7 @@ def compute_c(poly: LatticePolygon, ell: int, prime: PrimeModulus,
     """Row-two entry at one position, computed directly; zero when the
     interior is empty."""
     if not interior_hull(poly).points:
-        return EntryOutcome(0, True, {}, [])
+        return EntryOutcome(0, True, {})
     return strand_value(poly, "c", ell, prime, plan,
                         use_symmetry=use_symmetry, budget=budget)
 
@@ -403,7 +386,7 @@ def effective_plans(poly: LatticePolygon,
     if not (options.removal == "on" or (options.removal == "auto"
                                         and len(poly.vertices) == 3)):
         return EMPTY_PLAN, EMPTY_PLAN
-    return (choose_removal(poly, "primal_b"), choose_removal(poly, "dual_c"))
+    return tuple(choose_removal(poly, _KINDS[strand]) for strand in "bc")
 
 
 class ComputePlans:
@@ -426,8 +409,7 @@ class ComputePlans:
 
     def __getitem__(self, strand: str) -> RemovalPlan:
         if strand not in self._plans:
-            self._plans[strand] = choose_removal(
-                self._poly, "primal_b" if strand == "b" else "dual_c")
+            self._plans[strand] = choose_removal(self._poly, _KINDS[strand])
         return self._plans[strand]
 
 
@@ -613,8 +595,8 @@ def block_dimensions(poly: LatticePolygon, strand: str, ell: int,
     included, without building a single matrix: the blocks a table run
     builds, on the strand's compute plan."""
     options = options or EngineOptions()
-    spec = _production_spec(poly, strand, ell,
-                            ComputePlans(poly, options)[strand])
+    spec = reduced_complex_spec(poly, ComputePlans(poly, options)[strand],
+                                _KINDS[strand], ell)
     cols_prof = middle_profile(spec)
     rows_prof = target_profile(spec.right)
     return [(ab, rows_prof.get(ab, 0), cols_prof.get(ab, 0))
@@ -622,18 +604,15 @@ def block_dimensions(poly: LatticePolygon, strand: str, ell: int,
 
 
 def _resolve_entry_b(poly: LatticePolygon, ell: int, prime: PrimeModulus,
-                     options: EngineOptions) -> tuple[int, bool]:
-    """One row-one entry by the route the planner picks for its
-    antidiagonal, without planning the others."""
-    if not interior_hull(poly).points:
-        table = eagon_northcott_table(poly, prime)
-        return table.b_entry(ell), table.b_rigorous[ell - 1]
-    presets = _presets(poly)
-    routing = effective_plans(poly, options)
+                     options: EngineOptions, presets: tuple[dict, dict],
+                     routing: tuple[RemovalPlan, RemovalPlan],
+                     plans: ComputePlans) -> tuple[int, bool]:
+    """One row-one entry of a polygon with interior points, by the route
+    the planner picks for its antidiagonal, without routing the others;
+    presets, routing plans and compute plans are the polygon's."""
     choice, _ = _choose_side(poly, ell, *presets, routing)
     entries, _ = _resolve_antidiagonal(poly, ell, choice, prime, presets,
-                                       ComputePlans(poly, options, routing),
-                                       options)
+                                       plans, options)
     value, _, rigorous = entries[("b", ell)]
     return value, rigorous
 
@@ -662,7 +641,8 @@ def verify_kp1(poly: LatticePolygon, prime: PrimeModulus | int = 40009,
     is rigorous; a nonzero at the predicted spot is only a mod-p
     statement, reported as such; "fails" would mean a guaranteed
     nonzero entry vanished, which is impossible unless something is
-    broken.
+    broken.  The polygon is planned once for all its entries; without
+    interior points its table is closed form.
     """
     if isinstance(prime, int):
         prime = PrimeModulus(prime)
@@ -676,9 +656,18 @@ def verify_kp1(poly: LatticePolygon, prime: PrimeModulus | int = 40009,
     first_zero = n + 1 - predicted
     targets = [t for t in (n - w - 2, n - w - 1, n - w)
                if 1 <= t <= width and t <= first_zero]
-    with worker_pool(options.budget):
-        entries = {t: _resolve_entry_b(poly, t, prime, options)
+    if not interior_hull(poly).points:
+        table = eagon_northcott_table(poly, prime)
+        entries = {t: (table.b_entry(t), table.b_rigorous[t - 1])
                    for t in targets}
+    else:
+        presets = _presets(poly)
+        routing = effective_plans(poly, options)
+        plans = ComputePlans(poly, options, routing)
+        with worker_pool(options.budget):
+            entries = {t: _resolve_entry_b(poly, t, prime, options, presets,
+                                           routing, plans)
+                       for t in targets}
     notes = []
     verdict = "holds"
     for t in targets:

@@ -11,7 +11,8 @@ counted against at least DENSE_MIN_CELLS cells, so that a small
 remainder stays sparse whatever its fill.  ``rank_batch`` ranks a batch
 of blocks on a process pool, shared by every batch inside one
 ``worker_pool`` block, when the batch is large enough to pay for the
-pool; smaller batches rank in-process.  A block is anything with
+pool; smaller batches rank in-process.  Each block comes back as a
+``(rank, None)`` or ``(None, error text)`` pair.  A block is anything with
 ``n_rows``, ``n_cols`` and ``build()``, and ``rank`` consumes what
 ``build()`` returns: a matrix builds to a copy of itself, and a block
 described by its sizes is assembled by the process that ranks it, after
@@ -380,18 +381,6 @@ class ComputeBudget:
                 f"memory cap must be at least 1 byte, got {self.memory_cap}")
 
 
-@dataclass(frozen=True)
-class RankOutcome:
-    """Per-task result of rank_batch; failed tasks carry the error text."""
-
-    rank: int | None
-    error: str | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
-
-
 def _rank_task(args) -> tuple[int | None, str | None]:
     m, memory_cap = args
     try:
@@ -491,12 +480,13 @@ def _dispatch(args, costs: list[int]) -> list | None:
     return results
 
 
-def rank_batch(tasks: list,
-               budget: ComputeBudget | None = None) -> list[RankOutcome]:
-    """Ranks of the blocks in input order, each built where it is ranked.
-    A task over the memory cap is marked failed unbuilt and the others
-    finish; if a worker process dies, every task it left unfinished is
-    marked failed.  A batch of several blocks whose n_rows + n_cols sum
+def rank_batch(tasks: list, budget: ComputeBudget | None = None
+               ) -> list[tuple[int | None, str | None]]:
+    """(rank, None) for each block that finished and (None, error text)
+    for each that failed, in input order, each block built where it is
+    ranked.  A task over the memory cap fails unbuilt and the others
+    finish; if a worker process dies, every task it left unfinished
+    fails.  A batch of several blocks whose n_rows + n_cols sum
     to at least POOL_MIN_COST runs on the pool of an open worker_pool
     block, or else on a pool of its own; any other batch runs serially
     in the calling process, one block built at a time."""
@@ -510,4 +500,4 @@ def rank_batch(tasks: list,
             results = _dispatch(args, costs)
     if results is None:
         results = [_rank_task(a) for a in args]
-    return [RankOutcome(r, e) for r, e in results]
+    return results

@@ -110,9 +110,13 @@ def test_table_accepts_vertices_and_files(runner, tmp_path):
      "--checkpoint", os.path.join(os.devnull, "x.jsonl")),
     ("verify-kp1", os.path.dirname(os.path.abspath(__file__)),
      "--checkpoint", os.path.join(os.devnull, "y.jsonl")),
+    # a leading dict is the environment of the run
+    ({"BETTI_WORKERS": "abc"}, "oracle-check", "--model", "Upsilon"),
+    ({"BETTI_WORKERS": "-1"}, "oracle-check", "--model", "Upsilon"),
 ])
 def test_invalid_input_exits_2(runner, args):
-    r = invoke(runner, *args)
+    env, cmd = (args[0], args[1:]) if isinstance(args[0], dict) else ({}, args)
+    r = runner.invoke(main, list(cmd), env=env, catch_exceptions=False)
     assert r.exit_code == 2
     assert "error" in r.stderr.lower() or "Error" in r.stderr
 
@@ -204,6 +208,30 @@ def test_table_checkpoint_resume_identical(runner, tmp_path):
     clash = invoke(runner, "table", "--model", "Upsilon_2",
                    "--checkpoint", path, "--prime", "3")
     assert clash.exit_code == 2
+
+
+def test_complete_checkpoint_resumes_without_building(runner, tmp_path,
+                                                      built_blocks):
+    """One record per finished block, in the on-disk format resumes
+    read: a complete log answers every block of the table."""
+    path = tmp_path / "ck.jsonl"
+    first = invoke(runner, "table", "--model", "Upsilon_3", "--workers", "2",
+                   "--checkpoint", str(path))
+    assert first.exit_code == 0
+    built = len(built_blocks())
+    records = [json.loads(line)
+               for line in path.read_text().splitlines()[1:]]
+    assert records and len(records) == built
+    for rec in records:
+        assert set(rec) == {"strand", "ell", "bidegree", "orbit_size",
+                            "cols", "rank"}
+    before = path.read_text()
+    resumed = invoke(runner, "table", "--model", "Upsilon_3",
+                     "--workers", "2", "--checkpoint", str(path))
+    assert resumed.exit_code == 0
+    assert resumed.stdout == first.stdout
+    assert len(built_blocks()) == built
+    assert path.read_text() == before
 
 
 def test_table_refuses_a_checkpoint_of_unreduced_blocks(runner, tmp_path):

@@ -557,7 +557,7 @@ def test_run_audits_catch_shifted_bidegrees(prime, serial_options,
     def shifted(*args, **kwargs):
         out = real_compute_c(*args, **kwargs)
         moved = {(a + 1, b): v for (a, b), v in out.bigraded.items()}
-        return EntryOutcome(out.value, out.rigorous, moved, out.blocks)
+        return EntryOutcome(out.value, out.rigorous, moved)
 
     monkeypatch.setattr(engine, "compute_c", shifted)
     issues = run_audits(named_polygon("Upsilon_2"), prime, serial_options)
@@ -582,7 +582,7 @@ def test_duality_audit_reuses_the_direct_entries(prime, serial_options,
     assert calls == []          # only the mirror complexes are ranked
     out = direct[("b", 2)]
     direct[("b", 2)] = EntryOutcome(out.value + 1, out.rigorous,
-                                    out.bigraded, out.blocks)
+                                    out.bigraded)
     assert engine.audit_duality(poly, prime, direct, serial_options.budget) \
         == [f"row-one entry 2: direct {out.value + 1} vs mirror {out.value}"]
 
@@ -624,6 +624,27 @@ def test_kp1_entries_match_the_full_table(p, serial_options):
         table = betti_table(poly, p, serial_options)
         for t, entry in report.entries.items():
             assert entry == (table.b_entry(t), table.b_rigorous[t - 1])
+
+
+def test_verify_kp1_plans_each_polygon_once(prime, serial_options,
+                                            monkeypatch):
+    """However many entries verify_kp1 resolves, each strand's removal
+    plan is chosen at most once per polygon."""
+    made = []
+    real = engine.choose_removal
+
+    def counted(poly, kind="primal_b", ell=None):
+        made.append(kind)
+        return real(poly, kind, ell)
+
+    monkeypatch.setattr(engine, "choose_removal", counted)
+    planned = 0
+    for poly in kp1_corpus(2028, 20, n_max=12):
+        made.clear()
+        verify_kp1(poly, prime, serial_options)
+        assert len(made) == len(set(made)), poly.vertices
+        planned += len(made)
+    assert planned
 
 
 def test_polygon_key_is_class_invariant():

@@ -255,8 +255,8 @@ def test_wedge_support_over_64_points_is_refused():
         coboundary_matrix(spec, (1, 0), prime)
     # in a batch the block fails alone, as a block over the memory cap does
     task = BlockTask(spec, (1, 0), prime, "right", 1, 1)
-    [out] = rank_batch([task], ComputeBudget(max_workers=1))
-    assert not out.ok and "65 points" in out.error
+    [(rk, error)] = rank_batch([task], ComputeBudget(max_workers=1))
+    assert rk is None and "65 points" in error
 
 
 REGULARITY_POLYGONS = [

@@ -282,9 +282,8 @@ def test_rank_batch_marks_failures():
     bad, _ = build(entries, n_rows=40, n_cols=40)
     out = rank_batch([good, bad, good],
                      ComputeBudget(max_workers=1, memory_cap=1000))
-    assert [o.ok for o in out] == [True, False, True]
-    assert out[0].rank == 2 and out[2].rank == 2
-    assert "cap" in out[1].error
+    assert out[0] == (2, None) and out[2] == (2, None)
+    assert out[1][0] is None and "cap" in out[1][1]
 
 
 def _mixed_batch():
@@ -306,8 +305,8 @@ def _mixed_batch():
 def test_rank_batch_pooled_matches_serial(pool_every_batch):
     batch, over = _mixed_batch()
     serial = rank_batch(batch, ComputeBudget(max_workers=1, memory_cap=20000))
-    assert [i for i, o in enumerate(serial) if not o.ok] == [over]
-    assert [o.rank for o in serial] == [
+    assert [i for i, (_, err) in enumerate(serial) if err] == [over]
+    assert [rk for rk, _ in serial] == [
         None if i == over else rank(m) for i, m in enumerate(batch)]
     budget = ComputeBudget(max_workers=2, memory_cap=20000)
     assert rank_batch(batch, budget) == serial
@@ -356,7 +355,7 @@ def test_broken_shared_pool_fails_the_batch(pool_every_batch):
         # the broken pool was replaced: the next batch gets live workers
         assert linalg._shared[0] is not pool
         again = rank_batch(batch, budget)
-    assert [o.error for o in out] == ["worker process died"] * len(batch)
+    assert out == [(None, "worker process died")] * len(batch)
     serial = rank_batch(batch, ComputeBudget(max_workers=1, memory_cap=20000))
     assert again == serial
     assert multiprocessing.active_children() == []
@@ -384,12 +383,12 @@ def test_only_batches_worth_a_pool_start_one(monkeypatch):
     large = [_diagonal(half), _diagonal(half)]
     with worker_pool(budget):
         assert attempts == []
-        assert [o.rank for o in rank_batch(small, budget)] == [half, half - 1]
+        assert rank_batch(small, budget) == [(half, None), (half - 1, None)]
         assert attempts == []
         out = rank_batch(large, budget)
         assert attempts == [{"max_workers": 2}]
     assert out == rank_batch(large, ComputeBudget(max_workers=1))
-    assert [o.rank for o in out] == [half, half]
+    assert out == [(half, None), (half, None)]
     assert multiprocessing.active_children() == []
 
 
