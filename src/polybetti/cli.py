@@ -88,14 +88,16 @@ _polygon_options = [
                  '{"vertices": [[x, y], ...]} or inline vertex list).'),
 ]
 
+_removal_option = click.option(
+    "--removal", type=click.Choice(["auto", "on", "off"]), default="auto",
+    show_default=True,
+    help="Quotient out the exact subcomplex from removed points.  auto: "
+         "route as before (reduced size estimates on triangles only) and "
+         "compute every polygon reduced; on: route and compute reduced; "
+         "off: remove nothing.")
+
 _compute_options = [
-    click.option("--removal", type=click.Choice(["auto", "on", "off"]),
-                 default="auto", show_default=True,
-                 help="Quotient out the exact subcomplex from removed "
-                      "points.  auto: route as before (reduced size "
-                      "estimates on triangles only) and compute every "
-                      "polygon reduced; on: route and compute reduced; "
-                      "off: remove nothing."),
+    _removal_option,
     click.option("--no-symmetry", is_flag=True,
                  help="Do not fold bidegrees into symmetry orbits."),
     click.option("--workers", type=int, default=None,
@@ -331,48 +333,52 @@ def verify_kp1_cmd(corpus_dir, prime, removal, no_symmetry, workers,
     names = sorted(os.listdir(corpus_dir))
     counts: dict[str, int] = {}
     shown = 0
-    with worker_pool(opts.budget):
-        for name in names:
-            path = os.path.join(corpus_dir, name)
-            if not os.path.isfile(path):
-                continue
-            try:
-                with open(path) as fh:
-                    poly = parse_polygon(fh.read())
-                key = polygon_key(poly)
-            except (ValueError, OSError, KeyError) as exc:
-                key = f"file:{name}"
-                if key not in done:
-                    log(key, {"error": f"{type(exc).__name__}: {exc}"})
-                record = done[key]
-                click.echo(_kp1_line(name, record))
-                counts["error"] = counts.get("error", 0) + 1
-                shown += 1
-                continue
-            if key not in done:
+    try:
+        with worker_pool(opts.budget):
+            for name in names:
+                path = os.path.join(corpus_dir, name)
+                if not os.path.isfile(path):
+                    continue
                 try:
-                    rep = verify_kp1(poly, moduli[0], opts)
-                    log(key, {"polygon": key, "report": {
-                        "n": rep.n, "lattice_width": rep.lattice_width,
-                        "exceptional": rep.exceptional,
-                        "predicted_from_right": rep.predicted_from_right,
-                        "first_zero_index": rep.first_zero_index,
-                        "entries": {str(t): list(v)
-                                    for t, v in sorted(rep.entries.items())},
-                        "verdict": rep.verdict, "notes": list(rep.notes)}})
-                except (ValueError, ResourceExceeded) as exc:
-                    log(key, {"polygon": key,
-                              "error": f"{type(exc).__name__}: {exc}"})
-            record = done[key]
-            if "error" in record:
-                counts["error"] = counts.get("error", 0) + 1
-            else:
-                verdict = record["report"]["verdict"]
-                counts[verdict] = counts.get(verdict, 0) + 1
-            click.echo(_kp1_line(name, record))
-            shown += 1
-    if store:
-        store.close()
+                    with open(path) as fh:
+                        poly = parse_polygon(fh.read())
+                    key = polygon_key(poly)
+                except (ValueError, OSError, KeyError) as exc:
+                    # logged under the file name: done, not computed
+                    key = f"file:{name}"
+                    if key not in done:
+                        log(key, {"error": f"{type(exc).__name__}: {exc}"})
+                if key not in done:
+                    try:
+                        rep = verify_kp1(poly, moduli[0], opts)
+                        log(key, {"polygon": key, "report": {
+                            "n": rep.n, "lattice_width": rep.lattice_width,
+                            "exceptional": rep.exceptional,
+                            "predicted_from_right": rep.predicted_from_right,
+                            "first_zero_index": rep.first_zero_index,
+                            "entries": {str(t): list(v) for t, v
+                                        in sorted(rep.entries.items())},
+                            "verdict": rep.verdict,
+                            "notes": list(rep.notes)}})
+                    except ResourceExceeded as exc:
+                        # a limit of this run, not a fact of the polygon:
+                        # kept out of the log, so a resumed run retries it
+                        done[key] = {"polygon": key, "error":
+                                     f"{type(exc).__name__}: {exc}"}
+                    except ValueError as exc:
+                        log(key, {"polygon": key,
+                                  "error": f"{type(exc).__name__}: {exc}"})
+                record = done[key]
+                if "error" in record:
+                    counts["error"] = counts.get("error", 0) + 1
+                else:
+                    verdict = record["report"]["verdict"]
+                    counts[verdict] = counts.get(verdict, 0) + 1
+                click.echo(_kp1_line(name, record))
+                shown += 1
+    finally:
+        if store:
+            store.close()
     summary = "  ".join(f"{k}={counts[k]}" for k in sorted(counts))
     click.echo(f"polygons: {shown}" + (f"  {summary}" if summary else ""))
     if counts.get("error"):
@@ -386,8 +392,7 @@ def verify_kp1_cmd(corpus_dir, prime, removal, no_symmetry, workers,
               help="Row one (b) or row two (c) of the table.")
 @click.option("--position", type=int, required=True,
               help="Entry position within the strand.")
-@click.option("--removal", type=click.Choice(["auto", "on", "off"]),
-              default="auto", show_default=True)
+@_removal_option
 def dims(model, vertices, file, strand, position, removal):
     """Print rows x cols of the coboundary matrix in every bidegree.
 

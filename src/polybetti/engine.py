@@ -23,11 +23,9 @@ from .closed_forms import (antidiagonal_difference,
                            kp1_predicted_first_zero,
                            scroll_strand_lower_bound)
 from .koszul import (EMPTY_PLAN, ComplexSpec, RemovalPlan, choose_removal,
-                     coboundary_matrix, enumerate_bidegrees,
-                     linear_strand_spec, middle_profile, peak_block,
-                     reduced_complex_spec, side_profile, support_window,
-                     target_profile, twisted_quadratic_spec,
-                     twisted_strand_spec)
+                     coboundary_matrix, enumerate_bidegrees, middle_profile,
+                     peak_block, side_profile, strand_spec, support_window,
+                     target_profile, twisted_quadratic_spec)
 from .linalg import (ComputeBudget, InvariantViolation, PrimeModulus,
                      ResourceExceeded, SparseMatrixFp, rank_batch, require,
                      worker_pool)
@@ -138,10 +136,6 @@ class AppendLog:
 
 def _block_key(rec: dict) -> tuple[str, int, Point]:
     return rec["strand"], rec["ell"], tuple(rec["bidegree"])
-
-
-# the complex kind whose middle cohomology gives each strand's entries
-_KINDS = {"b": "primal_b", "c": "dual_c"}
 
 
 def _bidegree_actions(poly: LatticePolygon, plan: RemovalPlan,
@@ -321,7 +315,7 @@ def strand_value(poly: LatticePolygon, strand: str, ell: int,
     """One strand entry.  Row one subtracts the wedge-space dimension of
     the injective incoming map instead of its rank; row two has no
     incoming term at all."""
-    spec = reduced_complex_spec(poly, plan, _KINDS[strand], ell)
+    spec = strand_spec(poly, strand, ell, plan)
     return _orbit_cohomology(poly, spec, prime, plan, strand, ell,
                              use_symmetry=use_symmetry, budget=budget,
                              store=store)
@@ -368,7 +362,6 @@ class Strategy:
     choices: dict[int, str]        # antidiagonal -> compute_b/compute_c/shortcut
     b_preset: dict[int, str]       # position -> zero tag
     c_preset: dict[int, str]
-    removal: ComputePlans          # strand -> plan its entries compute on
     estimates: dict[tuple[str, int], int]
 
     def __post_init__(self):
@@ -382,35 +375,22 @@ def effective_plans(poly: LatticePolygon,
                     options: EngineOptions) -> tuple[RemovalPlan, RemovalPlan]:
     """Removal plans the routing estimates use for the two strands: "on"
     removes support everywhere, "auto" only from triangles, where it
-    strips all three corners.  Entries compute on ComputePlans."""
+    strips all three corners.  Entries compute on compute_plan."""
     if not (options.removal == "on" or (options.removal == "auto"
                                         and len(poly.vertices) == 3)):
         return EMPTY_PLAN, EMPTY_PLAN
-    return tuple(choose_removal(poly, _KINDS[strand]) for strand in "bc")
+    return tuple(compute_plan(poly, strand, options) for strand in "bc")
 
 
-class ComputePlans:
-    """The removal plan each strand's entries are computed on, keyed by
-    strand, made the first time it is asked for and kept.
-
-    Every mode but "off" computes on choose_removal's plan for every
-    polygon; the routing plan (effective_plans) is reused where it
-    removes support, and otherwise a strand that computes nothing plans
-    nothing.  Removal never changes a value, so the routes and tags
-    stay those the routing plans give.
-    """
-
-    def __init__(self, poly: LatticePolygon, options: EngineOptions,
-                 routing: tuple[RemovalPlan, RemovalPlan] = (EMPTY_PLAN,
-                                                             EMPTY_PLAN)):
-        self._poly = poly
-        self._plans = {strand: plan for strand, plan in zip("bc", routing)
-                       if plan != EMPTY_PLAN or options.removal == "off"}
-
-    def __getitem__(self, strand: str) -> RemovalPlan:
-        if strand not in self._plans:
-            self._plans[strand] = choose_removal(self._poly, _KINDS[strand])
-        return self._plans[strand]
+def compute_plan(poly: LatticePolygon, strand: str,
+                 options: EngineOptions) -> RemovalPlan:
+    """The removal plan a strand's entries are computed on: under every
+    mode but "off", choose_removal's plan for every polygon, which its
+    cache makes once per (polygon, strand), the first time it is asked
+    for.  Removal never changes a value, so the routes and tags stay
+    those the routing plans (effective_plans) give."""
+    return EMPTY_PLAN if options.removal == "off" else \
+        choose_removal(poly, strand)
 
 
 def _antidiagonal(n: int, a: int) -> tuple[int | None, int | None]:
@@ -445,8 +425,8 @@ def _choose_side(poly: LatticePolygon, a: int, b_preset: dict,
     pb, pc = _antidiagonal(poly.n_points, a)
     if pb is None or pb in b_preset or pc is None or pc in c_preset:
         return "shortcut", {}
-    est_b = peak_block(linear_strand_spec(poly, pb, plans[0]))
-    est_c = peak_block(twisted_strand_spec(poly, pc, plans[1]))
+    est_b = peak_block(strand_spec(poly, "b", pb, plans[0]))
+    est_c = peak_block(strand_spec(poly, "c", pc, plans[1]))
     return ("compute_c" if est_c <= est_b else "compute_b",
             {("b", pb): est_b, ("c", pc): est_c})
 
@@ -463,8 +443,7 @@ def plan_strategy(poly: LatticePolygon, prime: PrimeModulus,
     n = poly.n_points
     anti = range(1, n - 1)
     if not interior_hull(poly).points:
-        return Strategy(n, True, {a: "shortcut" for a in anti}, {}, {},
-                        ComputePlans(poly, options), {})
+        return Strategy(n, True, {a: "shortcut" for a in anti}, {}, {}, {})
     plans = effective_plans(poly, options)
     b_preset, c_preset = _presets(poly)
     choices: dict[int, str] = {}
@@ -472,8 +451,7 @@ def plan_strategy(poly: LatticePolygon, prime: PrimeModulus,
     for a in anti:
         choices[a], est = _choose_side(poly, a, b_preset, c_preset, plans)
         estimates.update(est)
-    return Strategy(n, False, choices, b_preset, c_preset,
-                    ComputePlans(poly, options, plans), estimates)
+    return Strategy(n, False, choices, b_preset, c_preset, estimates)
 
 
 def _validate_table(poly: LatticePolygon, table: BettiTable) -> None:
@@ -501,7 +479,7 @@ def _validate_table(poly: LatticePolygon, table: BettiTable) -> None:
 
 def _resolve_antidiagonal(poly: LatticePolygon, a: int, choice: str,
                           prime: PrimeModulus, presets: tuple[dict, dict],
-                          plans: ComputePlans, options: EngineOptions,
+                          options: EngineOptions,
                           store: AppendLog | None = None
                           ) -> tuple[dict[tuple[str, int], tuple], dict]:
     """Both entries of antidiagonal a inside the table, keyed (strand,
@@ -521,7 +499,8 @@ def _resolve_antidiagonal(poly: LatticePolygon, a: int, choice: str,
     breakdown = {}
     if not side:
         strand = "b" if choice == "compute_b" else "c"
-        out = strand_value(poly, strand, pos[strand], prime, plans[strand],
+        out = strand_value(poly, strand, pos[strand], prime,
+                           compute_plan(poly, strand, options),
                            use_symmetry=options.use_symmetry,
                            budget=options.budget, store=store)
         side[strand] = (out.value, "computed", out.rigorous)
@@ -558,15 +537,15 @@ def betti_table(poly: LatticePolygon, prime: PrimeModulus | int = 40009,
         store = AppendLog(options.checkpoint, {
             "polygon": polygon_key(poly), "prime": prime.p,
             "options": options_key(prime, options),
-            "removed": {s: [list(pt) for pt in strategy.removal[s].removed]
+            "removed": {s: [list(pt) for pt in
+                            compute_plan(poly, s, options).removed]
                         for s in "bc"}}, _block_key)
     try:
         with worker_pool(options.budget):
             for a, choice in sorted(strategy.choices.items()):
                 entries, breakdown = _resolve_antidiagonal(
                     poly, a, choice, prime,
-                    (strategy.b_preset, strategy.c_preset), strategy.removal,
-                    options, store)
+                    (strategy.b_preset, strategy.c_preset), options, store)
                 cells.update(entries)
                 if options.keep_bigraded:
                     bigraded.update(breakdown)
@@ -595,8 +574,7 @@ def block_dimensions(poly: LatticePolygon, strand: str, ell: int,
     included, without building a single matrix: the blocks a table run
     builds, on the strand's compute plan."""
     options = options or EngineOptions()
-    spec = reduced_complex_spec(poly, ComputePlans(poly, options)[strand],
-                                _KINDS[strand], ell)
+    spec = strand_spec(poly, strand, ell, compute_plan(poly, strand, options))
     cols_prof = middle_profile(spec)
     rows_prof = target_profile(spec.right)
     return [(ab, rows_prof.get(ab, 0), cols_prof.get(ab, 0))
@@ -604,15 +582,14 @@ def block_dimensions(poly: LatticePolygon, strand: str, ell: int,
 
 
 def _resolve_entry_b(poly: LatticePolygon, ell: int, prime: PrimeModulus,
-                     options: EngineOptions, presets: tuple[dict, dict],
-                     routing: tuple[RemovalPlan, RemovalPlan],
-                     plans: ComputePlans) -> tuple[int, bool]:
+                     options: EngineOptions) -> tuple[int, bool]:
     """One row-one entry of a polygon with interior points, by the route
-    the planner picks for its antidiagonal, without routing the others;
-    presets, routing plans and compute plans are the polygon's."""
-    choice, _ = _choose_side(poly, ell, *presets, routing)
+    the planner picks for its antidiagonal, without routing the others."""
+    presets = _presets(poly)
+    choice, _ = _choose_side(poly, ell, *presets,
+                             effective_plans(poly, options))
     entries, _ = _resolve_antidiagonal(poly, ell, choice, prime, presets,
-                                       plans, options)
+                                       options)
     value, _, rigorous = entries[("b", ell)]
     return value, rigorous
 
@@ -641,8 +618,8 @@ def verify_kp1(poly: LatticePolygon, prime: PrimeModulus | int = 40009,
     is rigorous; a nonzero at the predicted spot is only a mod-p
     statement, reported as such; "fails" would mean a guaranteed
     nonzero entry vanished, which is impossible unless something is
-    broken.  The polygon is planned once for all its entries; without
-    interior points its table is closed form.
+    broken.  Each strand's plan is made once per polygon, however many
+    entries share it; without interior points the table is closed form.
     """
     if isinstance(prime, int):
         prime = PrimeModulus(prime)
@@ -661,12 +638,8 @@ def verify_kp1(poly: LatticePolygon, prime: PrimeModulus | int = 40009,
         entries = {t: (table.b_entry(t), table.b_rigorous[t - 1])
                    for t in targets}
     else:
-        presets = _presets(poly)
-        routing = effective_plans(poly, options)
-        plans = ComputePlans(poly, options, routing)
         with worker_pool(options.budget):
-            entries = {t: _resolve_entry_b(poly, t, prime, options, presets,
-                                           routing, plans)
+            entries = {t: _resolve_entry_b(poly, t, prime, options)
                        for t in targets}
     notes = []
     verdict = "holds"
@@ -733,12 +706,11 @@ def audit_symmetry(poly: LatticePolygon, prime: PrimeModulus,
     breakdown.  Where a strand removes no points, the orbit-reduced
     entry is the one in direct (_direct_entries)."""
     options = options or EngineOptions()
-    plans = ComputePlans(poly, options)
     issues = []
     for strand in "bc":
         if strand == "c" and not interior_hull(poly).points:
             continue
-        plan = plans[strand]
+        plan = compute_plan(poly, strand, options)
         for ell in range(1, poly.n_points - 2):
             fast = direct[(strand, ell)] if plan == EMPTY_PLAN else \
                 strand_value(poly, strand, ell, prime, plan,

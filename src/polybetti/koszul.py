@@ -60,7 +60,7 @@ class ComplexSpec:
     part plus ``translate_degree`` times its shift.
     """
 
-    kind: str
+    strand: str                 # "b", "c", or "mirror" for the audit
     ell: int
     left: SupportTriple
     right: SupportTriple
@@ -207,74 +207,53 @@ def _twisted_region(poly: LatticePolygon, q: int) -> PointSet:
     return interior_hull(dilate(poly, q)).points
 
 
-def reduced_supports(poly: LatticePolygon, plan: RemovalPlan, kind: str,
+def reduced_supports(poly: LatticePolygon, plan: RemovalPlan, twisted: bool,
                      q: int) -> PointSet:
-    """Degree-q coefficient support after quotienting out the removed
-    points: the full region minus its translates by each removed point.
+    """Degree-q coefficient support, plain or interior-twisted, after
+    quotienting out the removed points: the full region minus its
+    translates by each removed point.
 
     The differences are not convex, so everything is by enumeration.
     """
     if q < 0:
         raise ValueError("degree must be nonnegative")
     verify_plan(poly, plan)
-    if kind == "plain":
-        base = _plain_region(poly, q)
-        shift_base = _plain_region(poly, q - 1) if q >= 1 else PointSet.of([])
-    elif kind == "twisted":
-        base = _twisted_region(poly, q)
-        shift_base = _twisted_region(poly, q - 1) if q >= 1 else PointSet.of([])
-    else:
-        raise ValueError(f"unknown support kind {kind!r}")
+    region = _twisted_region if twisted else _plain_region
+    base = region(poly, q)
+    shift_base = region(poly, q - 1) if q >= 1 else PointSet.of([])
     gone: set[Point] = set()
     for px, py in plan.removed:
         gone.update((px + x, py + y) for x, y in shift_base)
     return base.difference(gone)
 
 
-def _wedge_points(poly: LatticePolygon, plan: RemovalPlan) -> PointSet:
-    return poly.points.difference(plan.removed)
-
-
-def linear_strand_spec(poly: LatticePolygon, ell: int,
-                       plan: RemovalPlan = EMPTY_PLAN) -> ComplexSpec:
+def strand_spec(poly: LatticePolygon, strand: str, ell: int,
+                plan: RemovalPlan = EMPTY_PLAN) -> ComplexSpec:
     """Complex whose middle cohomology at each bidegree contributes to
-    the row-one entry at homological position ell.
+    the table entry at homological position ell: row one ("b") through
+    the plain modules, row two ("c") through the interior-twisted ones,
+    one wedge degree lower, where the incoming term is always zero.
 
     Positions past the last table column are legal: the complex exists
     and its cohomology vanishes, which the dimension dump relies on.
     """
+    if strand not in ("b", "c"):
+        raise ValueError(f"unknown strand {strand!r}")
     if ell < 1:
         raise ValueError(f"position must be at least 1, got {ell}")
-    a = _wedge_points(poly, plan)
-    s0 = reduced_supports(poly, plan, "plain", 0)
-    s1 = reduced_supports(poly, plan, "plain", 1)
-    s2 = reduced_supports(poly, plan, "plain", 2)
+    twisted = strand == "c"
+    a = poly.points.difference(plan.removed)
+    s0, s1, s2 = (reduced_supports(poly, plan, twisted, q) for q in range(3))
+    top = ell if twisted else ell + 1       # the incoming map's wedge degree
+    region = (minkowski_hull(dilate_hull(poly.vertices, ell - 1),
+                             interior_hull(poly).hull) if twisted
+              else dilate_hull(poly.vertices, ell + 1))
     return ComplexSpec(
-        kind="primal_b", ell=ell,
-        left=SupportTriple(a, s0, s1, ell + 1),
-        right=SupportTriple(a, s1, s2, ell),
-        region=dilate_hull(poly.vertices, ell + 1),
-        translate_degree=ell + 1)
-
-
-def twisted_strand_spec(poly: LatticePolygon, ell: int,
-                        plan: RemovalPlan = EMPTY_PLAN) -> ComplexSpec:
-    """Complex computing the row-two entry at position ell through the
-    interior-twisted modules; the incoming term is always zero."""
-    if ell < 1:
-        raise ValueError(f"position must be at least 1, got {ell}")
-    a = _wedge_points(poly, plan)
-    s0 = reduced_supports(poly, plan, "twisted", 0)
-    s1 = reduced_supports(poly, plan, "twisted", 1)
-    s2 = reduced_supports(poly, plan, "twisted", 2)
-    region = minkowski_hull(dilate_hull(poly.vertices, ell - 1),
-                            interior_hull(poly).hull)
-    return ComplexSpec(
-        kind="dual_c", ell=ell,
-        left=SupportTriple(a, s0, s1, ell),
-        right=SupportTriple(a, s1, s2, ell - 1),
+        strand=strand, ell=ell,
+        left=SupportTriple(a, s0, s1, top),
+        right=SupportTriple(a, s1, s2, top - 1),
         region=region,
-        translate_degree=ell)
+        translate_degree=top)
 
 
 def twisted_quadratic_spec(poly: LatticePolygon, ell: int) -> ComplexSpec:
@@ -291,20 +270,11 @@ def twisted_quadratic_spec(poly: LatticePolygon, ell: int) -> ComplexSpec:
     region = minkowski_hull(dilate_hull(poly.vertices, p_mid),
                             interior_hull(dilate(poly, 2)).hull)
     return ComplexSpec(
-        kind="custom", ell=ell,
+        strand="mirror", ell=ell,
         left=SupportTriple(a, s1, s2, p_mid + 1),
         right=SupportTriple(a, s2, s3, p_mid),
         region=region,
         translate_degree=p_mid + 2)
-
-
-def reduced_complex_spec(poly: LatticePolygon, plan: RemovalPlan, kind: str,
-                         ell: int) -> ComplexSpec:
-    if kind == "primal_b":
-        return linear_strand_spec(poly, ell, plan)
-    if kind == "dual_c":
-        return twisted_strand_spec(poly, ell, plan)
-    raise ValueError(f"unknown complex kind {kind!r}")
 
 
 def enumerate_bidegrees(spec: ComplexSpec) -> list[Point]:
@@ -492,21 +462,24 @@ def peak_block(spec: ComplexSpec) -> int:
     return max(prof.values(), default=0)
 
 
-def choose_removal(poly: LatticePolygon, kind: str = "primal_b",
+@lru_cache(maxsize=None)
+def choose_removal(poly: LatticePolygon, strand: str = "b",
                    ell: int | None = None) -> RemovalPlan:
     """Best exact removal the geometry allows.
 
     Triangles give up their three vertices; quadrangles one diagonal
     pair; anything else a single vertex.  Ties are broken by the
     predicted size of the largest middle bidegree block, peak memory
-    being the binding constraint, then by point order.
+    being the binding constraint, then by point order.  Cached like the
+    other per-polygon geometry, so a (polygon, strand) asked for
+    positionally is planned once.
     """
     verts = poly.vertices
     if ell is None:
         ell = max(1, (poly.n_points - 2) // 2)
 
     def peak_for(plan: RemovalPlan) -> int:
-        return peak_block(reduced_complex_spec(poly, plan, kind, ell))
+        return peak_block(strand_spec(poly, strand, ell, plan))
 
     if len(verts) == 3:
         plan = RemovalPlan(tuple(sorted(verts, key=order_key)), "triangle")

@@ -80,7 +80,7 @@ def pool_every_batch(monkeypatch):
 @pytest.fixture()
 def built_blocks(monkeypatch, tmp_path):
     """Record every block the engine builds, in forked pool workers too,
-    as [pid, spec kind, position, bidegree, map, rows, cols]; returns
+    as [pid, spec strand, position, bidegree, map, rows, cols]; returns
     the reader of the records so far."""
     log = tmp_path / "built.jsonl"
     real = engine.coboundary_matrix
@@ -88,7 +88,7 @@ def built_blocks(monkeypatch, tmp_path):
     def recording(spec, ab, prime, which="right"):
         m = real(spec, ab, prime, which)
         with open(log, "a") as fh:
-            fh.write(json.dumps([os.getpid(), spec.kind, spec.ell, list(ab),
+            fh.write(json.dumps([os.getpid(), spec.strand, spec.ell, list(ab),
                                  which, m.n_rows, m.n_cols]) + "\n")
         return m
 

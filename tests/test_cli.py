@@ -234,6 +234,27 @@ def test_complete_checkpoint_resumes_without_building(runner, tmp_path,
     assert path.read_text() == before
 
 
+@pytest.mark.parametrize("polygon", [("--model", "Upsilon_3"),
+                                     ("--vertices", "1,0 2,0 3,4 0,3")])
+def test_table_without_symmetry_prints_the_same_table(runner, tmp_path,
+                                                      polygon):
+    """Folding bidegrees into symmetry orbits changes no value, tag or
+    bidegree breakdown; the orbit-folded blocks are other blocks, so a
+    default run refuses a log written without symmetry."""
+    args = ["table", *polygon, "--format", "json", "--bigraded",
+            "--workers", "1"]
+    path = str(tmp_path / "ck.jsonl")
+    default = invoke(runner, *args)
+    plain = invoke(runner, *args, "--no-symmetry", "--checkpoint", path)
+    assert default.exit_code == plain.exit_code == 0
+    assert plain.stdout == default.stdout
+    before = open(path).read()
+    r = invoke(runner, *args, "--checkpoint", path)
+    assert r.exit_code == 2
+    assert "belongs to a different run" in r.stderr
+    assert open(path).read() == before
+
+
 def test_table_refuses_a_checkpoint_of_unreduced_blocks(runner, tmp_path):
     """A log from when auto ranked quadrilaterals on full supports: the
     header pins no removal plans, and the log is refused before a record
@@ -307,7 +328,7 @@ def test_over_cap_block_is_never_built(runner, tmp_path, built_blocks):
     ell, a, b = map(int, failed.groups())
     built = built_blocks()
     assert built
-    assert ["dual_c", ell, [a, b], "right"] not in [rec[1:5] for rec in built]
+    assert ["c", ell, [a, b], "right"] not in [rec[1:5] for rec in built]
     assert all(8 * rows * cols <= 5000 for *_, rows, cols in built)
 
 
@@ -361,19 +382,18 @@ def test_dims_lists_the_blocks_a_table_ranks(runner, built_blocks):
     r = invoke(runner, "table", "--vertices", quad, "--workers", "1")
     assert r.exit_code == 0
     built = [rec for rec in built_blocks() if rec[4] == "right"]
-    assert {rec[1] for rec in built} == {"primal_b", "dual_c"}
+    assert {rec[1] for rec in built} == {"b", "c"}
     listed = {}
-    for kind, ell in {(rec[1], rec[2]) for rec in built}:
-        strand = "b" if kind == "primal_b" else "c"
+    for strand, ell in {(rec[1], rec[2]) for rec in built}:
         d = invoke(runner, "dims", "--vertices", quad, "--strand", strand,
                    "--position", str(ell))
         assert d.exit_code == 0
         for a, b, rows, cols in re.findall(
                 r"^\((-?\d+),(-?\d+)\)  (\d+) x (\d+)$", d.stdout,
                 re.MULTILINE):
-            listed[(kind, ell, int(a), int(b))] = (int(rows), int(cols))
-    for _, kind, ell, (a, b), _, rows, cols in built:
-        assert listed[(kind, ell, a, b)] == (rows, cols)
+            listed[(strand, ell, int(a), int(b))] = (int(rows), int(cols))
+    for _, strand, ell, (a, b), _, rows, cols in built:
+        assert listed[(strand, ell, a, b)] == (rows, cols)
 
 
 def test_dims_small_and_frozen(runner):
@@ -509,9 +529,30 @@ def test_verify_kp1_worker_death_fails_one_polygon(runner, tmp_path,
     assert "worker process died" in r.stdout
     assert "b.json: error" not in r.stdout
     assert "error=1" in r.stdout and "holds=1" in r.stdout
+    # a lost worker is no fact of the polygon: only b's report is logged
     records = [json.loads(line) for line in log.read_text().splitlines()[1:]]
-    assert ["error" in rec for rec in records] == [True, False]
-    assert records[1]["report"]["verdict"] == "holds"
+    assert ["error" in rec for rec in records] == [False]
+    assert records[0]["report"]["verdict"] == "holds"
+
+
+def test_verify_kp1_resume_retries_resource_failures(runner, tmp_path):
+    """Polygons refused by the memory cap are printed and counted but
+    not logged, so an uncapped resume computes them and prints what a
+    fresh uncapped run prints; unreadable files stay logged."""
+    corpus = write_corpus(tmp_path)
+    log = str(tmp_path / "log.jsonl")
+    capped = invoke(runner, "verify-kp1", str(corpus), "--checkpoint", log,
+                    "--memory-cap", "8")
+    assert capped.exit_code == 0
+    assert "b.json: error: BlockFailed" in capped.stdout
+    assert "error=3" in capped.stdout
+    # the header, the two unreadable files and a's report; not b
+    assert len(open(log).read().splitlines()) == 4
+    resumed = invoke(runner, "verify-kp1", str(corpus), "--checkpoint", log)
+    fresh = invoke(runner, "verify-kp1", str(corpus))
+    assert resumed.exit_code == fresh.exit_code == 0
+    assert (resumed.stdout, resumed.stderr) == (fresh.stdout, fresh.stderr)
+    assert "error=2" in resumed.stdout and "holds=2" in resumed.stdout
 
 
 def test_verify_kp1_rejects_foreign_log(runner, tmp_path):

@@ -16,13 +16,13 @@ from polybetti.corpus import build_corpus, kp1_corpus, removal_corpus
 from polybetti.engine import (BlockFailed, EngineOptions, EntryOutcome,
                               Kp1Report, _bidegree_actions,
                               _orbit_partition, betti_table, block_dimensions,
-                              compute_b, compute_c, effective_plans,
-                              options_key, plan_strategy, polygon_key,
-                              run_audits, strand_value, verify_kp1)
-from polybetti.koszul import (EMPTY_PLAN, SupportTriple, coboundary_matrix,
-                              linear_strand_spec, middle_profile,
-                              support_window, twisted_strand_spec,
-                              wedge_basis)
+                              compute_b, compute_c, compute_plan,
+                              effective_plans, options_key, plan_strategy,
+                              polygon_key, run_audits, strand_value,
+                              verify_kp1)
+from polybetti.koszul import (EMPTY_PLAN, SupportTriple, choose_removal,
+                              coboundary_matrix, middle_profile, strand_spec,
+                              support_window, wedge_basis)
 from polybetti.linalg import ComputeBudget, PrimeModulus
 from polybetti.polygon import (AffineUnimodularMap, from_vertices,
                                interior_hull, named_polygon, parse_polygon)
@@ -188,33 +188,29 @@ def test_auto_ranks_a_quadrilateral_on_reduced_supports(prime, monkeypatch):
     assert (auto.b, auto.c) == (off.b, off.c)
 
 
-def test_plans_are_made_once_and_only_for_computed_strands(prime,
-                                                          monkeypatch):
-    made = []
-    real = engine.choose_removal
-
-    def counted(poly, kind="primal_b", ell=None):
-        made.append(kind)
-        return real(poly, kind, ell)
-
-    monkeypatch.setattr(engine, "choose_removal", counted)
+def test_plans_are_made_once_and_only_for_computed_strands(prime):
     serial = ComputeBudget(max_workers=1)
+    choose_removal.cache_clear()
     # every antidiagonal a shortcut: presets and the table edge
     for text in ("-1,0 0,-1 1,0 0,1", "-1,0 0,-1 1,-1 1,0 0,1 -1,1"):
         poly = parse_polygon(text)
         assert set(plan_strategy(poly, prime).choices.values()) \
             == {"shortcut"}
         betti_table(poly, prime, EngineOptions(budget=serial))
-        assert made == []
+        assert choose_removal.cache_info().misses == 0
     # a computed strand plans once per table, however many entries
     poly = parse_polygon("1,0 2,0 3,4 0,3")
     strategy = plan_strategy(poly, prime)
-    sides = {ch for ch in strategy.choices.values() if ch != "shortcut"}
+    computed = {ch[-1] for ch in strategy.choices.values()
+                if ch != "shortcut"}
     assert list(strategy.choices.values()).count("compute_c") > 1
+    choose_removal.cache_clear()
     betti_table(poly, prime, EngineOptions(budget=serial))
-    assert sorted(made) == sorted({"compute_b": "primal_b",
-                                   "compute_c": "dual_c"}[ch]
-                                  for ch in sides)
+    assert choose_removal.cache_info().misses == len(computed)
+    # and the plans made are those of the computed strands
+    for strand in computed:
+        choose_removal(poly, strand)
+    assert choose_removal.cache_info().misses == len(computed)
 
 
 @pytest.mark.parametrize("name", ["Upsilon_2", "2*Upsilon"])
@@ -230,7 +226,7 @@ def test_removal_does_not_change_values(name, prime):
 
 def test_symmetry_orbit_counts_frozen():
     poly = named_polygon("2*Sigma")
-    spec = linear_strand_spec(poly, 1)
+    spec = strand_spec(poly, "b", 1)
     prof = middle_profile(spec)
     bidegs = [ab for ab, v in prof.items() if v > 0]
     assert len(bidegs) == 15
@@ -288,7 +284,7 @@ def test_bigraded_tables_and_support_windows(prime):
 
 def test_block_dimensions_match_enumeration():
     poly = named_polygon("Upsilon_2")
-    spec = linear_strand_spec(poly, 2)
+    spec = strand_spec(poly, "b", 2)
     blocks = block_dimensions(poly, "b", 2, EngineOptions(removal="off"))
     assert sum(cols for _, _, cols in blocks) == sum(
         middle_profile(spec).values())
@@ -354,8 +350,7 @@ def test_aborted_run_keeps_partials_and_resumes(tmp_path, prime):
         records = [json.loads(line) for line in fh.readlines()[1:]]
     assert sum((r["strand"], r["ell"]) == ("c", 6) for r in records) == 23
     # the failing block is named: a bidegree of c6 too large for the cap
-    spec = twisted_strand_spec(poly, 6,
-                               plan_strategy(poly, prime, tight).removal["c"])
+    spec = strand_spec(poly, "c", 6, compute_plan(poly, "c", tight))
     assert middle_profile(spec).get(exc.bidegree, 0) > 0
     block = coboundary_matrix(spec, exc.bidegree, prime, "right")
     assert 8 * block.n_rows * block.n_cols > 5_000
@@ -423,10 +418,10 @@ _BAD_SPEC_CHECK = """
 import dataclasses
 from polybetti import linalg
 from polybetti.engine import InvariantViolation
-from polybetti.koszul import linear_strand_spec
+from polybetti.koszul import strand_spec
 from polybetti.polygon import named_polygon
 
-spec = linear_strand_spec(named_polygon("2*Sigma"), 1)
+spec = strand_spec(named_polygon("2*Sigma"), "b", 1)
 right = dataclasses.replace(spec.right,
                             wedge_degree=spec.right.wedge_degree + 1)
 print("optimized:", not __debug__, InvariantViolation is
@@ -491,7 +486,7 @@ def test_only_batches_under_the_threshold_build_in_the_parent(
     real = engine.rank_batch
 
     def recording(tasks, budget=None):
-        keys = {(t.spec.kind, t.spec.ell, tuple(t.bidegree), t.which)
+        keys = {(t.spec.strand, t.spec.ell, tuple(t.bidegree), t.which)
                 for t in tasks}
         cost = sum(t.n_rows + t.n_cols for t in tasks)
         worth_a_pool = len(tasks) > 1 and cost >= linalg.POOL_MIN_COST
@@ -503,8 +498,8 @@ def test_only_batches_under_the_threshold_build_in_the_parent(
     table = betti_table(named_polygon("5*Sigma"), prime, opts)
     assert (table.b, table.c) == REFERENCE_TABLES["5*Sigma"]
     assert pooled and serial
-    in_parent = {(kind, ell, tuple(ab), which)
-                 for pid, kind, ell, ab, which, *_ in built_blocks()
+    in_parent = {(strand, ell, tuple(ab), which)
+                 for pid, strand, ell, ab, which, *_ in built_blocks()
                  if pid == os.getpid()}
     assert in_parent == serial
     assert multiprocessing.active_children() == []
@@ -626,24 +621,20 @@ def test_kp1_entries_match_the_full_table(p, serial_options):
             assert entry == (table.b_entry(t), table.b_rigorous[t - 1])
 
 
-def test_verify_kp1_plans_each_polygon_once(prime, serial_options,
-                                            monkeypatch):
+def test_verify_kp1_plans_each_polygon_once(prime, serial_options):
     """However many entries verify_kp1 resolves, each strand's removal
     plan is chosen at most once per polygon."""
-    made = []
-    real = engine.choose_removal
-
-    def counted(poly, kind="primal_b", ell=None):
-        made.append(kind)
-        return real(poly, kind, ell)
-
-    monkeypatch.setattr(engine, "choose_removal", counted)
     planned = 0
     for poly in kp1_corpus(2028, 20, n_max=12):
-        made.clear()
+        choose_removal.cache_clear()
         verify_kp1(poly, prime, serial_options)
-        assert len(made) == len(set(made)), poly.vertices
-        planned += len(made)
+        misses = choose_removal.cache_info().misses
+        assert misses <= 2, poly.vertices
+        # every plan made was one strand's, each made once
+        for strand in "bc":
+            choose_removal(poly, strand)
+        assert choose_removal.cache_info().misses == 2, poly.vertices
+        planned += misses
     assert planned
 
 

@@ -11,15 +11,13 @@ from polybetti.engine import BlockTask
 from polybetti.koszul import (EMPTY_PLAN, ComplexSpec, InvalidPlan,
                               NotInPolygon, RemovalPlan, SupportTriple,
                               _mask_layer, choose_removal, coboundary_matrix,
-                              enumerate_bidegrees,
-                              linear_strand_spec, middle_profile,
+                              enumerate_bidegrees, middle_profile,
                               pair_criterion_by_enumeration, peak_block,
-                              reduced_complex_spec, reduced_supports,
-                              regular_pair, regular_triple, side_profile,
-                              support_window, target_profile,
-                              triple_criterion_by_enumeration,
-                              twisted_quadratic_spec, twisted_strand_spec,
-                              verify_plan, wedge_basis)
+                              reduced_supports, regular_pair, regular_triple,
+                              side_profile, strand_spec, support_window,
+                              target_profile, triple_criterion_by_enumeration,
+                              twisted_quadratic_spec, verify_plan,
+                              wedge_basis)
 from polybetti.linalg import (ComputeBudget, PrimeModulus, ResourceExceeded,
                               rank_batch)
 from polybetti.polygon import (PointSet, from_vertices, lawrence_prism,
@@ -27,10 +25,11 @@ from polybetti.polygon import (PointSet, from_vertices, lawrence_prism,
 
 
 def spec_for(poly, kind, ell):
-    builders = {"primal_b": linear_strand_spec,
-                "dual_b": twisted_strand_spec,
-                "dual_c": twisted_quadratic_spec}
-    return builders[kind](poly, ell)
+    """The complex a test case names: the row-one strand (primal_b), the
+    row-two strand (dual_b) or the mirror audit complex (dual_c)."""
+    if kind == "dual_c":
+        return twisted_quadratic_spec(poly, ell)
+    return strand_spec(poly, {"primal_b": "b", "dual_b": "c"}[kind], ell)
 
 
 P40009 = PrimeModulus(40009)
@@ -168,20 +167,20 @@ def test_mask_layers_match_combinations():
 # one reduced spec per removal certificate: removal leaves non-convex
 # supports, where dropped terms are the rule rather than the edge
 REDUCED_CASES = [
-    ("2*Sigma", "primal_b", 2, "triangle"),
-    ("0,0 2,0 2,1 0,2", "primal_b", 2, "opposite_pair"),
-    ("0,0 2,0 3,1 1,3 0,2", "dual_c", 2, "single"),
+    ("2*Sigma", "b", 2, "triangle"),
+    ("0,0 2,0 2,1 0,2", "b", 2, "opposite_pair"),
+    ("0,0 2,0 3,1 1,3 0,2", "c", 2, "single"),
 ]
 
 
 def _assembly_specs():
     for name, kind, ell in SPEC_CASES:
         yield spec_for(named_polygon(name), kind, ell)
-    for name, kind, ell, certificate in REDUCED_CASES:
+    for name, strand, ell, certificate in REDUCED_CASES:
         poly = (named_polygon(name) if "*" in name else parse_polygon(name))
-        plan = choose_removal(poly, kind, ell)
+        plan = choose_removal(poly, strand, ell)
         assert plan.certificate == certificate
-        yield reduced_complex_spec(poly, plan, kind, ell)
+        yield strand_spec(poly, strand, ell, plan)
 
 
 @pytest.mark.parametrize("spec", list(_assembly_specs()),
@@ -212,7 +211,7 @@ def _random_spec(rng):
     b, c, d = (PointSet.of(rng.sample(box, rng.randint(1, 12)))
                for _ in range(3))
     p = rng.randint(0, len(wedge) + 1)
-    return ComplexSpec(kind="custom", ell=1,
+    return ComplexSpec(strand="custom", ell=1,
                        left=SupportTriple(wedge, d, b, p + 1),
                        right=SupportTriple(wedge, b, c, p),
                        region=((0, 0),), translate_degree=0)
@@ -249,7 +248,7 @@ def test_blocks_match_an_independent_construction(seed):
 def test_wedge_support_over_64_points_is_refused():
     poly = from_vertices([(0, 0), (63, 0), (0, 1)])
     assert poly.n_points == 65
-    spec = linear_strand_spec(poly, 1)
+    spec = strand_spec(poly, "b", 1)
     prime = PrimeModulus(40009)
     with pytest.raises(ResourceExceeded, match="65 points"):
         coboundary_matrix(spec, (1, 0), prime)
@@ -299,24 +298,24 @@ def test_triple_removal_is_order_independent():
     poly = named_polygon("2*Sigma")
     plans = [RemovalPlan(order, "triangle")
              for order in permutations(poly.vertices)]
-    for kind in ("plain", "twisted"):
+    for twisted in (False, True):
         for q in (1, 2, 3):
-            supports = {reduced_supports(poly, plan, kind, q)
+            supports = {reduced_supports(poly, plan, twisted, q)
                         for plan in plans}
             assert len(supports) == 1
     profiles = {tuple(sorted(middle_profile(
-        reduced_complex_spec(poly, plan, "primal_b", 2)).items()))
+        strand_spec(poly, "b", 2, plan)).items()))
         for plan in plans}
     assert len(profiles) == 1
 
 
 def test_removal_shrinks_supports_and_keeps_exactness_data():
     poly = named_polygon("3*Sigma")
-    plan = choose_removal(poly, "primal_b", 3)
+    plan = choose_removal(poly, "b", 3)
     assert plan.certificate == "triangle"
     assert set(plan.removed) == set(poly.vertices)
-    full = linear_strand_spec(poly, 3)
-    red = reduced_complex_spec(poly, plan, "primal_b", 3)
+    full = strand_spec(poly, "b", 3)
+    red = strand_spec(poly, "b", 3, plan)
     assert sum(middle_profile(red).values()) < sum(
         middle_profile(full).values())
     assert peak_block(red) <= peak_block(full)
@@ -355,7 +354,7 @@ def test_oversized_wedge_degree_is_the_zero_space():
     pts = PointSet.of([(0, 0), (1, 0), (0, 1)])
     triple = SupportTriple(pts, pts, pts, wedge_degree=5)
     assert len(source_basis(triple, (1, 1))) == 0
-    spec = ComplexSpec(kind="custom", ell=1,
+    spec = ComplexSpec(strand="custom", ell=1,
                        left=SupportTriple(pts, pts, pts, 6), right=triple,
                        region=((0, 0),), translate_degree=0)
     m = coboundary_matrix(spec, (1, 1), P40009, "right")
@@ -366,21 +365,21 @@ def test_oversized_wedge_degree_is_the_zero_space():
 
 def test_positions_past_the_last_column_still_build():
     poly = named_polygon("Sigma")
-    spec = linear_strand_spec(poly, 1)
+    spec = strand_spec(poly, "b", 1)
     assert enumerate_bidegrees(spec)
-    far = linear_strand_spec(poly, 5)
+    far = strand_spec(poly, "b", 5)
     assert far.right.wedge_degree == 5
     with pytest.raises(ValueError):
-        linear_strand_spec(poly, 0)
+        strand_spec(poly, "b", 0)
 
 
 def test_quotient_gives_the_same_profile_totals():
     # removal changes block shapes, not the cohomology; as a cheap proxy
     # check the Euler characteristic per bidegree region stays consistent
     poly = named_polygon("2*Sigma")
-    plan = choose_removal(poly, "primal_b", 2)
-    full = linear_strand_spec(poly, 2)
-    red = reduced_complex_spec(poly, plan, "primal_b", 2)
+    plan = choose_removal(poly, "b", 2)
+    full = strand_spec(poly, "b", 2)
+    red = strand_spec(poly, "b", 2, plan)
 
     def euler(spec):
         left = side_profile(spec.left)
