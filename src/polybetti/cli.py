@@ -229,7 +229,7 @@ def predict(model, vertices, file, prime):
     moduli = _parse_primes(prime, None)
     n = poly.n_points
     inner = interior_hull(poly)
-    w = lattice_width(poly)[0]
+    w = lattice_width(poly)
     click.echo(f"n = {n}, interior points = {len(inner.points)}, "
                f"lattice width = {w}")
     if minimal_degree_predicate(poly):
@@ -265,7 +265,7 @@ def predict(model, vertices, file, prime):
         click.echo(f"first zero of row one at position {n + 1 - predicted} "
                    f"(counting {predicted} from the right)    conjectural "
                    "(row_one_first_zero)")
-    except PathologicalPolygon:  # pragma: no cover - needs empty interior
+    except PathologicalPolygon:     # Upsilon: no linear strand to probe
         pass
 
 

@@ -15,9 +15,9 @@ from math import comb
 
 from .koszul import basis_dimension_polynomial
 from .linalg import DEFAULT_PRIME, PrimeModulus, require
-from .polygon import (LatticePolygon, Point, PointSet, classify, dilate,
-                      interior_hull, lattice_width, translate_count,
-                      upsilon_indexed, unimodular_map_between)
+from .polygon import (LatticePolygon, Point, PointSet, PolygonClass,
+                      classify, dilate, interior_hull, lattice_width,
+                      translate_count)
 from .table import BettiTable
 
 
@@ -101,15 +101,6 @@ def hering_schenck_zero_region(poly: LatticePolygon) -> frozenset[int]:
     return frozenset(range(max(lo, 1), n - 2))
 
 
-def _is_indexed_two_triangle(poly: LatticePolygon) -> bool:
-    """Equivalence with the one reflexive-family triangle whose
-    penultimate linear entry survives a two-dimensional interior."""
-    cls = classify(poly)
-    if not (cls.tag == "Upsilon_d" and cls.params == (2,)):
-        return False
-    return unimodular_map_between(poly, upsilon_indexed(2)) is not None
-
-
 def _c_last_value(poly: LatticePolygon) -> int:
     n = poly.n_points
     if poly.boundary_count > 3:
@@ -151,7 +142,9 @@ def _b_coefficient(poly: LatticePolygon) -> Fraction:
         return Fraction(n - 2)
     if dim == 0:
         return Fraction(n - 1, 2)
-    if dim == 1 or _is_indexed_two_triangle(poly):
+    # Upsilon_2 is the one triangle whose penultimate linear entry
+    # survives a two-dimensional interior
+    if dim == 1 or classify(poly) == PolygonClass("Upsilon_d", (2,)):
         return Fraction(1)
     return Fraction(0)
 
@@ -215,7 +208,7 @@ def scroll_strand_lower_bound(poly: LatticePolygon) -> int:
     rational normal scroll of a width-minimal projection."""
     _reject_pathological(poly)
     n = poly.n_points
-    w = lattice_width(poly)[0]
+    w = lattice_width(poly)
     if _exceptional_family(poly):
         return n - w - 1
     return n - w - 2
@@ -225,7 +218,7 @@ def kp1_predicted_first_zero(poly: LatticePolygon) -> int:
     """Predicted first vanishing position counted from the right end of
     the linear strand; conjectural."""
     _reject_pathological(poly)
-    w = lattice_width(poly)[0]
+    w = lattice_width(poly)
     return w + 1 if _exceptional_family(poly) else w + 2
 
 

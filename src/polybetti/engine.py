@@ -70,8 +70,7 @@ def _hash_text(text: str) -> str:
 
 def polygon_key(poly: LatticePolygon) -> str:
     """Stable identifier shared by unimodularly equivalent polygons."""
-    pts, _ = canonical_form(poly)
-    return _hash_text(";".join(f"{x},{y}" for x, y in pts))
+    return _hash_text(";".join(f"{x},{y}" for x, y in canonical_form(poly)))
 
 
 def options_key(prime: PrimeModulus, options: EngineOptions) -> str:
@@ -225,8 +224,8 @@ class EntryOutcome:
 
 
 def _orbit_cohomology(poly: LatticePolygon, spec: ComplexSpec,
-                      prime: PrimeModulus, plan: RemovalPlan, strand: str,
-                      ell: int, *, rank_left: bool = False,
+                      prime: PrimeModulus, plan: RemovalPlan, *,
+                      rank_left: bool = False,
                       use_symmetry: bool = True,
                       budget: ComputeBudget | None = None,
                       store: AppendLog | None = None) -> EntryOutcome:
@@ -238,11 +237,12 @@ def _orbit_cohomology(poly: LatticePolygon, spec: ComplexSpec,
     ranked only when rank_left; otherwise it is injective and its
     wedge-space dimension is subtracted instead.  A block whose ranks
     are all zero modulo p is trivial, and an entry of trivial blocks is
-    exact.  A finished block is one record (strand, ell, bidegree,
-    orbit_size, cols and the outgoing rank), looked up in and appended
-    to store, keyed by _block_key; when blocks fail, every block that
-    finished is appended before the first failure is raised.
+    exact.  A finished block is one record (spec's strand and ell,
+    bidegree, orbit_size, cols and the outgoing rank), looked up in and
+    appended to store, keyed by _block_key; when blocks fail, every
+    block that finished is appended before the first failure is raised.
     """
+    strand, ell = spec.strand, spec.ell
     profile = middle_profile(spec)
     bidegs = [ab for ab in sorted(profile, key=order_key) if profile[ab] > 0]
     parts = (_orbit_partition(bidegs, _bidegree_actions(
@@ -316,7 +316,7 @@ def strand_value(poly: LatticePolygon, strand: str, ell: int,
     the injective incoming map instead of its rank; row two has no
     incoming term at all."""
     spec = strand_spec(poly, strand, ell, plan)
-    return _orbit_cohomology(poly, spec, prime, plan, strand, ell,
+    return _orbit_cohomology(poly, spec, prime, plan,
                              use_symmetry=use_symmetry, budget=budget,
                              store=store)
 
@@ -329,9 +329,8 @@ def spec_cohomology(poly: LatticePolygon, spec: ComplexSpec,
     if use_symmetry:
         require(spec.wedge_support == poly.points,
                 "audit complexes run on unreduced supports")
-    return _orbit_cohomology(poly, spec, prime, EMPTY_PLAN, "spec", spec.ell,
-                             rank_left=True, use_symmetry=use_symmetry,
-                             budget=budget)
+    return _orbit_cohomology(poly, spec, prime, EMPTY_PLAN, rank_left=True,
+                             use_symmetry=use_symmetry, budget=budget)
 
 
 def compute_b(poly: LatticePolygon, ell: int, prime: PrimeModulus,
@@ -628,7 +627,7 @@ def verify_kp1(poly: LatticePolygon, prime: PrimeModulus | int = 40009,
     width = n - 3
     predicted = kp1_predicted_first_zero(poly)       # counted from the right
     guaranteed = scroll_strand_lower_bound(poly)     # last certain nonzero
-    w = lattice_width(poly)[0]
+    w = lattice_width(poly)
     exceptional = guaranteed == n - w - 1
     first_zero = n + 1 - predicted
     targets = [t for t in (n - w - 2, n - w - 1, n - w)

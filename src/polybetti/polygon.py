@@ -78,9 +78,6 @@ class PointSet:
     def _index(self) -> dict[Point, int]:
         return {pt: i for i, pt in enumerate(self.points)}
 
-    def position(self, pt: Point) -> int:
-        return self._index[pt]
-
     def __contains__(self, pt) -> bool:
         return pt in self._index
 
@@ -212,11 +209,6 @@ class InteriorHull:
     dim: int
     hull: tuple[Point, ...]
 
-    def polygon(self) -> LatticePolygon:
-        if self.dim != 2:
-            raise DimensionError("interior hull is not two-dimensional")
-        return LatticePolygon(self.hull)
-
 
 @lru_cache(maxsize=None)
 def interior_hull(poly: LatticePolygon) -> InteriorHull:
@@ -330,10 +322,9 @@ def lattice_width_data(poly: LatticePolygon) -> tuple[int, tuple[Point, ...]]:
     return best, tuple(sorted(dirs))
 
 
-def lattice_width(poly: LatticePolygon) -> tuple[int, Point]:
-    """Minimal strip height over primitive directions, with a witness."""
-    w, dirs = lattice_width_data(poly)
-    return w, dirs[0]
+def lattice_width(poly: LatticePolygon) -> int:
+    """Minimal strip height over primitive directions."""
+    return lattice_width_data(poly)[0]
 
 
 @dataclass(frozen=True)
@@ -344,39 +335,14 @@ class AffineUnimodularMap:
     shift: Point
 
     def __post_init__(self):
-        if abs(self.det) != 1:
-            raise ValueError(f"matrix {self.matrix} is not unimodular")
-
-    @property
-    def det(self) -> int:
         (a, b), (c, d) = self.matrix
-        return a * d - b * c
+        if abs(a * d - b * c) != 1:
+            raise ValueError(f"matrix {self.matrix} is not unimodular")
 
     def __call__(self, pt: Point) -> Point:
         (a, b), (c, d) = self.matrix
         x, y = pt
         return (a * x + b * y + self.shift[0], c * x + d * y + self.shift[1])
-
-    def compose(self, other: "AffineUnimodularMap") -> "AffineUnimodularMap":
-        """The map applying ``other`` first, then ``self``."""
-        (a, b), (c, d) = self.matrix
-        (e, f), (g, h) = other.matrix
-        mat = ((a * e + b * g, a * f + b * h),
-               (c * e + d * g, c * f + d * h))
-        sx, sy = other.shift
-        shift = (a * sx + b * sy + self.shift[0],
-                 c * sx + d * sy + self.shift[1])
-        return AffineUnimodularMap(mat, shift)
-
-    def inverse(self) -> "AffineUnimodularMap":
-        (a, b), (c, d) = self.matrix
-        if self.det == 1:
-            inv = ((d, -b), (-c, a))
-        else:
-            inv = ((-d, b), (c, -a))
-        lin = AffineUnimodularMap(inv, (0, 0))
-        ox, oy = lin(self.shift)
-        return AffineUnimodularMap(inv, (-ox, -oy))
 
 
 def _affine_from_triples(src, dst) -> AffineUnimodularMap | None:
@@ -458,25 +424,18 @@ def _argmin_convex(f) -> list[int]:
     return sorted(ks)
 
 
-@dataclass(frozen=True)
-class StripPlacement:
-    """A unimodular image inside RR x [0, lw] of minimal horizontal extent."""
-
-    points: tuple[Point, ...]
-    map: AffineUnimodularMap
-
-
 @lru_cache(maxsize=None)
-def strip_placements(poly: LatticePolygon) -> tuple[StripPlacement, ...]:
-    """Every normalized placement used for canonicalization.
+def strip_placements(poly: LatticePolygon) -> tuple[tuple[Point, ...], ...]:
+    """Point tuples of every normalized placement used for canonicalization.
 
     For each width direction (both signs), each x-axis sign, and each
     shear attaining the minimal horizontal extent, the polygon is mapped
     into the strip RR x [0, lw] and translated so minima sit at zero.
+    Each placement is checked to be a unimodular image of the point set.
     """
     w, dirs = lattice_width_data(poly)
     base_pts = list(poly.points)
-    out: list[StripPlacement] = []
+    out: list[tuple[Point, ...]] = []
     for u in sorted(set(dirs) | {(-a, -b) for a, b in dirs}):
         u1, u2 = u
         g, x, y = _xgcd(u2, u1)
@@ -503,50 +462,30 @@ def strip_placements(poly: LatticePolygon) -> tuple[StripPlacement, ...]:
                 amap = AffineUnimodularMap(mat, (-min_x, -min_y))
                 require(set(map(amap, base_pts)) <= set(final),
                         "placement map misses the placed points")
-                out.append(StripPlacement(final, amap))
-    require(all(max(p[1] for p in pl.points) == w for pl in out),
+                out.append(final)
+    require(all(max(p[1] for p in pl) == w for pl in out),
             "a placement is not as tall as the lattice width")
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def canonical_form(poly: LatticePolygon) -> tuple[tuple[Point, ...],
-                                                  AffineUnimodularMap]:
-    """Canonical point tuple under unimodular equivalence, with a witness.
+def canonical_form(poly: LatticePolygon) -> tuple[Point, ...]:
+    """Canonical point tuple under unimodular equivalence.
 
     Equivalent polygons give identical tuples: the candidate placements
     are constructed equivalence-invariantly and the lexicographically
-    smallest point tuple is selected.
+    smallest point tuple is selected.  Equal tuples prove equivalence,
+    since every placement is checked to be a unimodular image.
     """
-    best: StripPlacement | None = None
-    for pl in strip_placements(poly):
-        if best is None or pl.points < best.points:
-            best = pl
-    require(best is not None, "no strip placement")
-    return best.points, best.map
-
-
-def unimodular_map_between(a: LatticePolygon,
-                           b: LatticePolygon) -> AffineUnimodularMap | None:
-    """A unimodular map sending the point set of a onto that of b, if any."""
-    ka, ma = canonical_form(a)
-    kb, mb = canonical_form(b)
-    if ka != kb:
-        return None
-    m = mb.inverse().compose(ma)
-    target = set(b.points)
-    require(all(m(p) in target for p in a.points),
-            "canonical forms agree but the map misses the target")
-    return m
+    return min(strip_placements(poly))
 
 
 @dataclass(frozen=True)
 class PolygonClass:
-    """Recognized model family of a polygon, with an equivalence witness."""
+    """Recognized model family of a polygon."""
 
     tag: str
     params: tuple[int, ...]
-    witness: AffineUnimodularMap | None
 
 
 def standard_triangle(d: int) -> LatticePolygon:
@@ -584,27 +523,23 @@ def classify(poly: LatticePolygon) -> PolygonClass:
     n = poly.n_points
     d = math.isqrt(poly.area2)
     if d * d == poly.area2 and 2 * n == (d + 1) * (d + 2):
-        m = unimodular_map_between(poly, standard_triangle(d))
-        if m is not None:
-            return PolygonClass("Sigma_multiple", (d,), m)
+        if canonical_form(poly) == canonical_form(standard_triangle(d)):
+            return PolygonClass("Sigma_multiple", (d,))
     d = math.isqrt(poly.area2 + 1) - 1
     if d >= 1 and poly.area2 == d * d + 2 * d and 2 * n == d * d + 3 * d + 4:
-        m = unimodular_map_between(poly, upsilon_indexed(d))
-        if m is not None:
-            return PolygonClass("Upsilon_d", (d,), m)
+        if canonical_form(poly) == canonical_form(upsilon_indexed(d)):
+            return PolygonClass("Upsilon_d", (d,))
     if poly.area2 == 12 and n == 10:
-        m = unimodular_map_between(poly, upsilon_triangle(2))
-        if m is not None:
-            return PolygonClass("TwoUpsilon", (2,), m)
-    if lattice_width_data(poly)[0] == 1:
+        if canonical_form(poly) == canonical_form(upsilon_triangle(2)):
+            return PolygonClass("TwoUpsilon", (2,))
+    if lattice_width(poly) == 1:
         for b in range((n - 2) // 2 + 1):
             a = n - 2 - b
             if a < max(b, 1):
                 continue
-            m = unimodular_map_between(poly, lawrence_prism(a, b))
-            if m is not None:
-                return PolygonClass("LawrencePrism", (a, b), m)
-    return PolygonClass("Other", (), None)
+            if canonical_form(poly) == canonical_form(lawrence_prism(a, b)):
+                return PolygonClass("LawrencePrism", (a, b))
+    return PolygonClass("Other", ())
 
 
 def translate_count(inner: PointSet, outer: LatticePolygon) -> int:

@@ -333,13 +333,15 @@ def test_over_cap_block_is_never_built(runner, tmp_path, built_blocks):
 
 
 def test_audit_over_memory_cap_exits_3(runner):
-    r = invoke(runner, "table", "--model", "Upsilon_2", "--audit",
-               "--memory-cap", "3000", "--workers", "1")
-    assert r.exit_code == 3
-    n, b, c, _, _ = parse_ascii(r.stdout)       # the table still printed
-    assert (b, c) == REFERENCE_TABLES["Upsilon_2"]
-    assert re.search(r"error: strand b position \d+ bidegree .*cap is 3000",
-                     r.stderr)
+    # at 3300 every strand block fits and the audit's mirror complex fails
+    for cap, strand in (("3000", "b"), ("3300", "mirror")):
+        r = invoke(runner, "table", "--model", "Upsilon_2", "--audit",
+                   "--memory-cap", cap, "--workers", "1")
+        assert r.exit_code == 3
+        n, b, c, _, _ = parse_ascii(r.stdout)   # the table still printed
+        assert (b, c) == REFERENCE_TABLES["Upsilon_2"]
+        assert re.search(rf"error: strand {strand} position \d+ bidegree "
+                         rf".*cap is {cap}", r.stderr)
 
 
 @pytest.mark.parametrize("flag,value", [("--memory-cap", "-1"),
@@ -369,6 +371,18 @@ def test_predict_with_conjectures(runner):
             in out)
     assert ("first zero of row one at position 16 (counting 6 from the "
             "right)    conjectural (row_one_first_zero)") in out
+
+
+def test_predict_reflexive_basic_triangle(runner):
+    # Upsilon has an interior point but no linear strand: no first zero
+    model = invoke(runner, "predict", "--model", "Upsilon")
+    sheared = invoke(runner, "predict", "--vertices", "-2,-1 1,0 1,1")
+    assert model.exit_code == sheared.exit_code == 0
+    assert model.stdout == sheared.stdout
+    lines = model.stdout.splitlines()
+    assert len(lines) == 6
+    assert lines[0] == "n = 4, interior points = 1, lattice width = 2"
+    assert "first zero" not in model.stdout
 
 
 def test_predict_square(runner):

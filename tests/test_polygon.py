@@ -14,8 +14,7 @@ from polybetti.polygon import (AffineUnimodularMap, DimensionError,
                                lattice_width, lawrence_prism, named_polygon,
                                parse_polygon, prune_vertex, sigma_point,
                                standard_triangle, symmetry_group,
-                               unimodular_map_between, upsilon_indexed,
-                               upsilon_triangle)
+                               upsilon_indexed, upsilon_triangle)
 
 points = st.tuples(st.integers(-5, 5), st.integers(-5, 5))
 
@@ -110,8 +109,7 @@ def test_minkowski_point_sum(small_corpus):
 @given(random_polygons, unimodular_maps)
 def test_canonical_form_is_class_invariant(poly, phi):
     image = from_vertices([phi(v) for v in poly.vertices])
-    assert canonical_form(poly)[0] == canonical_form(image)[0]
-    assert unimodular_map_between(poly, image) is not None
+    assert canonical_form(poly) == canonical_form(image)
 
 
 def test_lattice_width_models():
@@ -119,13 +117,13 @@ def test_lattice_width_models():
              "5*Sigma": 5, "Upsilon": 2, "2*Upsilon": 4, "Upsilon_2": 3,
              "Upsilon_3": 4, "Upsilon_4": 5}
     for name, w in cases.items():
-        assert lattice_width(named_polygon(name))[0] == w, name
+        assert lattice_width(named_polygon(name)) == w, name
 
 
 @given(random_polygons, unimodular_maps)
 def test_lattice_width_is_invariant(poly, phi):
     image = from_vertices([phi(v) for v in poly.vertices])
-    assert lattice_width(poly)[0] == lattice_width(image)[0]
+    assert lattice_width(poly) == lattice_width(image)
 
 
 def test_lattice_width_recursion(small_corpus):
@@ -134,7 +132,7 @@ def test_lattice_width_recursion(small_corpus):
         if inner.dim != 2:
             continue
         inner_poly = from_vertices(list(inner.points))
-        assert lattice_width(poly)[0] == lattice_width(inner_poly)[0] + 2
+        assert lattice_width(poly) == lattice_width(inner_poly) + 2
 
 
 def test_symmetry_group_is_a_group(models):
@@ -172,13 +170,21 @@ def test_classify_models():
         == "Other"
 
 
+FAMILY_MODELS = (
+    [(standard_triangle(d), ("Sigma_multiple", (d,))) for d in (2, 3, 4)]
+    + [(upsilon_indexed(d), ("Upsilon_d", (d,))) for d in (1, 2, 3)]
+    + [(upsilon_triangle(2), ("TwoUpsilon", (2,))),
+       (lawrence_prism(3, 1), ("LawrencePrism", (3, 1))),
+       # as many points and as much area as 2*Sigma, but width one
+       (lawrence_prism(4, 0), ("LawrencePrism", (4, 0)))])
+
+
 @given(unimodular_maps)
-def test_classify_witness_maps_points(phi):
-    poly = from_vertices([phi(v) for v in upsilon_indexed(2).vertices])
-    got = classify(poly)
-    assert got.tag == "Upsilon_d"
-    image = {got.witness(v) for v in poly.points}
-    assert image == set(upsilon_indexed(2).points)
+def test_classify_is_unimodular_invariant(phi):
+    for model, expected in FAMILY_MODELS:
+        image = from_vertices([phi(v) for v in model.vertices])
+        got = classify(image)
+        assert (got.tag, got.params) == expected, model
 
 
 def test_interior_hull_shapes():
@@ -201,7 +207,7 @@ def test_prune_vertex():
 def test_lw_minimality_and_sigma_point():
     poly = named_polygon("2*Sigma")
     for v in poly.vertices:
-        assert lattice_width(prune_vertex(poly, v))[0] < lattice_width(poly)[0]
+        assert lattice_width(prune_vertex(poly, v)) < lattice_width(poly)
     sq = from_vertices([(0, 0), (2, 0), (2, 2), (0, 2)])
     pt = sigma_point(sq)
     assert pt == (sum(p[0] for p in sq.points), sum(p[1] for p in sq.points))
@@ -233,7 +239,7 @@ def test_ehrhart_is_quadratic(models):
 def test_all_pairs_unimodular_detection(models):
     names = list(models)
     for x, y in combinations(names, 2):
-        assert unimodular_map_between(models[x], models[y]) is None
+        assert canonical_form(models[x]) != canonical_form(models[y])
 
 
 def test_area_scaling():
