@@ -26,7 +26,7 @@ from .closed_forms import (EmptyInterior, PathologicalPolygon, cg_lower_bound,
 from .engine import (AppendLog, EngineOptions, betti_table, block_dimensions,
                      polygon_key, run_audits, verify_kp1)
 from .linalg import (ComputeBudget, PrimeModulus, ResourceExceeded,
-                     worker_pool)
+                     require, worker_pool)
 from .polygon import (LatticePolygon, classify, interior_hull, lattice_width,
                       named_polygon, parse_polygon)
 from .table import render_ascii, to_json_dict
@@ -223,7 +223,8 @@ def predict(model, vertices, file, prime):
     """Print every entry known in closed form, plus the conjectures.
 
     Lines marked "theorem" hold in any characteristic; lines marked
-    "conjectural" are unproven predictions.
+    "conjectural" are unproven predictions.  An entry given by several
+    closed forms is printed once, naming each of them.
     """
     poly = _load_polygon(model, vertices, file)
     moduli = _parse_primes(prime, None)
@@ -241,10 +242,17 @@ def predict(model, vertices, file, prime):
     preds = six_easy_entries(poly)
     if n >= 4:
         preds += [pr for pr in entry_bN4(poly) if 1 <= pr.index <= n - 3]
-    for pr in sorted(preds, key=lambda e: (e.strand, e.index)):
-        label = "conjectural" if pr.conjectural else "theorem"
-        click.echo(f"{pr.strand}[{pr.index}] = {pr.value}    "
-                   f"{label} ({pr.source})")
+    at: dict[tuple[str, int], list] = {}
+    for pr in preds:
+        at.setdefault((pr.strand, pr.index), []).append(pr)
+    for (strand, index), prs in sorted(at.items()):
+        require(len({pr.value for pr in prs}) == 1, f"closed forms "
+                f"disagree at {strand}[{index}]: " + ", ".join(
+                    f"{pr.source} = {pr.value}" for pr in prs))
+        label = ("conjectural" if any(pr.conjectural for pr in prs)
+                 else "theorem")
+        click.echo(f"{strand}[{index}] = {prs[0].value}    {label} "
+                   f"({', '.join(pr.source for pr in prs)})")
     zeros = sorted(hering_schenck_zero_region(poly))
     if zeros:
         click.echo(f"c[{zeros[0]}..{zeros[-1]}] = 0    theorem "

@@ -10,8 +10,9 @@ delayed reduction mod p once it is more than DENSE_FILL_CUTOFF full,
 counted against at least DENSE_MIN_CELLS cells, so that a small
 remainder stays sparse whatever its fill.  ``rank_batch`` ranks a batch
 of blocks on a process pool, shared by every batch inside one
-``worker_pool`` block, when the batch is large enough to pay for the
-pool; smaller batches rank in-process.  Each block comes back as a
+``worker_pool`` block, when the batch's predicted dense cells, Σ
+n_rows · n_cols, reach POOL_MIN_CELLS; smaller batches rank
+in-process.  Each block comes back as a
 ``(rank, None)`` or ``(None, error text)`` pair.  A block is anything with
 ``n_rows``, ``n_cols`` and ``build()``, and ``rank`` consumes what
 ``build()`` returns: a matrix builds to a copy of itself, and a block
@@ -393,13 +394,21 @@ def _rank_chunk(chunk: list) -> list[tuple[int | None, str | None]]:
     return [_rank_task(a) for a in chunk]
 
 
-# Σ(n_rows + n_cols) over a batch from which it goes to the pool; a
-# smaller batch ranks in the calling process.  Forking and joining a
-# 2-worker pool costs 16-18 ms, more than a batch below 1,000 takes
-# in-process (0.3-5.2 ms on a sweep pass; 1,000-3,999 take 3.7-17 ms).
-# Against 4,000 on the benchmark, 2,000 made sweep items slower and
-# 8,000 made big-table slower.
-POOL_MIN_COST = 4000
+# Predicted dense cells, Σ n_rows · n_cols, over a batch from which it
+# goes to the pool; a smaller batch ranks in the calling process.  The
+# product is the size that rank checks against the memory cap.  On two
+# workers, forking and joining a pool costs 12-18 ms, and every sweep
+# table that pools when Σ(n_rows + n_cols) >= 4,000 ran 1.9-3.1 times
+# as long as in-process.  Even a warm pool lost on sweep's largest
+# batch (110 blocks, 400,021 cells): 21-24 ms pooled against 16-20 ms
+# in-process.  The smallest big-table batch that pays for the pool
+# holds 890,478 cells (5*Sigma, 55-63 ms in-process); at 500,000 one
+# Upsilon_4 batch of 295,202 cells (24-26 ms) moves in-process.
+# Σ(n_rows + n_cols) cannot tell these apart: the sweep batch reads
+# 10,623 on it, the 5*Sigma one 6,998.  In three 50 s runs per
+# workload, 1,000,000 left big-table's wall time within noise and
+# raised its peak RSS 1.4%.
+POOL_MIN_CELLS = 500_000
 
 # the outermost open worker_pool block: its executor, built by the first
 # batch that pools (None until then), and its worker count
@@ -486,18 +495,18 @@ def rank_batch(tasks: list, budget: ComputeBudget | None = None
     for each that failed, in input order, each block built where it is
     ranked.  A task over the memory cap fails unbuilt and the others
     finish; if a worker process dies, every task it left unfinished
-    fails.  A batch of several blocks whose n_rows + n_cols sum
-    to at least POOL_MIN_COST runs on the pool of an open worker_pool
-    block, or else on a pool of its own; any other batch runs serially
-    in the calling process, one block built at a time."""
+    fails.  A batch of several blocks whose predicted dense cells,
+    n_rows · n_cols, sum to at least POOL_MIN_CELLS runs on the pool of
+    an open worker_pool block, or else on a pool of its own, dealt to
+    the workers by n_rows + n_cols; any other batch runs serially in
+    the calling process, one block built at a time."""
     budget = budget or ComputeBudget()
     args = [(m, budget.memory_cap) for m in tasks]
-    costs = [m.n_rows + m.n_cols for m in tasks]
     results = None
-    if budget.max_workers > 1 and len(tasks) > 1 \
-            and sum(costs) >= POOL_MIN_COST:
+    if budget.max_workers > 1 and len(tasks) > 1 and sum(
+            m.n_rows * m.n_cols for m in tasks) >= POOL_MIN_CELLS:
         with worker_pool(budget):
-            results = _dispatch(args, costs)
+            results = _dispatch(args, [m.n_rows + m.n_cols for m in tasks])
     if results is None:
         results = [_rank_task(a) for a in args]
     return results

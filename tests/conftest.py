@@ -74,7 +74,7 @@ def pool_every_batch(monkeypatch):
     """Send every batch of more than one block to the pool.  The models
     the pool tests use are small, and their batches would otherwise
     rank in-process and never reach a worker."""
-    monkeypatch.setattr(linalg, "POOL_MIN_COST", 0)
+    monkeypatch.setattr(linalg, "POOL_MIN_CELLS", 0)
 
 
 @pytest.fixture()

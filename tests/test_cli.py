@@ -1,6 +1,7 @@
 """Command-line surface: frozen outputs, exit codes, resumable runs."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import re
@@ -379,10 +380,35 @@ def test_predict_reflexive_basic_triangle(runner):
     sheared = invoke(runner, "predict", "--vertices", "-2,-1 1,0 1,1")
     assert model.exit_code == sheared.exit_code == 0
     assert model.stdout == sheared.stdout
-    lines = model.stdout.splitlines()
-    assert len(lines) == 6
-    assert lines[0] == "n = 4, interior points = 1, lattice width = 2"
-    assert "first zero" not in model.stdout
+    assert model.stdout.splitlines() == [
+        "n = 4, interior points = 1, lattice width = 2",
+        "b[1] = 0    theorem (first_linear_entry, last_linear_entry)",
+        "c[1] = 1    theorem (interior_count, last_quadratic_entry)",
+        "c[1] >= 1    theorem (interior_translate_lower_bound)"]
+
+
+def test_predict_prints_each_position_once(runner):
+    for model in ("Upsilon", "Upsilon_2", "2*Upsilon", "3*Sigma", "5*Sigma"):
+        out = invoke(runner, "predict", "--model", model).stdout
+        claims = re.findall(r"^([bc]\[\d+\]) = .*theorem", out, re.M)
+        assert claims
+        assert len(claims) == len(set(claims)), (model, out)
+
+
+def test_predict_refuses_closed_forms_that_disagree(runner, monkeypatch):
+    real = cli.six_easy_entries
+
+    def contradicted(poly):
+        out = real(poly)
+        first = out[0]
+        return out + [dataclasses.replace(first, value=first.value + 1,
+                                          source="contradiction")]
+
+    monkeypatch.setattr(cli, "six_easy_entries", contradicted)
+    with pytest.raises(linalg.InvariantViolation,
+                       match=r"closed forms disagree at b\[1\]: "
+                             r"first_linear_entry = 7, contradiction = 8"):
+        invoke(runner, "predict", "--model", "Upsilon_2")
 
 
 def test_predict_square(runner):

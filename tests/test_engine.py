@@ -469,7 +469,7 @@ def test_pooled_runs_build_no_block_in_the_parent(built_blocks, prime,
 
 
 def test_small_table_ranks_in_process(opened_pools, built_blocks, prime):
-    # every batch of Upsilon_3 costs less than POOL_MIN_COST
+    # every batch of Upsilon_3 holds fewer than POOL_MIN_CELLS cells
     opts = EngineOptions(budget=ComputeBudget(max_workers=2))
     table = betti_table(named_polygon("Upsilon_3"), prime, opts)
     assert (table.b, table.c) == REFERENCE_TABLES["Upsilon_3"]
@@ -480,6 +480,35 @@ def test_small_table_ranks_in_process(opened_pools, built_blocks, prime):
     assert set(pids) == {os.getpid()}
 
 
+def test_many_small_blocks_rank_in_process(opened_pools, built_blocks,
+                                          prime, monkeypatch):
+    """A 10-point quadrilateral has a batch of Σ(rows + cols) above 4,000
+    but far fewer predicted cells than POOL_MIN_CELLS: the table opens
+    no pool at two workers and builds every block in the parent."""
+    batches = []
+    real = engine.rank_batch
+
+    def recording(tasks, budget=None):
+        batches.append((sum(t.n_rows + t.n_cols for t in tasks),
+                        sum(t.n_rows * t.n_cols for t in tasks)))
+        return real(tasks, budget)
+
+    monkeypatch.setattr(engine, "rank_batch", recording)
+    poly = parse_polygon("1,0 2,0 3,4 0,3")
+    table = betti_table(poly, prime, EngineOptions(
+        removal="off", budget=ComputeBudget(max_workers=2)))
+    assert max(cost for cost, _ in batches) >= 4000
+    assert max(cells for _, cells in batches) < linalg.POOL_MIN_CELLS
+    assert opened_pools == []
+    assert multiprocessing.active_children() == []
+    pids = [rec[0] for rec in built_blocks()]
+    assert pids
+    assert set(pids) == {os.getpid()}
+    serial = betti_table(poly, prime, EngineOptions(
+        removal="off", budget=ComputeBudget(max_workers=1)))
+    assert (table.b, table.c) == (serial.b, serial.c)
+
+
 def test_only_batches_under_the_threshold_build_in_the_parent(
         built_blocks, prime, monkeypatch):
     pooled, serial = set(), set()
@@ -488,8 +517,8 @@ def test_only_batches_under_the_threshold_build_in_the_parent(
     def recording(tasks, budget=None):
         keys = {(t.spec.strand, t.spec.ell, tuple(t.bidegree), t.which)
                 for t in tasks}
-        cost = sum(t.n_rows + t.n_cols for t in tasks)
-        worth_a_pool = len(tasks) > 1 and cost >= linalg.POOL_MIN_COST
+        cells = sum(t.n_rows * t.n_cols for t in tasks)
+        worth_a_pool = len(tasks) > 1 and cells >= linalg.POOL_MIN_CELLS
         (pooled if worth_a_pool else serial).update(keys)
         return real(tasks, budget)
 

@@ -366,9 +366,10 @@ def _diagonal(n):
 
 
 def test_only_batches_worth_a_pool_start_one(monkeypatch):
-    """A batch below POOL_MIN_COST ranks in-process and starts no pool;
-    one at the threshold tries to, and an OSError from that start
-    leaves it to rank serially with the same ranks."""
+    """A batch below POOL_MIN_CELLS ranks in-process and starts no pool,
+    however many blocks it holds; one at the threshold tries to, and an
+    OSError from that start leaves it to rank serially with the same
+    ranks."""
     attempts = []
 
     class Unavailable:
@@ -378,17 +379,21 @@ def test_only_batches_worth_a_pool_start_one(monkeypatch):
 
     monkeypatch.setattr(linalg, "ProcessPoolExecutor", Unavailable)
     budget = ComputeBudget(max_workers=2)
-    half = linalg.POOL_MIN_COST // 4
-    small = [_diagonal(half), _diagonal(half - 1)]
-    large = [_diagonal(half), _diagonal(half)]
+    side = math.isqrt(linalg.POOL_MIN_CELLS // 2 - 1)
+    small = [_diagonal(side), _diagonal(side)]
+    large = [_diagonal(side + 1), _diagonal(side + 1)]
+    many = [_diagonal(50)] * 50     # Σ(rows + cols) 5,000, 125,000 cells
+    assert 2 * side ** 2 < linalg.POOL_MIN_CELLS <= 2 * (side + 1) ** 2
+    assert 50 * 50 ** 2 < linalg.POOL_MIN_CELLS
     with worker_pool(budget):
         assert attempts == []
-        assert rank_batch(small, budget) == [(half, None), (half - 1, None)]
+        assert rank_batch(small, budget) == [(side, None)] * 2
+        assert rank_batch(many, budget) == [(50, None)] * 50
         assert attempts == []
         out = rank_batch(large, budget)
         assert attempts == [{"max_workers": 2}]
     assert out == rank_batch(large, ComputeBudget(max_workers=1))
-    assert out == [(half, None), (half, None)]
+    assert out == [(side + 1, None)] * 2
     assert multiprocessing.active_children() == []
 
 
