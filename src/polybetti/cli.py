@@ -92,7 +92,7 @@ _removal_option = click.option(
     "--removal", type=click.Choice(["auto", "on", "off"]), default="auto",
     show_default=True,
     help="Quotient out the exact subcomplex from removed points.  auto: "
-         "route as before (reduced size estimates on triangles only) and "
+         "route as before (reduced peak-block sizes on triangles only) and "
          "compute every polygon reduced; on: route and compute reduced; "
          "off: remove nothing.")
 

@@ -361,7 +361,6 @@ class Strategy:
     choices: dict[int, str]        # antidiagonal -> compute_b/compute_c/shortcut
     b_preset: dict[int, str]       # position -> zero tag
     c_preset: dict[int, str]
-    estimates: dict[tuple[str, int], int]
 
     def __post_init__(self):
         require(set(self.choices) == set(range(1, self.n - 1)),
@@ -372,9 +371,9 @@ class Strategy:
 
 def effective_plans(poly: LatticePolygon,
                     options: EngineOptions) -> tuple[RemovalPlan, RemovalPlan]:
-    """Removal plans the routing estimates use for the two strands: "on"
-    removes support everywhere, "auto" only from triangles, where it
-    strips all three corners.  Entries compute on compute_plan."""
+    """Removal plans on which routing sizes the two strands' peak blocks:
+    "on" removes support everywhere, "auto" only from triangles, where
+    it strips all three corners.  Entries compute on compute_plan."""
     if not (options.removal == "on" or (options.removal == "auto"
                                         and len(poly.vertices) == 3)):
         return EMPTY_PLAN, EMPTY_PLAN
@@ -413,8 +412,8 @@ def _presets(poly: LatticePolygon) -> tuple[dict[int, str], dict[int, str]]:
 
 def _choose_side(poly: LatticePolygon, a: int, b_preset: dict,
                  c_preset: dict, plans: tuple[RemovalPlan, RemovalPlan]
-                 ) -> tuple[str, dict[tuple[str, int], int]]:
-    """Route for antidiagonal a, with the peak-block estimates it used.
+                 ) -> str:
+    """Route for antidiagonal a.
 
     A side that is preset or beyond the table edge makes the antidiagonal
     a shortcut.  Otherwise the side with the smaller largest bidegree
@@ -423,11 +422,10 @@ def _choose_side(poly: LatticePolygon, a: int, b_preset: dict,
     """
     pb, pc = _antidiagonal(poly.n_points, a)
     if pb is None or pb in b_preset or pc is None or pc in c_preset:
-        return "shortcut", {}
-    est_b = peak_block(strand_spec(poly, "b", pb, plans[0]))
-    est_c = peak_block(strand_spec(poly, "c", pc, plans[1]))
-    return ("compute_c" if est_c <= est_b else "compute_b",
-            {("b", pb): est_b, ("c", pc): est_c})
+        return "shortcut"
+    peak_b = peak_block(strand_spec(poly, "b", pb, plans[0]))
+    peak_c = peak_block(strand_spec(poly, "c", pc, plans[1]))
+    return "compute_c" if peak_c <= peak_b else "compute_b"
 
 
 def plan_strategy(poly: LatticePolygon, prime: PrimeModulus,
@@ -442,15 +440,12 @@ def plan_strategy(poly: LatticePolygon, prime: PrimeModulus,
     n = poly.n_points
     anti = range(1, n - 1)
     if not interior_hull(poly).points:
-        return Strategy(n, True, {a: "shortcut" for a in anti}, {}, {}, {})
+        return Strategy(n, True, {a: "shortcut" for a in anti}, {}, {})
     plans = effective_plans(poly, options)
     b_preset, c_preset = _presets(poly)
-    choices: dict[int, str] = {}
-    estimates: dict[tuple[str, int], int] = {}
-    for a in anti:
-        choices[a], est = _choose_side(poly, a, b_preset, c_preset, plans)
-        estimates.update(est)
-    return Strategy(n, False, choices, b_preset, c_preset, estimates)
+    choices = {a: _choose_side(poly, a, b_preset, c_preset, plans)
+               for a in anti}
+    return Strategy(n, False, choices, b_preset, c_preset)
 
 
 def _validate_table(poly: LatticePolygon, table: BettiTable) -> None:
@@ -585,8 +580,7 @@ def _resolve_entry_b(poly: LatticePolygon, ell: int, prime: PrimeModulus,
     """One row-one entry of a polygon with interior points, by the route
     the planner picks for its antidiagonal, without routing the others."""
     presets = _presets(poly)
-    choice, _ = _choose_side(poly, ell, *presets,
-                             effective_plans(poly, options))
+    choice = _choose_side(poly, ell, *presets, effective_plans(poly, options))
     entries, _ = _resolve_antidiagonal(poly, ell, choice, prime, presets,
                                        options)
     value, _, rigorous = entries[("b", ell)]

@@ -13,11 +13,11 @@ of blocks on a process pool, shared by every batch inside one
 ``worker_pool`` block, when the batch's predicted dense cells, Σ
 n_rows · n_cols, reach POOL_MIN_CELLS; smaller batches rank
 in-process.  Each block comes back as a
-``(rank, None)`` or ``(None, error text)`` pair.  A block is anything with
-``n_rows``, ``n_cols`` and ``build()``, and ``rank`` consumes what
-``build()`` returns: a matrix builds to a copy of itself, and a block
-described by its sizes is assembled by the process that ranks it, after
-the memory cap has been checked against those sizes.
+``(rank, None)`` or ``(None, error text)`` pair.  A block is described
+by its predicted ``n_rows`` and ``n_cols`` (``engine.BlockTask``): the
+memory cap is checked against those sizes, and only then does the
+process that ranks the block call its ``build()``, which assembles a
+fresh ``SparseMatrixFp`` for ``rank`` to consume.
 """
 from __future__ import annotations
 
@@ -114,42 +114,9 @@ class SparseMatrixFp:
     col_rows: dict[int, set[int]]
     modulus: PrimeModulus
 
-    @classmethod
-    def from_entries(cls, n_rows: int, n_cols: int, entries,
-                     modulus: PrimeModulus) -> "SparseMatrixFp":
-        p = modulus.p
-        kept = []
-        for r, c, v in entries:
-            if not (0 <= r < n_rows and 0 <= c < n_cols):
-                raise ValueError(f"entry ({r}, {c}) out of range")
-            if v % p:
-                kept.append((c, r, v % p))
-        rows: dict[int, dict[int, int]] = {}
-        col_rows: dict[int, set[int]] = {}
-        for c, r, v in sorted(kept):    # column-major, as blocks are built
-            if r in col_rows.setdefault(c, set()):
-                raise ValueError(f"duplicate row {r} within a column")
-            col_rows[c].add(r)
-            rows.setdefault(r, {})[c] = v
-        return cls(n_rows, n_cols, rows, col_rows, modulus)
-
     @property
     def nnz(self) -> int:
         return sum(map(len, self.col_rows.values()))
-
-    def build(self) -> "SparseMatrixFp":
-        """A copy for ``rank`` to consume, so that this matrix is left as
-        it was."""
-        return SparseMatrixFp(
-            self.n_rows, self.n_cols,
-            {r: dict(row) for r, row in self.rows.items()},
-            {c: set(rs) for c, rs in self.col_rows.items()}, self.modulus)
-
-    def to_dense(self) -> np.ndarray:
-        a = np.zeros((self.n_rows, self.n_cols), dtype=np.int64)
-        for r, row in self.rows.items():
-            a[r, list(row)] = list(row.values())
-        return a
 
 
 def dense_rank_mod(a: np.ndarray, p: int) -> int:
@@ -340,8 +307,9 @@ class _Eliminator:
 
 
 def rank(block, memory_cap: int | None = None) -> int:
-    """Rank over its prime field of ``block.build()``, which the
-    elimination consumes.
+    """Rank over its prime field of a block described by its sizes
+    (``engine.BlockTask``): ``block.build()`` assembles the matrix, and
+    the elimination consumes it.
 
     A block whose dense form (8 bytes an entry) exceeds ``memory_cap``
     is refused by its ``n_rows`` and ``n_cols`` before it is built; no

@@ -75,11 +75,16 @@ class PointSet:
         return cls(tuple(sorted(set(pts), key=order_key)))
 
     @cached_property
-    def _index(self) -> dict[Point, int]:
-        return {pt: i for i, pt in enumerate(self.points)}
+    def _members(self) -> frozenset[Point]:
+        return frozenset(self.points)
+
+    def __reduce__(self):
+        # the points alone: the member set is rebuilt where it is tested,
+        # not pickled with every spec sent to a worker
+        return PointSet, (self.points,)
 
     def __contains__(self, pt) -> bool:
-        return pt in self._index
+        return pt in self._members
 
     def __iter__(self):
         return iter(self.points)
@@ -234,15 +239,6 @@ def dilate(poly: LatticePolygon, q: int) -> LatticePolygon:
     if q == 1:
         return poly
     return LatticePolygon(tuple((q * x, q * y) for x, y in poly.vertices))
-
-
-def ehrhart_count(poly: LatticePolygon, q: int) -> int:
-    """Point count of the q-fold dilation from the quadratic counting formula."""
-    if q < 0:
-        raise ValueError(f"dilation factor must be nonnegative, got {q}")
-    num = poly.area2 * q * q + poly.boundary_count * q + 2
-    require(num % 2 == 0, "odd Ehrhart numerator")
-    return num // 2
 
 
 def segment_points(a: Point, b: Point) -> list[Point]:

@@ -1,4 +1,4 @@
-"""Graded Betti table container plus ASCII and JSON round-trips.
+"""Graded Betti table container plus ASCII and JSON rendering.
 
 Layout: three printed rows.  Row 0 is the lone corner 1; row 1 column p
 holds the linear-strand entry at p; row 2 column p holds the quadratic
@@ -8,10 +8,9 @@ is only known modulo the working prime.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
-from .linalg import DEFAULT_PRIME, PrimeModulus
+from .linalg import PrimeModulus
 from .polygon import Point
 
 PROVENANCE_TAGS = frozenset({
@@ -86,45 +85,6 @@ def render_ascii(table: BettiTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_ascii(text: str) -> tuple[int, list[int], list[int],
-                                    list[bool], list[bool]]:
-    """Invert render_ascii: (n, b, c, b_rigorous, c_rigorous)."""
-    rows = [ln.split() for ln in text.strip().splitlines() if ln.strip()]
-    if len(rows) != 4:
-        raise ValueError("expected a header line plus three table rows")
-    header = [int(x) for x in rows[0]]
-    width = len(header)
-    if header != list(range(width)):
-        raise ValueError("header must list column indices 0..n-3")
-    n = width + 2
-
-    def cell(tok: str) -> tuple[int, bool]:
-        if tok.endswith("*"):
-            return int(tok[:-1]), False
-        return int(tok), True
-
-    for label, row in zip(("0", "1", "2"), rows[1:]):
-        if row[0] != label or len(row) != width + 1:
-            raise ValueError(f"malformed row {label}")
-    if [int(x) for x in rows[1][1:]] != [1] + [0] * (width - 1):
-        raise ValueError("row 0 must be 1, 0, ..., 0")
-    b_vals = [cell(tok) for tok in rows[2][2:]]
-    b = [v for v, _ in b_vals]
-    b_rig = [r for _, r in b_vals]
-    c = [0] * (n - 3)
-    c_rig = [True] * (n - 3)
-    for p, tok in enumerate(rows[3][2:], start=1):
-        ell = n - 2 - p
-        v, r = cell(tok)
-        if 1 <= ell <= n - 3:
-            c[ell - 1], c_rig[ell - 1] = v, r
-        elif v:
-            raise ValueError("out-of-range quadratic entry must be 0")
-    if int(rows[2][1]) or int(rows[3][1]):
-        raise ValueError("column 0 of rows 1 and 2 must be 0")
-    return n, b, c, b_rig, c_rig
-
-
 def to_json_dict(table: BettiTable) -> dict:
     out = {
         "n": table.n,
@@ -141,28 +101,3 @@ def to_json_dict(table: BettiTable) -> dict:
             {"strand": s, "position": ell, "bidegree": [a, b], "value": v}
             for (s, ell, (a, b)), v in sorted(table.bigraded.items())]
     return out
-
-
-def from_json_dict(data: dict) -> BettiTable:
-    bigraded = {}
-    for item in data.get("bigraded", []):
-        key = (item["strand"], item["position"], tuple(item["bidegree"]))
-        bigraded[key] = item["value"]
-    return BettiTable(
-        n=data["n"],
-        b=list(data["b"]),
-        c=list(data["c"]),
-        prime=PrimeModulus(data.get("prime", DEFAULT_PRIME)),
-        b_provenance=list(data["b_provenance"]),
-        c_provenance=list(data["c_provenance"]),
-        b_rigorous=list(data["b_rigorous"]),
-        c_rigorous=list(data["c_rigorous"]),
-        bigraded=bigraded)
-
-
-def render_json(table: BettiTable) -> str:
-    return json.dumps(to_json_dict(table), indent=2) + "\n"
-
-
-def parse_json(text: str) -> BettiTable:
-    return from_json_dict(json.loads(text))

@@ -15,7 +15,6 @@ from polybetti.cli import main
 from polybetti.engine import EngineOptions, options_key, polygon_key
 from polybetti.linalg import PrimeModulus
 from polybetti.polygon import parse_polygon
-from polybetti.table import parse_ascii
 
 _real_rank_task = linalg._rank_task
 _DYING = {"flag": None, "parent": None}
@@ -65,10 +64,9 @@ def test_table_star_marks_modular_entries(runner):
 @pytest.mark.parametrize("name", ["Upsilon", "2*Sigma", "Upsilon_2",
                                   "2*Upsilon"])
 def test_table_output_round_trips(runner, name):
-    r = invoke(runner, "table", "--model", name)
-    n, b, c, _, _ = parse_ascii(r.stdout)
-    want_b, want_c = REFERENCE_TABLES[name]
-    assert (b, c) == (want_b, want_c)
+    r = invoke(runner, "table", "--model", name, "--format", "json")
+    data = json.loads(r.stdout)
+    assert (data["b"], data["c"]) == REFERENCE_TABLES[name]
 
 
 def test_table_json_frozen(runner):
@@ -127,8 +125,11 @@ def test_table_multi_prime_agreement(runner):
                "--primes", "2,3,40009")
     assert r.exit_code == 0
     assert "primes 2,3,40009 agree" in r.stderr
-    n, b, c, _, _ = parse_ascii(r.stdout)
-    assert (b, c) == REFERENCE_TABLES["Upsilon_2"]
+    r = invoke(runner, "table", "--model", "Upsilon_2",
+               "--primes", "2,3,40009", "--format", "json")
+    data = json.loads(r.stdout)
+    assert data["primes_agree"] is True
+    assert (data["b"], data["c"]) == REFERENCE_TABLES["Upsilon_2"]
 
 
 def test_table_multi_prime_json(runner):
@@ -298,10 +299,11 @@ def test_table_worker_death_aborts_with_checkpoint(runner, tmp_path,
     assert "partial progress kept" in r.stderr
     monkeypatch.setattr(linalg, "_rank_task", _real_rank_task)
     resumed = invoke(runner, "table", "--model", "Upsilon_3",
-                     "--workers", "1", "--checkpoint", path)
+                     "--workers", "1", "--checkpoint", path,
+                     "--format", "json")
     assert resumed.exit_code == 0
-    n, b, c, _, _ = parse_ascii(resumed.stdout)
-    assert (b, c) == REFERENCE_TABLES["Upsilon_3"]
+    data = json.loads(resumed.stdout)
+    assert (data["b"], data["c"]) == REFERENCE_TABLES["Upsilon_3"]
 
 
 def test_table_memory_cap_aborts_with_checkpoint(runner, tmp_path):
@@ -311,10 +313,10 @@ def test_table_memory_cap_aborts_with_checkpoint(runner, tmp_path):
     assert r.exit_code == 3
     assert "partial progress kept" in r.stderr
     resumed = invoke(runner, "table", "--model", "Upsilon_3",
-                     "--checkpoint", path)
+                     "--checkpoint", path, "--format", "json")
     assert resumed.exit_code == 0
-    n, b, c, _, _ = parse_ascii(resumed.stdout)
-    assert (b, c) == REFERENCE_TABLES["Upsilon_3"]
+    data = json.loads(resumed.stdout)
+    assert (data["b"], data["c"]) == REFERENCE_TABLES["Upsilon_3"]
 
 
 def test_over_cap_block_is_never_built(runner, tmp_path, built_blocks):
@@ -337,10 +339,10 @@ def test_audit_over_memory_cap_exits_3(runner):
     # at 3300 every strand block fits and the audit's mirror complex fails
     for cap, strand in (("3000", "b"), ("3300", "mirror")):
         r = invoke(runner, "table", "--model", "Upsilon_2", "--audit",
-                   "--memory-cap", cap, "--workers", "1")
+                   "--memory-cap", cap, "--workers", "1", "--format", "json")
         assert r.exit_code == 3
-        n, b, c, _, _ = parse_ascii(r.stdout)   # the table still printed
-        assert (b, c) == REFERENCE_TABLES["Upsilon_2"]
+        data = json.loads(r.stdout)     # the table still printed
+        assert (data["b"], data["c"]) == REFERENCE_TABLES["Upsilon_2"]
         assert re.search(rf"error: strand {strand} position \d+ bidegree "
                          rf".*cap is {cap}", r.stderr)
 

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -21,12 +22,12 @@ from polybetti.engine import (BlockFailed, EngineOptions, EntryOutcome,
                               polygon_key, run_audits, strand_value,
                               verify_kp1)
 from polybetti.koszul import (EMPTY_PLAN, SupportTriple, choose_removal,
-                              coboundary_matrix, middle_profile, strand_spec,
-                              support_window, wedge_basis)
+                              coboundary_matrix, middle_profile, peak_block,
+                              strand_spec, support_window, wedge_basis)
 from polybetti.linalg import ComputeBudget, PrimeModulus
 from polybetti.polygon import (AffineUnimodularMap, from_vertices,
                                interior_hull, named_polygon, parse_polygon)
-from polybetti.table import render_json
+from polybetti.table import to_json_dict
 
 
 def mapped(poly, matrix, shift):
@@ -54,12 +55,32 @@ def test_integer_prime_argument_is_accepted(serial_options):
 
 
 def test_determinism_is_bit_identical(prime, serial_options):
-    from polybetti.table import render_ascii, render_json
+    from polybetti.table import render_ascii
     poly = named_polygon("Upsilon_3")
     first = betti_table(poly, prime, serial_options)
     second = betti_table(poly, prime, serial_options)
     assert render_ascii(first) == render_ascii(second)
-    assert render_json(first) == render_json(second)
+    assert to_json_dict(first) == to_json_dict(second)
+
+
+# to_json_dict of these tables with their bigraded breakdown, at one
+# worker, frozen to tests/data/bigraded_<file>.json.  3*Sigma and 4*Sigma
+# are left out because their breakdowns are empty: 3*Sigma routes every
+# antidiagonal as a shortcut, and the one entry 4*Sigma computes, b11, is
+# zero.
+FROZEN_BIGRADED = {"Upsilon_2": "Upsilon_2", "2_Upsilon": "2*Upsilon",
+                   "Upsilon_3": "Upsilon_3",
+                   "quad_1-0_2-0_3-4_0-3": "1,0 2,0 3,4 0,3"}
+
+
+@pytest.mark.parametrize("file", sorted(FROZEN_BIGRADED))
+def test_bigraded_tables_match_frozen_json(file, prime, serial_options):
+    text = FROZEN_BIGRADED[file]
+    poly = parse_polygon(text) if "," in text else named_polygon(text)
+    table = betti_table(poly, prime,
+                        replace(serial_options, keep_bigraded=True))
+    path = Path(__file__).parent / "data" / f"bigraded_{file}.json"
+    assert to_json_dict(table) == json.loads(path.read_text())
 
 
 def test_provenance_tags(prime, serial_options):
@@ -114,13 +135,25 @@ def test_plan_strategy_shapes(prime):
     assert st.b_preset == {7: "zero_by_interior"}
     assert st.c_preset == {j: "zero_by_boundary_count" for j in range(2, 8)}
     assert set(st.choices) == set(range(1, 9))
-    computed = {a for a, ch in st.choices.items() if ch != "shortcut"}
-    for a in computed:
-        key_b, key_c = ("b", a), ("c", 9 - a)
-        assert key_b in st.estimates and key_c in st.estimates
-        want = "compute_c" if (st.estimates[key_c]
-                               <= st.estimates[key_b]) else "compute_b"
-        assert st.choices[a] == want
+    # every antidiagonal of 3*Sigma has a preset side
+    assert set(st.choices.values()) == {"shortcut"}
+
+    # the side with the smaller peak block is computed, ties to row two,
+    # on a triangle (reduced plans) and on a quadrilateral (unreduced)
+    routes = []
+    for poly in (named_polygon("Upsilon_3"),
+                 parse_polygon("1,0 2,0 3,4 0,3")):
+        st = plan_strategy(poly, prime)
+        plan_b, plan_c = effective_plans(poly, EngineOptions())
+        for a, choice in st.choices.items():
+            if choice == "shortcut":
+                continue
+            peak_b = peak_block(strand_spec(poly, "b", a, plan_b))
+            peak_c = peak_block(strand_spec(poly, "c", st.n - 1 - a, plan_c))
+            assert choice == ("compute_c" if peak_c <= peak_b
+                              else "compute_b")
+            routes.append(choice)
+    assert set(routes) == {"compute_b", "compute_c"}
 
 
 def test_effective_plans_modes():
@@ -153,19 +186,21 @@ def test_auto_tables_identical_to_the_mode_routing_alike(p):
     for poly in removal_corpus() + shape_corpus():
         # auto routes triangles as "on" does and everything else as "off"
         same_routes = "on" if len(poly.vertices) == 3 else "off"
-        auto, other = (render_json(betti_table(poly, p, EngineOptions(
+        auto, other = (to_json_dict(betti_table(poly, p, EngineOptions(
             removal=mode, keep_bigraded=True, budget=budget)))
             for mode in ("auto", same_routes))
         assert auto == other, poly.vertices
 
 
 def test_auto_routes_non_triangles_unreduced(prime):
-    """Routing reads the unreduced estimates, so routes, provenance tags
-    and rigor flags are those of removal off."""
+    """Routing sizes the unreduced peak blocks, so routes, provenance
+    tags and rigor flags are those of removal off."""
     for poly in shape_corpus():
         auto = plan_strategy(poly, prime, EngineOptions())
         off = plan_strategy(poly, prime, EngineOptions(removal="off"))
-        assert (auto.choices, auto.estimates) == (off.choices, off.estimates)
+        assert effective_plans(poly, EngineOptions()) == (EMPTY_PLAN,
+                                                          EMPTY_PLAN)
+        assert auto.choices == off.choices
 
 
 def test_auto_ranks_a_quadrilateral_on_reduced_supports(prime, monkeypatch):

@@ -13,17 +13,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entry_blocks import EntryBlock, to_dense
 from polybetti import linalg
 from polybetti.linalg import (ComputeBudget, PrimeModulus, ResourceExceeded,
-                              SparseMatrixFp, _chunks, dense_rank_mod,
-                              is_prime, rank, rank_batch, worker_pool)
+                              _chunks, dense_rank_mod, is_prime, rank,
+                              rank_batch, worker_pool)
 
 P40009 = PrimeModulus(40009)
 
 
 def transpose(m):
-    entries = [(c, r, v) for r, row in m.rows.items() for c, v in row.items()]
-    return SparseMatrixFp.from_entries(m.n_cols, m.n_rows, entries, m.modulus)
+    entries = [(c, r, v) for r, c, v in m.entries]
+    return EntryBlock(m.n_cols, m.n_rows, entries, m.modulus)
 
 
 def exact_rank(entries, n_rows, n_cols, p=None):
@@ -66,8 +67,7 @@ def build(entries, p=40009, n_rows=8, n_cols=8):
     for r, c, v in entries:
         merged[(r, c)] = merged.get((r, c), 0) + v
     entries = [(r, c, v) for (r, c), v in merged.items() if v % p]
-    return SparseMatrixFp.from_entries(n_rows, n_cols, entries,
-                                       PrimeModulus(p)), entries
+    return EntryBlock(n_rows, n_cols, entries, PrimeModulus(p)), entries
 
 
 def _trial_division(n):
@@ -146,7 +146,7 @@ def test_rank_methods_agree():
                for r, c in zip(rng.integers(0, 30, 160),
                                rng.integers(0, 30, 160))]
     m, merged = build(entries, n_rows=30, n_cols=30)
-    dense = dense_rank_mod(m.to_dense(), 40009)
+    dense = dense_rank_mod(to_dense(m.build()), 40009)
     assert rank(m) == dense
     assert dense == exact_rank(merged, 30, 30, 40009)
 
@@ -169,7 +169,7 @@ def sign_matrices(draw):
 @given(sign_matrices(), st.sampled_from([2, 3, 40009]))
 def test_rank_matches_exact_mod_p(shape, p):
     n_rows, n_cols, entries = shape
-    m = SparseMatrixFp.from_entries(n_rows, n_cols, entries, PrimeModulus(p))
+    m = EntryBlock(n_rows, n_cols, entries, PrimeModulus(p))
     assert rank(m) == exact_rank(entries, n_rows, n_cols, p)
 
 
@@ -190,7 +190,7 @@ def test_structural_pivots_need_no_dense_step(monkeypatch):
     n = 40
     entries = [(i, i, 1) for i in range(n)] + \
         [(i + 1, i, -1) for i in range(n - 1)]
-    m = SparseMatrixFp.from_entries(n, n, entries, P40009)
+    m = EntryBlock(n, n, entries, P40009)
     assert rank(m) == exact_rank(entries, n, n) == n
     assert calls == []
 
@@ -201,7 +201,7 @@ def test_dense_block_reaches_dense_step(monkeypatch):
     # 80x60 cells: above the DENSE_MIN_CELLS floor, so half full is dense
     entries = [(r, c, rng.choice((1, -1)))
                for r in range(80) for c in range(60) if rng.random() < 0.5]
-    m = SparseMatrixFp.from_entries(80, 60, entries, P40009)
+    m = EntryBlock(80, 60, entries, P40009)
     assert rank(m) == exact_rank(entries, 80, 60, 40009)
     assert len(calls) == 1
 
@@ -235,14 +235,12 @@ def test_rank_deficient_blocks_either_side_of_the_dense_rule(
         monkeypatch, p, n_rows, n_cols, k, dense):
     calls = _count_dense_calls(monkeypatch)
     entries = _low_rank(n_rows, n_cols, k, p, random.Random(n_rows * p))
-    m = SparseMatrixFp.from_entries(n_rows, n_cols, entries, PrimeModulus(p))
+    m = EntryBlock(n_rows, n_cols, entries, PrimeModulus(p))
     want = exact_rank(entries, n_rows, n_cols, p)
     assert want <= k
-    before = m.to_dense()
     assert rank(m) == want
     assert bool(calls) == dense
-    # ranking consumes a copy: the caller's matrix is left as it was
-    assert np.array_equal(m.to_dense(), before)
+    # ranking consumes what build() returns, a fresh matrix each time
     assert rank(m) == want
 
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 from itertools import combinations
 
 import pytest
@@ -9,12 +10,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from polybetti.polygon import (AffineUnimodularMap, DimensionError,
-                               canonical_form, classify, convex_hull, dilate,
-                               ehrhart_count, from_vertices, interior_hull,
-                               lattice_width, lawrence_prism, named_polygon,
-                               parse_polygon, prune_vertex, sigma_point,
-                               standard_triangle, symmetry_group,
-                               upsilon_indexed, upsilon_triangle)
+                               PointSet, canonical_form, classify,
+                               convex_hull, dilate, from_vertices,
+                               interior_hull, lattice_width, lawrence_prism,
+                               named_polygon, parse_polygon, prune_vertex,
+                               sigma_point, standard_triangle,
+                               symmetry_group, upsilon_indexed,
+                               upsilon_triangle)
 
 points = st.tuples(st.integers(-5, 5), st.integers(-5, 5))
 
@@ -94,7 +96,11 @@ def test_vertices_strictly_convex(poly):
 
 @given(random_polygons, st.integers(0, 5))
 def test_ehrhart_agreement(poly, q):
-    assert ehrhart_count(poly, q) == len(dilate(poly, q).points)
+    """Pick's theorem on the q-fold dilation: (area2 q^2 + boundary q + 2)/2
+    points."""
+    num = poly.area2 * q * q + poly.boundary_count * q + 2
+    assert num % 2 == 0
+    assert num // 2 == len(dilate(poly, q).points)
 
 
 def test_minkowski_point_sum(small_corpus):
@@ -228,12 +234,24 @@ def test_named_families_scale():
 
 
 def test_ehrhart_is_quadratic(models):
+    """Point counts of the dilations start 1, n and have constant second
+    difference area2."""
     for poly in models.values():
-        a2, n = poly.area2, poly.n_points
-        b = poly.boundary_count
-        for q in range(4):
-            expect = (a2 * q * q + b * q + 2) // 2
-            assert ehrhart_count(poly, q) == expect
+        counts = [len(dilate(poly, q).points) for q in range(4)]
+        assert counts[:2] == [1, poly.n_points]
+        assert {counts[q + 1] - 2 * counts[q] + counts[q - 1]
+                for q in (1, 2)} == {poly.area2}
+
+
+def test_point_set_pickles_its_points_alone():
+    points = PointSet.of(named_polygon("Upsilon_4").points)
+    before = pickle.dumps(points)
+    assert (0, 0) in points and (99, 99) not in points
+    after = pickle.dumps(points)
+    assert len(after) == len(before)
+    restored = pickle.loads(after)
+    assert restored == points
+    assert all(pt in restored for pt in points)
 
 
 def test_all_pairs_unimodular_detection(models):
