@@ -11,7 +11,6 @@ cross-filled from them are marked rigorous.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -65,6 +64,7 @@ class EngineOptions:
 
 
 def _hash_text(text: str) -> str:
+    import hashlib
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 

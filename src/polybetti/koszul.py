@@ -11,9 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
-
-import numpy as np
 
 from .linalg import PrimeModulus, ResourceExceeded, SparseMatrixFp, require
 from .polygon import (LatticePolygon, Point, PointSet, cross, dilate,
@@ -282,9 +279,6 @@ def enumerate_bidegrees(spec: ComplexSpec) -> list[Point]:
     return sorted(hull_points(spec.region), key=order_key)
 
 
-_BITS = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
-
-
 @lru_cache(maxsize=4)
 def _mask_layer(support: PointSet, p: int) -> dict[Point, list[int]]:
     """All p-subsets of support as int masks, bucketed by coordinate
@@ -298,27 +292,41 @@ def _mask_layer(support: PointSet, p: int) -> dict[Point, list[int]]:
     if n > 64:
         raise ResourceExceeded(
             f"a wedge support of {n} points does not fit 64-bit masks")
-    xy = np.array(support.points, dtype=np.int64).reshape(n, 2)
-    # in combinations order the q-subsets of range(s, n) are the last
-    # comb(n - s, q), so layer q joins each point s to such a tail
-    masks = np.zeros(1, dtype=np.uint64)
-    sums = np.zeros((1, 2), dtype=np.int64)
-    for q in range(1, min(p, n - p) + 1):
-        tails = [(s, len(masks) - comb(n - s - 1, q - 1))
-                 for s in range(n - q + 1)]
-        masks = np.concatenate([masks[t:] | _BITS[s] for s, t in tails])
-        sums = np.concatenate([sums[t:] + xy[s] for s, t in tails])
+    xs = [x for x, _ in support]
+    ys = [y for _, y in support]
+    x0, y0 = min(xs, default=0), min(ys, default=0)
+    # a sum of points packed y-major into one int, so that int order is
+    # order_key order: the x part of a sum never carries into the y part
+    width = n * (max(xs, default=0) - x0) + 1
+    packed = [(y - y0) * width + x - x0 for x, y in support]
+    # below[q]: the q-subsets of range(s, n) bucketed by packed sum, in
+    # combinations order: those holding s, each s joined to a (q - 1)-
+    # subset of range(s + 1, n), before those that do not.  Only the
+    # degrees that can still reach k at s = 0 are kept.
+    k = min(p, n - p)
+    below: dict[int, dict[int, list[int]]] = {0: {0: [0]}}
+    for s in range(n - 1, -1, -1):
+        bit, key, above = 1 << s, packed[s], below
+        below = {}
+        for q in range(max(0, k - s), min(k, n - s) + 1):
+            out = {v + key: [w | bit for w in bucket]
+                   for v, bucket in above.get(q - 1, {}).items()}
+            # the subsets without s keep their buckets; got, if any, is a
+            # list made just above, so extending it changes no shared one
+            for v, bucket in above.get(q, {}).items():
+                got = out.get(v)
+                if got is None:
+                    out[v] = bucket
+                else:
+                    got += bucket
+            below[q] = out
+    layer = below[k]
     if 2 * p > n:   # complements of the (n - p)-subsets, in reverse order
-        masks = masks[::-1] ^ np.uint64((1 << n) - 1)
-        sums = xy.sum(axis=0) - sums[::-1]
-    order = np.lexsort(sums.T)      # stable: by (y, x), then as generated
-    masks, sums = masks[order], sums[order]
-    first = np.ones(len(masks), dtype=bool)
-    first[1:] = (sums[1:, 0] != sums[:-1, 0]) | (sums[1:, 1] != sums[:-1, 1])
-    starts = first.nonzero()[0].tolist()
-    flat = masks.tolist()
-    return {pt: flat[lo:hi] for pt, lo, hi in zip(
-        map(tuple, sums[starts].tolist()), starts, starts[1:] + [len(flat)])}
+        full, total = (1 << n) - 1, sum(packed)
+        layer = {total - v: [full ^ w for w in reversed(layer.pop(v))]
+                 for v in list(layer)}
+    return {(v % width + p * x0, v // width + p * y0): layer[v]
+            for v in sorted(layer)}
 
 
 def _buckets(support: PointSet, coeffs: PointSet, p: int, ab: Point):

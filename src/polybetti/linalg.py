@@ -17,7 +17,9 @@ in-process.  Each block comes back as a
 by its predicted ``n_rows`` and ``n_cols`` (``engine.BlockTask``): the
 memory cap is checked against those sizes, and only then does the
 process that ranks the block call its ``build()``, which assembles a
-fresh ``SparseMatrixFp`` for ``rank`` to consume.
+fresh ``SparseMatrixFp`` for ``rank`` to consume.  numpy is imported by
+the dense path alone, and before a pool forks its workers, so a process
+whose remainders all stay sparse never loads it.
 """
 from __future__ import annotations
 
@@ -28,8 +30,10 @@ from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # The sparse loop hands its remainder to dense_rank_mod once the
 # remainder holds more than DENSE_FILL_CUTOFF times its cells, its cells
@@ -129,6 +133,7 @@ def dense_rank_mod(a: np.ndarray, p: int) -> int:
     reduced in full every ``period`` steps, which keeps int64 exact for
     every p < 2^31.
     """
+    import numpy as np
     view = a.T if a.shape[0] < a.shape[1] else a
     a = np.empty(view.shape, dtype=np.int64)
     np.remainder(view, p, out=a)
@@ -278,6 +283,7 @@ class _Eliminator:
         self.rank += 1
 
     def _dense_remainder(self) -> int:
+        import numpy as np
         rows = self.rows.values()
         col_ids = {c: i for i, c in enumerate(self.col_rows)}
         sizes = [len(row) for row in rows]
@@ -434,6 +440,9 @@ def _dispatch(args, costs: list[int]) -> list | None:
     broken = False
     try:
         if pool is None:
+            # loaded before the fork, so that forked workers inherit
+            # numpy for their dense remainders instead of each loading it
+            import numpy  # noqa: F401
             pool = ProcessPoolExecutor(max_workers=workers)
             _shared = (pool, workers)
         for chunk in _chunks(costs, min(len(args), 4 * workers)):

@@ -146,23 +146,26 @@ def test_basis_elements_are_increasing_wedges():
 
 
 def test_mask_layers_match_combinations():
-    # past half the support size a layer is built from complements
-    pts = named_polygon("Upsilon_2").points.points
-    for p in range(len(pts) + 1):
-        layer = _mask_layer(PointSet(pts), p)
+    # past half the support size a layer is built from complements; the
+    # wide, negative triangle checks that packed sums never carry
+    for poly in (named_polygon("Upsilon_2"), from_vertices([(-7, -1), (2, 0),
+                                                            (-5, 1)])):
+        pts = poly.points.points
+        for p in range(len(pts) + 1):
+            layer = _mask_layer(PointSet(pts), p)
 
-        def wsum(c):
-            return (sum(pts[i][0] for i in c), sum(pts[i][1] for i in c))
+            def wsum(c):
+                return (sum(pts[i][0] for i in c), sum(pts[i][1] for i in c))
 
-        want = sorted(combinations(range(len(pts)), p),
-                      key=lambda c: order_key(wsum(c)))
-        # buckets keyed in order_key order of their sums
-        assert [m for bucket in layer.values() for m in bucket] == \
-            [sum(1 << i for i in c) for c in want]
-        assert list(layer) == sorted(set(map(wsum, want)), key=order_key)
-        for s, bucket in layer.items():
-            assert all(wsum([i for i in range(len(pts)) if m >> i & 1]) == s
-                       for m in bucket)
+            want = sorted(combinations(range(len(pts)), p),
+                          key=lambda c: order_key(wsum(c)))
+            # buckets keyed in order_key order of their sums
+            assert [m for bucket in layer.values() for m in bucket] == \
+                [sum(1 << i for i in c) for c in want]
+            assert list(layer) == sorted(set(map(wsum, want)), key=order_key)
+            for s, bucket in layer.items():
+                assert all(wsum([i for i in range(len(pts))
+                                 if m >> i & 1]) == s for m in bucket)
 
 
 # one reduced spec per removal certificate: removal leaves non-convex
