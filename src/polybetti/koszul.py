@@ -98,7 +98,11 @@ class RemovalPlan:
 EMPTY_PLAN = RemovalPlan((), "empty")
 
 
+@lru_cache(maxsize=None)
 def verify_plan(poly: LatticePolygon, plan: RemovalPlan) -> None:
+    """Raise InvalidPlan unless plan's certificate holds for poly.
+    Cached per polygon and plan: a plan that fails is never cached, so
+    it fails again on every call."""
     pts = poly.points
     for p in plan.removed:
         if p not in pts:
@@ -204,6 +208,7 @@ def _twisted_region(poly: LatticePolygon, q: int) -> PointSet:
     return interior_hull(dilate(poly, q)).points
 
 
+@lru_cache(maxsize=None)
 def reduced_supports(poly: LatticePolygon, plan: RemovalPlan, twisted: bool,
                      q: int) -> PointSet:
     """Degree-q coefficient support, plain or interior-twisted, after
@@ -211,12 +216,16 @@ def reduced_supports(poly: LatticePolygon, plan: RemovalPlan, twisted: bool,
     translates by each removed point.
 
     The differences are not convex, so everything is by enumeration.
+    Cached per polygon like the regions, so a plan is verified and its
+    supports built once per table, not once per position.
     """
     if q < 0:
         raise ValueError("degree must be nonnegative")
     verify_plan(poly, plan)
     region = _twisted_region if twisted else _plain_region
     base = region(poly, q)
+    if not plan.removed:
+        return base
     shift_base = region(poly, q - 1) if q >= 1 else PointSet.of([])
     gone: set[Point] = set()
     for px, py in plan.removed:
@@ -224,6 +233,7 @@ def reduced_supports(poly: LatticePolygon, plan: RemovalPlan, twisted: bool,
     return base.difference(gone)
 
 
+@lru_cache(maxsize=None)
 def strand_spec(poly: LatticePolygon, strand: str, ell: int,
                 plan: RemovalPlan = EMPTY_PLAN) -> ComplexSpec:
     """Complex whose middle cohomology at each bidegree contributes to
@@ -233,13 +243,14 @@ def strand_spec(poly: LatticePolygon, strand: str, ell: int,
 
     Positions past the last table column are legal: the complex exists
     and its cohomology vanishes, which the dimension dump relies on.
+    Cached per polygon: routing and the entry it routes share a spec.
     """
     if strand not in ("b", "c"):
         raise ValueError(f"unknown strand {strand!r}")
     if ell < 1:
         raise ValueError(f"position must be at least 1, got {ell}")
     twisted = strand == "c"
-    a = poly.points.difference(plan.removed)
+    a = poly.points.difference(plan.removed) if plan.removed else poly.points
     s0, s1, s2 = (reduced_supports(poly, plan, twisted, q) for q in range(3))
     top = ell if twisted else ell + 1       # the incoming map's wedge degree
     region = (minkowski_hull(dilate_hull(poly.vertices, ell - 1),
@@ -410,22 +421,73 @@ def coboundary_matrix(spec: ComplexSpec, ab: Point, prime: PrimeModulus,
     return SparseMatrixFp(len(row_masks), j, rows, col_rows, prime)
 
 
+# Removal candidates choose_removal sizes: each wedge support mapped to
+# the polygon's full support and the points removed from it.  Routing
+# under "auto" has the full layers of every non-triangle cached, so a
+# candidate's layers divide out one factor per removed point instead of
+# multiplying one factor per remaining point.  Holds at most as many
+# supports as _wedge_layers' cache.
+_CANDIDATES: dict[PointSet, tuple[PointSet, tuple[Point, ...]]] = {}
+
+
+def _register_candidate(full: PointSet, removed: tuple[Point, ...]) -> None:
+    _CANDIDATES[full.difference(removed)] = (full, removed)
+    if len(_CANDIDATES) > 64:
+        del _CANDIDATES[next(iter(_CANDIDATES))]
+
+
+def _deflate(low: list[dict], v: Point) -> list[dict]:
+    """Layers of a support, degree by degree, from the same degrees of
+    the support with v added: the product divided by (1 + z s^v), whose
+    degree-t coefficient is F_t - s^v G_(t-1), exactly, term by term.
+    Counts that cancel to zero are dropped, as the product never holds
+    them."""
+    vx, vy = v
+    out = [low[0]]
+    for layer in low[1:]:
+        get = out[-1].get
+        cur = {}
+        for key, cnt in layer.items():
+            cnt -= get((key[0] - vx, key[1] - vy), 0)
+            if cnt:
+                cur[key] = cnt
+        out.append(cur)
+    return out
+
+
 @lru_cache(maxsize=64)
 def _wedge_layers(a: PointSet) -> tuple[dict, ...]:
     """Bidegree counts of the bare wedge powers of a, degrees 0..len(a).
 
-    Cached because the planner asks for the same support at every
-    homological position; treat the returned dicts as read-only.
+    Degrees up to len(a) // 2 are deflated from the polygon's for a
+    registered removal candidate and multiplied out point by point for
+    any other support; each higher degree n - t mirrors degree t, an
+    (n - t)-subset being the complement of a t-subset.  Cached because
+    the planner asks for the same support at every homological
+    position; treat the returned dicts as read-only.
     """
-    coeffs: list[dict[Point, int]] = [{(0, 0): 1}]
-    for px, py in a:
-        coeffs.append({})
-        for t in range(len(coeffs) - 2, -1, -1):
-            target = coeffs[t + 1]
-            for (x, y), cnt in coeffs[t].items():
-                key = (x + px, y + py)
-                target[key] = target.get(key, 0) + cnt
-    return tuple(coeffs)
+    n = len(a)
+    half = n // 2
+    source = _CANDIDATES.get(a)
+    if source is not None:
+        full, removed = source
+        low = list(_wedge_layers(full)[:half + 1])
+        for v in removed:
+            low = _deflate(low, v)
+    else:
+        low = [{(0, 0): 1}]
+        for px, py in a:
+            if len(low) <= half:
+                low.append({})
+            for t in range(len(low) - 2, -1, -1):
+                target = low[t + 1]
+                for (x, y), cnt in low[t].items():
+                    key = (x + px, y + py)
+                    target[key] = target.get(key, 0) + cnt
+    sx, sy = sum(x for x, _ in a), sum(y for _, y in a)
+    return tuple(low) + tuple(
+        {(sx - x, sy - y): cnt for (x, y), cnt in low[n - t].items()}
+        for t in range(half + 1, n + 1))
 
 
 def basis_dimension_polynomial(a: PointSet, b: PointSet,
@@ -436,14 +498,23 @@ def basis_dimension_polynomial(a: PointSet, b: PointSet,
     exceeds the support size.
     """
     layers = _wedge_layers(a)
-    if not 0 <= p < len(layers):
+    if not (0 <= p < len(layers) and b):
         return {}
-    conv: dict[Point, int] = {}
-    for (x, y), cnt in layers[p].items():
-        for bx, by in b:
-            key = (x + bx, y + by)
-            conv[key] = conv.get(key, 0) + cnt
-    return conv
+    layer = layers[p]
+    # sums packed y-major into ints, x taken from the least x sum so that
+    # it never carries into y: ints add and hash faster than tuples
+    x0 = min(x for x, _ in layer) + min(x for x, _ in b)
+    width = max(x for x, _ in layer) + max(x for x, _ in b) - x0 + 1
+    shifts = [y * width + x for x, y in b]
+    conv: dict[int, int] = {}
+    get = conv.get
+    for (x, y), cnt in layer.items():
+        base = y * width + x - x0
+        for key in shifts:
+            key += base
+            conv[key] = get(key, 0) + cnt
+    return {(key % width + x0, key // width): cnt
+            for key, cnt in conv.items()}
 
 
 def side_profile(triple: SupportTriple) -> dict[Point, int]:
@@ -499,8 +570,10 @@ def choose_removal(poly: LatticePolygon, strand: str = "b",
                  for pr in pairs]
         for plan in plans:
             verify_plan(poly, plan)
-        return min(plans, key=lambda pl: (peak_for(pl), pl.removed))
-    plans = [RemovalPlan((v,), "single") for v in verts]
+    else:
+        plans = [RemovalPlan((v,), "single") for v in verts]
+    for plan in plans:
+        _register_candidate(poly.points, plan.removed)
     return min(plans, key=lambda pl: (peak_for(pl), pl.removed))
 
 

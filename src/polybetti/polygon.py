@@ -10,7 +10,6 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .linalg import require
@@ -151,19 +150,27 @@ class LatticePolygon:
         return min(xs), min(ys), max(xs), max(ys)
 
     def _row_range(self, y: int) -> tuple[int, int]:
-        xs: list[Fraction] = []
+        """First and last lattice x of row y: the ceiling of the least
+        and the floor of the greatest edge crossing, each crossing
+        px + (y - py)(qx - px)/(qy - py) rounded by integer division."""
+        los: list[int] = []
+        his: list[int] = []
         v = self.vertices
         n = len(v)
         for i in range(n):
             (px, py), (qx, qy) = v[i], v[(i + 1) % n]
             if py == qy:
                 if py == y:
-                    xs.append(Fraction(px))
-                    xs.append(Fraction(qx))
+                    los.append(min(px, qx))
+                    his.append(max(px, qx))
             elif min(py, qy) <= y <= max(py, qy):
-                t = Fraction(y - py, qy - py)
-                xs.append(px + t * (qx - px))
-        return math.ceil(min(xs)), math.floor(max(xs))
+                num = px * (qy - py) + (y - py) * (qx - px)
+                den = qy - py
+                if den < 0:
+                    num, den = -num, -den
+                los.append(-(-num // den))
+                his.append(num // den)
+        return min(los), max(his)
 
     @cached_property
     def points(self) -> PointSet:
@@ -174,7 +181,7 @@ class LatticePolygon:
         for y in range(y0, y1 + 1):
             lo, hi = self._row_range(y)
             out.extend((x, y) for x in range(lo, hi + 1))
-        ps = PointSet.of(out)
+        ps = PointSet(tuple(out))     # rows in turn: already in (y, x) order
         require(self.area2 == 2 * len(ps) - self.boundary_count - 2,
                 "point count disagrees with Pick's formula")
         return ps

@@ -21,12 +21,15 @@ from polybetti.engine import (BlockFailed, EngineOptions, EntryOutcome,
                               effective_plans, options_key, plan_strategy,
                               polygon_key, run_audits, strand_value,
                               verify_kp1)
-from polybetti.koszul import (EMPTY_PLAN, SupportTriple, choose_removal,
+from polybetti.koszul import (EMPTY_PLAN, InvalidPlan, RemovalPlan,
+                              SupportTriple, choose_removal,
                               coboundary_matrix, middle_profile, peak_block,
-                              strand_spec, support_window, wedge_basis)
+                              reduced_supports, strand_spec, support_window,
+                              verify_plan, wedge_basis)
 from polybetti.linalg import ComputeBudget, PrimeModulus
 from polybetti.polygon import (AffineUnimodularMap, from_vertices,
-                               interior_hull, named_polygon, parse_polygon)
+                               interior_hull, named_polygon, order_key,
+                               parse_polygon)
 from polybetti.table import to_json_dict
 
 
@@ -246,6 +249,62 @@ def test_plans_are_made_once_and_only_for_computed_strands(prime):
     for strand in computed:
         choose_removal(poly, strand)
     assert choose_removal.cache_info().misses == len(computed)
+
+
+def removal_candidates(poly):
+    """The plans choose_removal sizes, or the one it takes unsized."""
+    verts = poly.vertices
+    if len(verts) == 3:
+        return {choose_removal(poly)}
+    if len(verts) == 4:
+        return {RemovalPlan(tuple(sorted(pr, key=order_key)), "opposite_pair")
+                for pr in ((verts[0], verts[2]), (verts[1], verts[3]))}
+    return {RemovalPlan((v,), "single") for v in verts}
+
+
+@pytest.mark.parametrize("text", ["-1,-1 2,0 0,2", "1,0 2,0 3,4 0,3",
+                                  "0,0 2,0 3,1 1,3 0,2"])
+def test_a_table_verifies_each_plan_once_and_builds_each_support_once(
+        text, prime):
+    """Routing sizes both strands on its plans, each computed strand
+    sizes its removal candidates, and the entries rank on the chosen
+    one: every plan is verified once and each (plan, twisted, degree)
+    support built once, however many positions share them."""
+    poly = parse_polygon(text)
+    options = EngineOptions(budget=ComputeBudget(max_workers=1))
+    strategy = plan_strategy(poly, prime, options)
+    computed = {ch[-1] for ch in strategy.choices.values()
+                if ch != "shortcut"}
+    assert computed
+    routed = dict(zip("bc", effective_plans(poly, options)))
+    pairs = {(routed[s], s == "c") for s in "bc"} | {
+        (plan, s == "c") for s in computed
+        for plan in removal_candidates(poly)}
+    for cached in (verify_plan, reduced_supports, strand_spec,
+                   choose_removal):
+        cached.cache_clear()
+    betti_table(poly, prime, options)
+    assert verify_plan.cache_info().misses == len({pl for pl, _ in pairs})
+    assert reduced_supports.cache_info().misses == 3 * len(pairs)
+    # a second table plans nothing anew
+    misses = [f.cache_info().misses for f in (verify_plan, reduced_supports,
+                                               strand_spec)]
+    betti_table(poly, prime, options)
+    assert [f.cache_info().misses for f in (verify_plan, reduced_supports,
+                                             strand_spec)] == misses
+
+
+def test_an_invalid_plan_fails_every_time():
+    """A cache must never hold a plan it did not verify."""
+    square = parse_polygon("0,0 1,0 1,1 0,1")
+    bad = RemovalPlan(((0, 0), (1, 0)), "opposite_pair")
+    for _ in range(2):
+        with pytest.raises(InvalidPlan):
+            verify_plan(square, bad)
+        with pytest.raises(InvalidPlan):
+            reduced_supports(square, bad, False, 1)
+        with pytest.raises(InvalidPlan):
+            strand_spec(square, "b", 1, bad)
 
 
 @pytest.mark.parametrize("name", ["Upsilon_2", "2*Upsilon"])

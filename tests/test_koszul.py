@@ -1,17 +1,25 @@
 """Koszul coboundary complexes, removal plans, and regularity tests."""
 from __future__ import annotations
 
+import json
 import random
 from itertools import combinations, permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conftest import REFERENCE_TABLES
 from entry_blocks import to_dense
+from polybetti.corpus import build_corpus, removal_corpus
 from polybetti.engine import BlockTask
 from polybetti.koszul import (EMPTY_PLAN, ComplexSpec, InvalidPlan,
                               NotInPolygon, RemovalPlan, SupportTriple,
-                              _mask_layer, choose_removal, coboundary_matrix,
+                              _deflate, _mask_layer, _register_candidate,
+                              _wedge_layers, basis_dimension_polynomial,
+                              choose_removal, coboundary_matrix,
                               enumerate_bidegrees, middle_profile,
                               pair_criterion_by_enumeration, peak_block,
                               reduced_supports, regular_pair, regular_triple,
@@ -412,3 +420,103 @@ def test_support_window_contains_all_nonzero_bidegrees():
     out = compute_c(poly, 2, prime)
     window = support_window(poly, 1, 1, twisted=True)
     assert all(ab in window for ab, v in out.bigraded.items() if v)
+
+
+def product_layers(points) -> list[dict]:
+    """Wedge-layer counts multiplied out one point at a time: the
+    reference deflated layers must equal."""
+    layers = [{(0, 0): 1}]
+    for px, py in points:
+        grown = [dict(layer) for layer in layers] + [{}]
+        for t, layer in enumerate(layers):
+            for (x, y), cnt in layer.items():
+                key = (x + px, y + py)
+                grown[t + 1][key] = grown[t + 1].get(key, 0) + cnt
+        layers = grown
+    return layers
+
+
+def deflated(full: PointSet, removed) -> list[dict]:
+    """Every layer deflated: the division is exact, so the top degree
+    of each quotient comes out empty."""
+    layers = product_layers(full)
+    for v in removed:
+        *layers, top = _deflate(layers, v)
+        assert top == {}
+    return layers
+
+
+@given(st.sets(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+               min_size=2, max_size=12), st.data())
+def test_deflated_layers_equal_the_product(pts, data):
+    full = PointSet.of(pts)
+    k = data.draw(st.integers(1, min(3, len(full) - 1)))
+    removed = data.draw(st.permutations(full.points))[:k]
+    assert deflated(full, removed) == product_layers(
+        full.difference(removed))
+    assert list(_wedge_layers(full)) == product_layers(full)
+
+
+small_sets = st.sets(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+                    max_size=7).map(PointSet.of)
+
+
+@given(small_sets, small_sets, st.integers(-1, 8))
+def test_dimension_counts_match_enumeration(a, b, p):
+    want: dict = {}
+    for combo in combinations(a.points, p) if p >= 0 else ():
+        x, y = sum(q[0] for q in combo), sum(q[1] for q in combo)
+        for bx, by in b:
+            want[(x + bx, y + by)] = want.get((x + bx, y + by), 0) + 1
+    assert basis_dimension_polynomial(a, b, p) == want
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_TABLES))
+def test_model_layers_deflate_to_the_product(name):
+    """Every model's support with one, two and three points removed,
+    the vertices first: deflated and multiplied-out counts agree at
+    every degree, and so do the layers a registered removal candidate
+    gets from _wedge_layers."""
+    poly = named_polygon(name)
+    full = poly.points
+    assert list(_wedge_layers(full)) == product_layers(full)
+    rng = random.Random(name)
+    for k in range(1, min(3, len(full) - 1) + 1):
+        for removed in (poly.vertices[:k],
+                        tuple(rng.sample(full.points, k))):
+            reduced = full.difference(removed)
+            expected = product_layers(reduced)
+            assert deflated(full, removed) == expected
+            _register_candidate(full, removed)
+            _wedge_layers.cache_clear()
+            assert list(_wedge_layers(reduced)) == expected
+
+
+def seeded_shapes(per_shape=6):
+    """Seeded quadrilaterals, pentagons and hexagons."""
+    drawn = build_corpus(1919, 600, n_min=6, n_max=12, box=5,
+                         max_vertices=8)
+    return [poly for k in (4, 5, 6)
+            for poly in [q for q in drawn if len(q.vertices) == k][:per_shape]]
+
+
+def test_choose_removal_plans_are_frozen():
+    """The plan is written into the checkpoint header, so it must not
+    move: tests/data/removal_plans.json holds the plans of every
+    removal_corpus() polygon and of the seeded shapes as sized on
+    multiplied-out layers, and the deflated sizing picks the same."""
+    frozen = json.loads((Path(__file__).parent / "data" /
+                         "removal_plans.json").read_text())
+    polys = removal_corpus() + seeded_shapes()
+    assert [rec["vertices"] for rec in frozen] == [
+        [list(v) for v in poly.vertices] for poly in polys]
+    for warm in (False, True):
+        choose_removal.cache_clear()
+        _wedge_layers.cache_clear()
+        for rec, poly in zip(frozen, polys):
+            if warm:    # the full layers cached, as routing leaves them
+                _wedge_layers(poly.points)
+            for strand in "bc":
+                want = RemovalPlan(tuple(map(tuple, rec[strand]["removed"])),
+                                   rec[strand]["certificate"])
+                assert choose_removal(poly, strand) == want, poly.vertices

@@ -6,11 +6,12 @@ import pickle
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from polybetti.linalg import InvariantViolation
 from polybetti.polygon import (AffineUnimodularMap, DimensionError,
-                               PointSet, canonical_form, classify,
+                               LatticePolygon, PointSet, canonical_form, classify,
                                convex_hull, dilate, from_vertices,
                                interior_hull, lattice_width, lawrence_prism,
                                named_polygon, parse_polygon, prune_vertex,
@@ -265,3 +266,39 @@ def test_area_scaling():
     for d in (1, 2, 3):
         assert dilate(base, d).area2 == d * d * base.area2
         assert math.isqrt(dilate(base, d).area2 // 3) == d
+
+
+def scanned_points(poly) -> list:
+    """Lattice points by a containment test over the whole bounding box,
+    in (y, x) order."""
+    x0, y0, x1, y1 = poly.bbox
+    return [(x, y) for y in range(y0, y1 + 1) for x in range(x0, x1 + 1)
+            if poly.contains((x, y))]
+
+
+# horizontal edges, negative coordinates, non-primitive and steep edges
+ROW_SHAPES = ["-3,-2 3,-2 3,1 -3,1", "-4,-1 2,-1 0,3", "-5,-3 1,-4 4,2 -2,3",
+              "0,0 6,0 0,4", "-1,-5 0,-5 1,4", "-7,2 -1,-3 2,-3 2,1"]
+
+
+@pytest.mark.parametrize("text", ROW_SHAPES)
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_row_bounds_match_a_containment_scan(text, q):
+    poly = dilate(parse_polygon(text), q)
+    assert list(poly.points) == scanned_points(poly)
+
+
+@given(st.lists(st.tuples(st.integers(-9, 6), st.integers(-9, 6)),
+                min_size=3, max_size=8), st.integers(1, 3))
+def test_row_bounds_match_a_containment_scan_at_random(pts, q):
+    poly = polygon_from(pts)
+    assume(poly is not None)
+    big = dilate(poly, q)
+    assert list(big.points) == scanned_points(big)
+
+
+def test_points_still_check_picks_formula():
+    poly = LatticePolygon(((-3, -2), (3, -2), (3, 1), (-3, 1)))
+    poly.__dict__["boundary_count"] = poly.boundary_count + 2
+    with pytest.raises(InvariantViolation, match="Pick"):
+        poly.points
