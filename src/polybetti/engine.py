@@ -137,15 +137,15 @@ def _block_key(rec: dict) -> tuple[str, int, Point]:
     return rec["strand"], rec["ell"], tuple(rec["bidegree"])
 
 
-def _bidegree_actions(poly: LatticePolygon, plan: RemovalPlan,
+def _bidegree_actions(poly: LatticePolygon, removed: tuple[Point, ...],
                       translate_degree: int):
-    """Bidegree maps induced by the polygon symmetries compatible with
-    the removal plan: the linear part acts directly, the shift acts
-    once per tensor factor."""
-    removed = set(plan.removed)
+    """Bidegree maps induced by the polygon symmetries that permute the
+    removed points: the linear part acts directly, the shift acts once
+    per tensor factor."""
+    gone = set(removed)
     actions = []
     for psi in symmetry_group(poly):
-        if removed and {psi(p) for p in removed} != removed:
+        if gone and {psi(p) for p in gone} != gone:
             continue
         (m00, m01), (m10, m11) = psi.matrix
         tx, ty = psi.shift
@@ -224,29 +224,30 @@ class EntryOutcome:
 
 
 def _orbit_cohomology(poly: LatticePolygon, spec: ComplexSpec,
-                      prime: PrimeModulus, plan: RemovalPlan, *,
-                      rank_left: bool = False,
+                      prime: PrimeModulus, *, rank_left: bool = False,
                       use_symmetry: bool = True,
                       budget: ComputeBudget | None = None,
                       store: AppendLog | None = None) -> EntryOutcome:
     """Middle cohomology of spec as a sum of per-bidegree kernel
     dimensions, ranked in one batch, one block per symmetry orbit of
-    the nonzero middle bidegrees (one orbit each when symmetry is off).
+    the nonzero middle bidegrees (one orbit each when symmetry is off),
+    under the symmetries that permute the points spec removes.
 
     The outgoing coboundary is always reduced.  The incoming map is
-    ranked only when rank_left; otherwise it is injective and its
-    wedge-space dimension is subtracted instead.  A block whose ranks
-    are all zero modulo p is trivial, and an entry of trivial blocks is
-    exact.  A finished block is one record (spec's strand and ell,
-    bidegree, orbit_size, cols and the outgoing rank), looked up in and
-    appended to store, keyed by _block_key; when blocks fail, every
-    block that finished is appended before the first failure is raised.
+    ranked only when rank_left, as the audit's mirror complexes need;
+    otherwise it is injective and its wedge-space dimension is
+    subtracted instead.  A block whose ranks are all zero modulo p is
+    trivial, and an entry of trivial blocks is exact.  A finished block
+    is one record (spec's strand and ell, bidegree, orbit_size, cols and
+    the outgoing rank), looked up in and appended to store, keyed by
+    _block_key; when blocks fail, every block that finished is appended
+    before the first failure is raised.
     """
     strand, ell = spec.strand, spec.ell
     profile = middle_profile(spec)
     bidegs = [ab for ab in sorted(profile, key=order_key) if profile[ab] > 0]
     parts = (_orbit_partition(bidegs, _bidegree_actions(
-        poly, plan, spec.translate_degree)) if use_symmetry
+        poly, spec.removed, spec.translate_degree)) if use_symmetry
         else [(ab, (ab,)) for ab in bidegs])
     rows, left = target_profile(spec.right), side_profile(spec.left)
     require(strand != "c" or not left, "twisted degree-0 term not empty")
@@ -316,40 +317,23 @@ def strand_value(poly: LatticePolygon, strand: str, ell: int,
     the injective incoming map instead of its rank; row two has no
     incoming term at all."""
     spec = strand_spec(poly, strand, ell, plan)
-    return _orbit_cohomology(poly, spec, prime, plan,
-                             use_symmetry=use_symmetry, budget=budget,
-                             store=store)
+    return _orbit_cohomology(poly, spec, prime, use_symmetry=use_symmetry,
+                             budget=budget, store=store)
 
 
-def spec_cohomology(poly: LatticePolygon, spec: ComplexSpec,
-                    prime: PrimeModulus, *, use_symmetry: bool = True,
-                    budget: ComputeBudget | None = None) -> EntryOutcome:
-    """Middle cohomology of an arbitrary three-term complex, computing
-    both coboundary ranks honestly (audit path, no shortcuts)."""
-    if use_symmetry:
-        require(spec.wedge_support == poly.points,
-                "audit complexes run on unreduced supports")
-    return _orbit_cohomology(poly, spec, prime, EMPTY_PLAN, rank_left=True,
-                             use_symmetry=use_symmetry, budget=budget)
-
-
-def compute_b(poly: LatticePolygon, ell: int, prime: PrimeModulus,
-              plan: RemovalPlan = EMPTY_PLAN, *, use_symmetry: bool = True,
+def compute_b(poly: LatticePolygon, ell: int, prime: PrimeModulus, *,
               budget: ComputeBudget | None = None) -> EntryOutcome:
     """Row-one entry at one position, computed directly."""
-    return strand_value(poly, "b", ell, prime, plan,
-                        use_symmetry=use_symmetry, budget=budget)
+    return strand_value(poly, "b", ell, prime, budget=budget)
 
 
-def compute_c(poly: LatticePolygon, ell: int, prime: PrimeModulus,
-              plan: RemovalPlan = EMPTY_PLAN, *, use_symmetry: bool = True,
+def compute_c(poly: LatticePolygon, ell: int, prime: PrimeModulus, *,
               budget: ComputeBudget | None = None) -> EntryOutcome:
     """Row-two entry at one position, computed directly; zero when the
     interior is empty."""
     if not interior_hull(poly).points:
         return EntryOutcome(0, True, {})
-    return strand_value(poly, "c", ell, prime, plan,
-                        use_symmetry=use_symmetry, budget=budget)
+    return strand_value(poly, "c", ell, prime, budget=budget)
 
 
 @dataclass
@@ -662,8 +646,8 @@ def audit_duality(poly: LatticePolygon, prime: PrimeModulus,
     must agree with the direct route, given as _direct_entries."""
     issues = []
     for ell in range(1, poly.n_points - 2):
-        mirror = spec_cohomology(poly, twisted_quadratic_spec(poly, ell),
-                                 prime, budget=budget)
+        mirror = _orbit_cohomology(poly, twisted_quadratic_spec(poly, ell),
+                                   prime, rank_left=True, budget=budget)
         value = direct[("b", ell)].value
         if value != mirror.value:
             issues.append(f"row-one entry {ell}: direct {value} vs "

@@ -33,17 +33,23 @@ class SupportTriple:
 
     A wedge degree beyond the support size is allowed and denotes the
     zero space; point removal shrinks the support, so top positions
-    land there."""
+    land there.  ``removed`` lists the polygon points left out of the
+    wedge support, whose layer counts deflate from the full support's."""
 
     wedge_support: PointSet
     source_support: PointSet
     target_support: PointSet
     wedge_degree: int
+    removed: tuple[Point, ...] = ()
 
     def __post_init__(self):
         if self.wedge_degree < 0:
             raise ValueError(
                 f"wedge degree {self.wedge_degree} must be nonnegative")
+        # deflation divides out one factor per removed point, so a point
+        # also in the support would be merged into it, not divided out
+        require(not any(p in self.wedge_support for p in self.removed),
+                "removed points overlap the wedge support")
 
 
 @dataclass(frozen=True)
@@ -65,7 +71,8 @@ class ComplexSpec:
     translate_degree: int
 
     def __post_init__(self):
-        require(self.left.wedge_support == self.right.wedge_support,
+        require((self.left.wedge_support, self.left.removed)
+                == (self.right.wedge_support, self.right.removed),
                 "the two maps use different wedge supports")
         require(self.left.target_support == self.right.source_support,
                 "the left map does not land in the middle term")
@@ -75,6 +82,10 @@ class ComplexSpec:
     @property
     def wedge_support(self) -> PointSet:
         return self.left.wedge_support
+
+    @property
+    def removed(self) -> tuple[Point, ...]:
+        return self.left.removed
 
 
 @dataclass(frozen=True)
@@ -258,8 +269,8 @@ def strand_spec(poly: LatticePolygon, strand: str, ell: int,
               else dilate_hull(poly.vertices, ell + 1))
     return ComplexSpec(
         strand=strand, ell=ell,
-        left=SupportTriple(a, s0, s1, top),
-        right=SupportTriple(a, s1, s2, top - 1),
+        left=SupportTriple(a, s0, s1, top, plan.removed),
+        right=SupportTriple(a, s1, s2, top - 1, plan.removed),
         region=region,
         translate_degree=top)
 
@@ -421,21 +432,6 @@ def coboundary_matrix(spec: ComplexSpec, ab: Point, prime: PrimeModulus,
     return SparseMatrixFp(len(row_masks), j, rows, col_rows, prime)
 
 
-# Removal candidates choose_removal sizes: each wedge support mapped to
-# the polygon's full support and the points removed from it.  Routing
-# under "auto" has the full layers of every non-triangle cached, so a
-# candidate's layers divide out one factor per removed point instead of
-# multiplying one factor per remaining point.  Holds at most as many
-# supports as _wedge_layers' cache.
-_CANDIDATES: dict[PointSet, tuple[PointSet, tuple[Point, ...]]] = {}
-
-
-def _register_candidate(full: PointSet, removed: tuple[Point, ...]) -> None:
-    _CANDIDATES[full.difference(removed)] = (full, removed)
-    if len(_CANDIDATES) > 64:
-        del _CANDIDATES[next(iter(_CANDIDATES))]
-
-
 def _deflate(low: list[dict], v: Point) -> list[dict]:
     """Layers of a support, degree by degree, from the same degrees of
     the support with v added: the product divided by (1 + z s^v), whose
@@ -456,22 +452,24 @@ def _deflate(low: list[dict], v: Point) -> list[dict]:
 
 
 @lru_cache(maxsize=64)
-def _wedge_layers(a: PointSet) -> tuple[dict, ...]:
+def _wedge_layers(a: PointSet, removed: tuple[Point, ...]
+                  ) -> tuple[dict, ...]:
     """Bidegree counts of the bare wedge powers of a, degrees 0..len(a).
 
-    Degrees up to len(a) // 2 are deflated from the polygon's for a
-    registered removal candidate and multiplied out point by point for
-    any other support; each higher degree n - t mirrors degree t, an
-    (n - t)-subset being the complement of a t-subset.  Cached because
-    the planner asks for the same support at every homological
-    position; treat the returned dicts as read-only.
+    Degrees up to len(a) // 2 are deflated, one removed point at a
+    time, from those of the full support a ∪ removed, which every
+    removal candidate and position shares; with nothing removed they
+    are multiplied out point by point.  Each higher degree n - t mirrors
+    degree t, an (n - t)-subset being the complement of a t-subset.
+    Cached because the planner asks for the same support at every
+    homological position; treat the returned dicts as read-only.  The
+    cache keys a call without removed apart, so always pass it.
     """
     n = len(a)
     half = n // 2
-    source = _CANDIDATES.get(a)
-    if source is not None:
-        full, removed = source
-        low = list(_wedge_layers(full)[:half + 1])
+    if removed:
+        full = PointSet.of(a.points + removed)
+        low = list(_wedge_layers(full, ())[:half + 1])
         for v in removed:
             low = _deflate(low, v)
     else:
@@ -490,14 +488,16 @@ def _wedge_layers(a: PointSet) -> tuple[dict, ...]:
         for t in range(half + 1, n + 1))
 
 
-def basis_dimension_polynomial(a: PointSet, b: PointSet,
-                               p: int) -> dict[Point, int]:
+def basis_dimension_polynomial(a: PointSet, b: PointSet, p: int,
+                               removed: tuple[Point, ...] = ()
+                               ) -> dict[Point, int]:
     """Bidegree dimension counts of the p-wedge tensor space over a with
     coefficients in b: the degree-p coefficient of the product
     generating polynomial.  Empty, the zero space, when p is negative or
-    exceeds the support size.
+    exceeds the support size.  removed, the points a lacks, lets its
+    layers deflate from the full support's.
     """
-    layers = _wedge_layers(a)
+    layers = _wedge_layers(a, removed)
     if not (0 <= p < len(layers) and b):
         return {}
     layer = layers[p]
@@ -521,14 +521,14 @@ def side_profile(triple: SupportTriple) -> dict[Point, int]:
     """Per-bidegree column count of one map: the dimension of its source."""
     return basis_dimension_polynomial(triple.wedge_support,
                                       triple.source_support,
-                                      triple.wedge_degree)
+                                      triple.wedge_degree, triple.removed)
 
 
 def target_profile(triple: SupportTriple) -> dict[Point, int]:
     """Per-bidegree row count of one map: the dimension of its target."""
     return basis_dimension_polynomial(triple.wedge_support,
                                       triple.target_support,
-                                      triple.wedge_degree - 1)
+                                      triple.wedge_degree - 1, triple.removed)
 
 
 def middle_profile(spec: ComplexSpec) -> dict[Point, int]:
@@ -542,24 +542,18 @@ def peak_block(spec: ComplexSpec) -> int:
 
 
 @lru_cache(maxsize=None)
-def choose_removal(poly: LatticePolygon, strand: str = "b",
-                   ell: int | None = None) -> RemovalPlan:
+def choose_removal(poly: LatticePolygon, strand: str = "b") -> RemovalPlan:
     """Best exact removal the geometry allows.
 
     Triangles give up their three vertices; quadrangles one diagonal
     pair; anything else a single vertex.  Ties are broken by the
-    predicted size of the largest middle bidegree block, peak memory
-    being the binding constraint, then by point order.  Cached like the
-    other per-polygon geometry, so a (polygon, strand) asked for
-    positionally is planned once.
+    predicted size of the largest middle bidegree block at the middle
+    position, peak memory being the binding constraint, then by point
+    order.  Cached like the other per-polygon geometry, so a (polygon,
+    strand) asked for positionally is planned once.
     """
     verts = poly.vertices
-    if ell is None:
-        ell = max(1, (poly.n_points - 2) // 2)
-
-    def peak_for(plan: RemovalPlan) -> int:
-        return peak_block(strand_spec(poly, strand, ell, plan))
-
+    ell = max(1, (poly.n_points - 2) // 2)
     if len(verts) == 3:
         plan = RemovalPlan(tuple(sorted(verts, key=order_key)), "triangle")
         verify_plan(poly, plan)
@@ -572,9 +566,8 @@ def choose_removal(poly: LatticePolygon, strand: str = "b",
             verify_plan(poly, plan)
     else:
         plans = [RemovalPlan((v,), "single") for v in verts]
-    for plan in plans:
-        _register_candidate(poly.points, plan.removed)
-    return min(plans, key=lambda pl: (peak_for(pl), pl.removed))
+    return min(plans, key=lambda pl: (
+        peak_block(strand_spec(poly, strand, ell, pl)), pl.removed))
 
 
 def support_window(poly: LatticePolygon, p: int, q: int,

@@ -599,13 +599,28 @@ def named_polygon(name: str) -> LatticePolygon:
     return upsilon_triangle(mult)
 
 
+def _coordinate(value) -> int:
+    """A JSON coordinate as an int: integers, integral floats and integer
+    strings pass; bools, nulls and fractions are refused, not coerced."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float, str))
+            or isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"coordinate {value!r} is not an integer")
+    return int(value)
+
+
 def parse_polygon(text: str) -> LatticePolygon:
-    """Polygon from JSON {"vertices": [[x, y], ...]} or inline "x,y x,y ..."."""
+    """Polygon from JSON {"vertices": [[x, y], ...]} or inline "x,y x,y ...".
+    Malformed input of either form raises ValueError."""
     text = text.strip()
     if text.startswith("{"):
-        data = json.loads(text)
-        verts = data["vertices"]
-        pts = [(int(x), int(y)) for x, y in verts]
+        verts = json.loads(text)["vertices"]
+        if not isinstance(verts, list):
+            raise ValueError("vertices must be a list of [x, y] pairs")
+        pts = []
+        for v in verts:
+            if not (isinstance(v, list) and len(v) == 2):
+                raise ValueError(f"vertex {v!r} is not an [x, y] pair")
+            pts.append((_coordinate(v[0]), _coordinate(v[1])))
     else:
         pts = []
         for chunk in text.replace(";", " ").split():

@@ -89,6 +89,10 @@ def test_table_accepts_vertices_and_files(runner, tmp_path):
     path.write_text('{"vertices": [[0, 0], [2, 0], [0, 2]]}')
     from_file = invoke(runner, "table", "--file", str(path))
     assert from_file.stdout == named.stdout
+    # integral coordinates in other JSON types parse as before
+    path.write_text('{"vertices": [[0, 0], [2.0, 0], [0, "2"]]}')
+    assert invoke(runner, "table", "--file", str(path)).stdout \
+        == named.stdout
 
 
 @pytest.mark.parametrize("args", [
@@ -112,6 +116,12 @@ def test_table_accepts_vertices_and_files(runner, tmp_path):
     # a leading dict is the environment of the run
     ({"BETTI_WORKERS": "abc"}, "oracle-check", "--model", "Upsilon"),
     ({"BETTI_WORKERS": "-1"}, "oracle-check", "--model", "Upsilon"),
+    # malformed vertex JSON: neither a traceback nor a truncated coordinate
+    ("table", "--vertices", '{"vertices": [0, 1, 2]}'),
+    ("table", "--vertices", '{"vertices": [[0, 0], [2, 0], [0, null]]}'),
+    ("table", "--vertices", '{"vertices": [[0, 0], [2.7, 0], [0, 2]]}'),
+    ("table", "--vertices", '{"vertices": [[0, 0], [true, 0], [0, 2]]}'),
+    ("table", "--vertices", '{"vertices": "0,0 2,0 0,2"}'),
 ])
 def test_invalid_input_exits_2(runner, args):
     env, cmd = (args[0], args[1:]) if isinstance(args[0], dict) else ({}, args)
@@ -510,6 +520,23 @@ def test_verify_kp1_campaign(runner, tmp_path):
     assert "verdict=holds" in r.stdout
     assert "degenerate.txt: error:" in r.stdout
     assert "garbage.txt: error:" in r.stdout
+
+
+def test_verify_kp1_logs_a_malformed_file_and_continues(runner, tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name, verts in (("a", "[0, 0], [3, 0], [0, 3]"),
+                        ("b", "[0, 0], [2.7, 0], [0, 2]"),
+                        ("c", "[-2, -2], [2, 0], [0, 2]")):
+        (corpus / f"{name}.json").write_text(f'{{"vertices": [{verts}]}}')
+    r = invoke(runner, "verify-kp1", str(corpus))
+    assert r.exit_code == 0
+    lines = r.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines[:3]] == [
+        "a.json", "b.json", "c.json"]
+    assert lines[1] == ("b.json: error: ValueError: coordinate 2.7 is not "
+                        "an integer")
+    assert lines[3] == "polygons: 3  error=1  holds=2"
 
 
 def test_verify_kp1_resume_is_byte_identical(runner, tmp_path):

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from conftest import REFERENCE_TABLES
-from polybetti import engine, linalg
+from polybetti import engine, koszul, linalg
 from polybetti.corpus import build_corpus, kp1_corpus, removal_corpus
 from polybetti.engine import (BlockFailed, EngineOptions, EntryOutcome,
                               Kp1Report, _bidegree_actions,
@@ -294,6 +294,37 @@ def test_a_table_verifies_each_plan_once_and_builds_each_support_once(
                                              strand_spec)] == misses
 
 
+@pytest.mark.parametrize("text", ["4*Sigma", "0,0 2,0 3,1 1,3 0,2"])
+def test_a_table_deflates_each_reduced_support_from_the_full_one(
+        text, prime, monkeypatch):
+    """From cold caches, a table builds the full support's layers once
+    and deflates every reduced support it sizes or ranks once per
+    removed point: triangles' corners and the pentagon's single
+    candidates alike, with nothing registered beforehand."""
+    poly = named_polygon(text) if "*" in text else parse_polygon(text)
+    real_layers, real_deflate = koszul._wedge_layers, koszul._deflate
+    asked, deflated = set(), []
+
+    def layers(a, removed):
+        asked.add((a, removed))
+        return real_layers(a, removed)
+
+    def deflate(low, v):
+        deflated.append(v)
+        return real_deflate(low, v)
+
+    monkeypatch.setattr(koszul, "_wedge_layers", layers)
+    monkeypatch.setattr(koszul, "_deflate", deflate)
+    for cached in (real_layers, choose_removal, strand_spec):
+        cached.cache_clear()
+    betti_table(poly, prime,
+                EngineOptions(budget=ComputeBudget(max_workers=1)))
+    assert [a for a, removed in asked if not removed] == [poly.points]
+    assert real_layers.cache_info().misses == len(asked)
+    assert deflated
+    assert len(deflated) == sum(len(removed) for _, removed in asked)
+
+
 def test_an_invalid_plan_fails_every_time():
     """A cache must never hold a plan it did not verify."""
     square = parse_polygon("0,0 1,0 1,1 0,1")
@@ -324,7 +355,7 @@ def test_symmetry_orbit_counts_frozen():
     prof = middle_profile(spec)
     bidegs = [ab for ab, v in prof.items() if v > 0]
     assert len(bidegs) == 15
-    actions = _bidegree_actions(poly, EMPTY_PLAN, spec.translate_degree)
+    actions = _bidegree_actions(poly, (), spec.translate_degree)
     assert len(actions) == 6
     orbits = _orbit_partition(bidegs, actions)
     assert sorted(len(members) for _, members in orbits) == [3, 3, 3, 6]
@@ -495,15 +526,19 @@ except InvariantViolation as exc:
 """
 
 
-def test_invariant_checks_survive_python_O():
-    b, c = REFERENCE_TABLES["2*Sigma"]
+def run_optimized(code: str) -> list[str]:
+    """The lines code prints when run under python -O."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = {**os.environ, "PYTHONPATH": src}
-    run = subprocess.run(
-        [sys.executable, "-O", "-c", _BUMPED_TABLE_CHECK.format(b=b, c=c)],
-        capture_output=True, text=True, env=env, timeout=120)
+    run = subprocess.run([sys.executable, "-O", "-c", code],
+                         capture_output=True, text=True, env=env, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines() == [
+    return run.stdout.splitlines()
+
+
+def test_invariant_checks_survive_python_O():
+    b, c = REFERENCE_TABLES["2*Sigma"]
+    assert run_optimized(_BUMPED_TABLE_CHECK.format(b=b, c=c)) == [
         "optimized: True",
         "raised: antidiagonal difference violated at 1"]
 
@@ -528,14 +563,33 @@ except InvariantViolation as exc:
 
 
 def test_complex_spec_check_survives_python_O():
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = {**os.environ, "PYTHONPATH": src}
-    run = subprocess.run([sys.executable, "-O", "-c", _BAD_SPEC_CHECK],
-                         capture_output=True, text=True, env=env, timeout=120)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines() == [
+    assert run_optimized(_BAD_SPEC_CHECK) == [
         "optimized: True True",
         "raised: wedge degrees do not step down by one"]
+
+
+_OVERLAP_CHECK = """
+from polybetti.koszul import SupportTriple
+from polybetti.linalg import InvariantViolation
+from polybetti.polygon import named_polygon
+
+pts = named_polygon("2*Sigma").points
+reduced = pts.difference([(0, 0)])
+print("optimized:", not __debug__)
+SupportTriple(reduced, pts, pts, 2, ((0, 0),))
+try:
+    SupportTriple(reduced, pts, pts, 2, ((0, 0), (1, 0)))
+except InvariantViolation as exc:
+    print("raised:", exc)
+"""
+
+
+def test_removal_overlap_check_survives_python_O():
+    """Deflation divides out each removed point, so a triple whose
+    removed points are still in its wedge support is refused."""
+    assert run_optimized(_OVERLAP_CHECK) == [
+        "optimized: True",
+        "raised: removed points overlap the wedge support"]
 
 
 def test_one_pool_per_table_joined_before_return(opened_pools, prime,

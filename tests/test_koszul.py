@@ -17,8 +17,8 @@ from polybetti.corpus import build_corpus, removal_corpus
 from polybetti.engine import BlockTask
 from polybetti.koszul import (EMPTY_PLAN, ComplexSpec, InvalidPlan,
                               NotInPolygon, RemovalPlan, SupportTriple,
-                              _deflate, _mask_layer, _register_candidate,
-                              _wedge_layers, basis_dimension_polynomial,
+                              _deflate, _mask_layer, _wedge_layers,
+                              basis_dimension_polynomial,
                               choose_removal, coboundary_matrix,
                               enumerate_bidegrees, middle_profile,
                               pair_criterion_by_enumeration, peak_block,
@@ -190,7 +190,7 @@ def _assembly_specs():
         yield spec_for(named_polygon(name), kind, ell)
     for name, strand, ell, certificate in REDUCED_CASES:
         poly = (named_polygon(name) if "*" in name else parse_polygon(name))
-        plan = choose_removal(poly, strand, ell)
+        plan = choose_removal(poly, strand)
         assert plan.certificate == certificate
         yield strand_spec(poly, strand, ell, plan)
 
@@ -323,7 +323,7 @@ def test_triple_removal_is_order_independent():
 
 def test_removal_shrinks_supports_and_keeps_exactness_data():
     poly = named_polygon("3*Sigma")
-    plan = choose_removal(poly, "b", 3)
+    plan = choose_removal(poly, "b")
     assert plan.certificate == "triangle"
     assert set(plan.removed) == set(poly.vertices)
     full = strand_spec(poly, "b", 3)
@@ -389,7 +389,7 @@ def test_quotient_gives_the_same_profile_totals():
     # removal changes block shapes, not the cohomology; as a cheap proxy
     # check the Euler characteristic per bidegree region stays consistent
     poly = named_polygon("2*Sigma")
-    plan = choose_removal(poly, "b", 2)
+    plan = choose_removal(poly, "b")
     full = strand_spec(poly, "b", 2)
     red = strand_spec(poly, "b", 2, plan)
 
@@ -451,10 +451,11 @@ def deflated(full: PointSet, removed) -> list[dict]:
 def test_deflated_layers_equal_the_product(pts, data):
     full = PointSet.of(pts)
     k = data.draw(st.integers(1, min(3, len(full) - 1)))
-    removed = data.draw(st.permutations(full.points))[:k]
-    assert deflated(full, removed) == product_layers(
-        full.difference(removed))
-    assert list(_wedge_layers(full)) == product_layers(full)
+    removed = tuple(data.draw(st.permutations(full.points))[:k])
+    reduced = product_layers(full.difference(removed))
+    assert deflated(full, removed) == reduced
+    assert list(_wedge_layers(full, ())) == product_layers(full)
+    assert list(_wedge_layers(full.difference(removed), removed)) == reduced
 
 
 small_sets = st.sets(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
@@ -475,11 +476,11 @@ def test_dimension_counts_match_enumeration(a, b, p):
 def test_model_layers_deflate_to_the_product(name):
     """Every model's support with one, two and three points removed,
     the vertices first: deflated and multiplied-out counts agree at
-    every degree, and so do the layers a registered removal candidate
-    gets from _wedge_layers."""
+    every degree, and so do the layers _wedge_layers deflates for the
+    reduced support and its removed points, from a cold cache."""
     poly = named_polygon(name)
     full = poly.points
-    assert list(_wedge_layers(full)) == product_layers(full)
+    assert list(_wedge_layers(full, ())) == product_layers(full)
     rng = random.Random(name)
     for k in range(1, min(3, len(full) - 1) + 1):
         for removed in (poly.vertices[:k],
@@ -487,9 +488,8 @@ def test_model_layers_deflate_to_the_product(name):
             reduced = full.difference(removed)
             expected = product_layers(reduced)
             assert deflated(full, removed) == expected
-            _register_candidate(full, removed)
             _wedge_layers.cache_clear()
-            assert list(_wedge_layers(reduced)) == expected
+            assert list(_wedge_layers(reduced, removed)) == expected
 
 
 def seeded_shapes(per_shape=6):
@@ -515,7 +515,7 @@ def test_choose_removal_plans_are_frozen():
         _wedge_layers.cache_clear()
         for rec, poly in zip(frozen, polys):
             if warm:    # the full layers cached, as routing leaves them
-                _wedge_layers(poly.points)
+                _wedge_layers(poly.points, ())
             for strand in "bc":
                 want = RemovalPlan(tuple(map(tuple, rec[strand]["removed"])),
                                    rec[strand]["certificate"])
