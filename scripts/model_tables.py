@@ -9,7 +9,7 @@ import argparse
 import time
 
 from polybetti.engine import EngineOptions, betti_table
-from polybetti.linalg import ComputeBudget, worker_pool
+from polybetti.linalg import DEFAULT_PRIME, ComputeBudget, worker_pool
 from polybetti.polygon import named_polygon
 from polybetti.table import render_ascii
 
@@ -20,7 +20,7 @@ STRETCH = ["5*Sigma"]
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--prime", type=int, default=40009)
+    ap.add_argument("--prime", type=int, default=DEFAULT_PRIME)
     ap.add_argument("--quick", action="store_true",
                     help="skip the largest model")
     ap.add_argument("--workers", type=int, default=None)

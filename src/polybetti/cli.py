@@ -25,8 +25,8 @@ from .closed_forms import (EmptyInterior, PathologicalPolygon, cg_lower_bound,
                            six_easy_entries, veronese_prediction_entries)
 from .engine import (AppendLog, EngineOptions, betti_table, block_dimensions,
                      polygon_key, run_audits, verify_kp1)
-from .linalg import (ComputeBudget, PrimeModulus, ResourceExceeded,
-                     require, worker_pool)
+from .linalg import (DEFAULT_PRIME, ComputeBudget, PrimeModulus,
+                     ResourceExceeded, require, worker_pool)
 from .polygon import (LatticePolygon, classify, interior_hull, lattice_width,
                       named_polygon, parse_polygon)
 from .table import render_ascii, to_json_dict
@@ -127,7 +127,8 @@ def main():
 
 @main.command()
 @_with(_polygon_options)
-@click.option("--prime", type=int, default=40009, show_default=True,
+@click.option("--prime", type=int, default=DEFAULT_PRIME,
+              show_default=True,
               help="Working prime for all rank computations.")
 @click.option("--primes", default=None,
               help='Comma-separated primes, e.g. "2,3,40009": compute at '
@@ -217,7 +218,8 @@ def table(model, vertices, file, prime, primes, removal, no_symmetry,
 
 @main.command()
 @_with(_polygon_options)
-@click.option("--prime", type=int, default=40009, show_default=True,
+@click.option("--prime", type=int, default=DEFAULT_PRIME,
+              show_default=True,
               help="Prime used when printing the forced full table.")
 def predict(model, vertices, file, prime):
     """Print every entry known in closed form, plus the conjectures.
@@ -298,7 +300,8 @@ def _kp1_line(name: str, record: dict) -> str:
 
 @main.command("verify-kp1")
 @click.argument("corpus_dir", type=click.Path(exists=True, file_okay=False))
-@click.option("--prime", type=int, default=40009, show_default=True)
+@click.option("--prime", type=int, default=DEFAULT_PRIME,
+              show_default=True)
 @_with(_compute_options)
 @click.option("--checkpoint", type=click.Path(), default=None,
               help="Campaign log; an interrupted run resumes from it and "
@@ -446,7 +449,7 @@ def oracle_check(model, vertices, file, primes):
     from .oracle import TooLarge, oracle_betti
 
     poly = _load_polygon(model, vertices, file)
-    moduli = _parse_primes(40009, primes)
+    moduli = _parse_primes(DEFAULT_PRIME, primes)
     try:
         opts = EngineOptions()      # reads BETTI_WORKERS
     except ValueError as exc:

@@ -54,27 +54,23 @@ def oracle_corpus(seed: int = 2026, count: int = 120) -> list[LatticePolygon]:
 
 def removal_corpus(seed: int = 2027,
                    per_shape: int = 12) -> list[LatticePolygon]:
-    """Polygons up to 9 points covering all three removal certificates:
-    triangles (three corners), quadrangles (a diagonal pair), everything
-    else (a single vertex)."""
-    shapes = {
-        "triangle": lambda p: len(p.vertices) == 3,
-        "quadrangle": lambda p: len(p.vertices) == 4,
-        "bigger": lambda p: len(p.vertices) >= 5,
-    }
+    """Polygons up to 9 points covering all three kinds of removal plan:
+    five or more vertices (a single vertex), quadrangles (a diagonal
+    pair) and triangles (three corners), per_shape of each, drawn in
+    that order."""
     out: list[LatticePolygon] = []
-    for i, (name, want) in enumerate(sorted(shapes.items())):
+    for i, shape in enumerate((5, 4, 3)):   # vertex count, 5 meaning >= 5
         picked: list[LatticePolygon] = []
         rng_seed = seed + 97 * i
         candidates = build_corpus(rng_seed, per_shape * 30, n_min=4, n_max=9,
                                   box=4, max_vertices=7)
         for poly in candidates:
-            if want(poly):
+            if min(len(poly.vertices), 5) == shape:
                 picked.append(poly)
             if len(picked) == per_shape:
                 break
         if len(picked) < per_shape:
-            raise ValueError(f"not enough {name} polygons drawn")
+            raise ValueError(f"not enough polygons of {shape} vertices drawn")
         out.extend(picked)
     return out
 

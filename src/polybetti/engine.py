@@ -21,13 +21,13 @@ from .closed_forms import (antidiagonal_difference,
                            eagon_northcott_table, hering_schenck_zero_region,
                            kp1_predicted_first_zero,
                            scroll_strand_lower_bound)
-from .koszul import (EMPTY_PLAN, ComplexSpec, RemovalPlan, choose_removal,
-                     coboundary_matrix, enumerate_bidegrees, middle_profile,
-                     peak_block, side_profile, strand_spec, support_window,
+from .koszul import (ComplexSpec, choose_removal, coboundary_matrix,
+                     enumerate_bidegrees, middle_profile, peak_block,
+                     side_profile, strand_spec, support_window,
                      target_profile, twisted_quadratic_spec)
-from .linalg import (ComputeBudget, InvariantViolation, PrimeModulus,
-                     ResourceExceeded, SparseMatrixFp, rank_batch, require,
-                     worker_pool)
+from .linalg import (DEFAULT_PRIME, ComputeBudget, InvariantViolation,
+                     PrimeModulus, ResourceExceeded, SparseMatrixFp,
+                     rank_batch, require, worker_pool)
 from .polygon import (DimensionError, LatticePolygon, Point, canonical_form,
                       interior_hull, lattice_width, order_key, prune_vertex,
                       sigma_point, symmetry_group)
@@ -309,14 +309,14 @@ def _orbit_cohomology(poly: LatticePolygon, spec: ComplexSpec,
 
 
 def strand_value(poly: LatticePolygon, strand: str, ell: int,
-                 prime: PrimeModulus, plan: RemovalPlan = EMPTY_PLAN, *,
+                 prime: PrimeModulus, removed: tuple[Point, ...] = (), *,
                  use_symmetry: bool = True,
                  budget: ComputeBudget | None = None,
                  store: AppendLog | None = None) -> EntryOutcome:
     """One strand entry.  Row one subtracts the wedge-space dimension of
     the injective incoming map instead of its rank; row two has no
-    incoming term at all."""
-    spec = strand_spec(poly, strand, ell, plan)
+    incoming term at all.  removed: the points quotiented out."""
+    spec = strand_spec(poly, strand, ell, removed)
     return _orbit_cohomology(poly, spec, prime, use_symmetry=use_symmetry,
                              budget=budget, store=store)
 
@@ -353,26 +353,25 @@ class Strategy:
                     for ch in self.choices.values()), "unknown route")
 
 
-def effective_plans(poly: LatticePolygon,
-                    options: EngineOptions) -> tuple[RemovalPlan, RemovalPlan]:
-    """Removal plans on which routing sizes the two strands' peak blocks:
+def effective_plans(poly: LatticePolygon, options: EngineOptions
+                    ) -> tuple[tuple[Point, ...], tuple[Point, ...]]:
+    """Removed points on which routing sizes the two strands' peak blocks:
     "on" removes support everywhere, "auto" only from triangles, where
     it strips all three corners.  Entries compute on compute_plan."""
     if not (options.removal == "on" or (options.removal == "auto"
                                         and len(poly.vertices) == 3)):
-        return EMPTY_PLAN, EMPTY_PLAN
+        return (), ()
     return tuple(compute_plan(poly, strand, options) for strand in "bc")
 
 
 def compute_plan(poly: LatticePolygon, strand: str,
-                 options: EngineOptions) -> RemovalPlan:
-    """The removal plan a strand's entries are computed on: under every
+                 options: EngineOptions) -> tuple[Point, ...]:
+    """The points a strand's entries are computed without: under every
     mode but "off", choose_removal's plan for every polygon, which its
     cache makes once per (polygon, strand), the first time it is asked
     for.  Removal never changes a value, so the routes and tags stay
     those the routing plans (effective_plans) give."""
-    return EMPTY_PLAN if options.removal == "off" else \
-        choose_removal(poly, strand)
+    return () if options.removal == "off" else choose_removal(poly, strand)
 
 
 def _antidiagonal(n: int, a: int) -> tuple[int | None, int | None]:
@@ -395,7 +394,7 @@ def _presets(poly: LatticePolygon) -> tuple[dict[int, str], dict[int, str]]:
 
 
 def _choose_side(poly: LatticePolygon, a: int, b_preset: dict,
-                 c_preset: dict, plans: tuple[RemovalPlan, RemovalPlan]
+                 c_preset: dict, plans: tuple[tuple[Point, ...], ...]
                  ) -> str:
     """Route for antidiagonal a.
 
@@ -495,7 +494,8 @@ def _resolve_antidiagonal(poly: LatticePolygon, a: int, choice: str,
              if pos[strand] is not None}, breakdown)
 
 
-def betti_table(poly: LatticePolygon, prime: PrimeModulus | int = 40009,
+def betti_table(poly: LatticePolygon,
+                prime: PrimeModulus | int = DEFAULT_PRIME,
                 options: EngineOptions | None = None) -> BettiTable:
     """The full graded Betti table, every entry tagged with how it was
     obtained and whether it is exact in characteristic zero."""
@@ -515,8 +515,7 @@ def betti_table(poly: LatticePolygon, prime: PrimeModulus | int = 40009,
         store = AppendLog(options.checkpoint, {
             "polygon": polygon_key(poly), "prime": prime.p,
             "options": options_key(prime, options),
-            "removed": {s: [list(pt) for pt in
-                            compute_plan(poly, s, options).removed]
+            "removed": {s: [list(pt) for pt in compute_plan(poly, s, options)]
                         for s in "bc"}}, _block_key)
     try:
         with worker_pool(options.budget):
@@ -585,7 +584,8 @@ class Kp1Report:
     notes: tuple[str, ...]
 
 
-def verify_kp1(poly: LatticePolygon, prime: PrimeModulus | int = 40009,
+def verify_kp1(poly: LatticePolygon,
+               prime: PrimeModulus | int = DEFAULT_PRIME,
                options: EngineOptions | None = None) -> Kp1Report:
     """Compute just the row-one entries around the predicted first zero
     and compare.
@@ -687,12 +687,12 @@ def audit_symmetry(poly: LatticePolygon, prime: PrimeModulus,
     for strand in "bc":
         if strand == "c" and not interior_hull(poly).points:
             continue
-        plan = compute_plan(poly, strand, options)
+        removed = compute_plan(poly, strand, options)
         for ell in range(1, poly.n_points - 2):
-            fast = direct[(strand, ell)] if plan == EMPTY_PLAN else \
-                strand_value(poly, strand, ell, prime, plan,
+            fast = direct[(strand, ell)] if not removed else \
+                strand_value(poly, strand, ell, prime, removed,
                              use_symmetry=True, budget=options.budget)
-            slow = strand_value(poly, strand, ell, prime, plan,
+            slow = strand_value(poly, strand, ell, prime, removed,
                                 use_symmetry=False, budget=options.budget)
             if fast.value != slow.value or fast.bigraded != slow.bigraded:
                 issues.append(f"strand {strand} entry {ell}: reduced "
@@ -770,7 +770,8 @@ def audit_prune(poly: LatticePolygon, prime: PrimeModulus, table: BettiTable,
     return issues
 
 
-def run_audits(poly: LatticePolygon, prime: PrimeModulus | int = 40009,
+def run_audits(poly: LatticePolygon,
+               prime: PrimeModulus | int = DEFAULT_PRIME,
                options: EngineOptions | None = None,
                table: BettiTable | None = None) -> list[str]:
     """All size-gated consistency audits; an empty list is a pass.

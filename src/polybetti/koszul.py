@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .linalg import PrimeModulus, ResourceExceeded, SparseMatrixFp, require
+from .linalg import PrimeModulus, SparseMatrixFp, require
 from .polygon import (LatticePolygon, Point, PointSet, cross, dilate,
                       dilate_hull, hull_points, interior_hull, minkowski_hull,
                       negate_hull, order_key, sigma_point)
@@ -23,7 +23,7 @@ class NotInPolygon(ValueError):
 
 
 class InvalidPlan(ValueError):
-    """A removal plan failed re-verification of its certificate."""
+    """Removing a plan's points is not provably exact for the polygon."""
 
 
 @dataclass(frozen=True)
@@ -88,45 +88,24 @@ class ComplexSpec:
         return self.left.removed
 
 
-@dataclass(frozen=True)
-class RemovalPlan:
-    """Lattice points removed from every support, with the geometric
-    certificate that makes the removal exact."""
-
-    removed: tuple[Point, ...]
-    certificate: str
-
-    def __post_init__(self):
-        kinds = {"empty": 0, "single": 1, "opposite_pair": 2, "triangle": 3}
-        if self.certificate not in kinds:
-            raise ValueError(f"unknown certificate {self.certificate!r}")
-        if len(self.removed) != kinds[self.certificate]:
-            raise ValueError(
-                f"{self.certificate} plan must remove "
-                f"{kinds[self.certificate]} points, got {len(self.removed)}")
-
-
-EMPTY_PLAN = RemovalPlan((), "empty")
-
-
 @lru_cache(maxsize=None)
-def verify_plan(poly: LatticePolygon, plan: RemovalPlan) -> None:
-    """Raise InvalidPlan unless plan's certificate holds for poly.
-    Cached per polygon and plan: a plan that fails is never cached, so
-    it fails again on every call."""
+def verify_plan(poly: LatticePolygon, removed: tuple[Point, ...]) -> None:
+    """Raise InvalidPlan unless quotienting out the removed points is
+    exact for poly: each is a lattice point of it, two are a regular
+    pair and three a regular triple.  One point needs nothing more,
+    every variable being a nonzerodivisor on the toric ring.  Cached
+    per polygon and plan: a plan that fails is never cached, so it fails
+    again on every call."""
     pts = poly.points
-    for p in plan.removed:
+    for p in removed:
         if p not in pts:
             raise InvalidPlan(f"{p} is not a lattice point of the polygon")
-    if plan.certificate == "empty":
-        return
-    if plan.certificate == "single":
-        return
-    if plan.certificate == "opposite_pair":
-        if not regular_pair(poly, *plan.removed):
-            raise InvalidPlan(f"{plan.removed} is not a regular pair")
-    elif not regular_triple(poly, *plan.removed):
-        raise InvalidPlan(f"{plan.removed} is not a regular triple")
+    if len(removed) > 3:
+        raise InvalidPlan(f"{removed} removes more than three points")
+    if len(removed) == 2 and not regular_pair(poly, *removed):
+        raise InvalidPlan(f"{removed} is not a regular pair")
+    if len(removed) == 3 and not regular_triple(poly, *removed):
+        raise InvalidPlan(f"{removed} is not a regular triple")
 
 
 def regular_pair(poly: LatticePolygon, p: Point, q: Point) -> bool:
@@ -205,48 +184,41 @@ def triple_criterion_by_enumeration(poly: LatticePolygon, p: Point, q: Point,
     return True
 
 
-@lru_cache(maxsize=None)
-def _plain_region(poly: LatticePolygon, q: int) -> PointSet:
+def _region(poly: LatticePolygon, twisted: bool, q: int) -> PointSet:
+    """Degree-q coefficient support, plain or interior-twisted."""
     if q == 0:
-        return PointSet.of([(0, 0)])
-    return dilate(poly, q).points
+        return PointSet.of([] if twisted else [(0, 0)])
+    dilated = dilate(poly, q)
+    return interior_hull(dilated).points if twisted else dilated.points
 
 
 @lru_cache(maxsize=None)
-def _twisted_region(poly: LatticePolygon, q: int) -> PointSet:
-    if q == 0:
-        return PointSet.of([])
-    return interior_hull(dilate(poly, q)).points
-
-
-@lru_cache(maxsize=None)
-def reduced_supports(poly: LatticePolygon, plan: RemovalPlan, twisted: bool,
-                     q: int) -> PointSet:
+def reduced_supports(poly: LatticePolygon, removed: tuple[Point, ...],
+                     twisted: bool, q: int) -> PointSet:
     """Degree-q coefficient support, plain or interior-twisted, after
     quotienting out the removed points: the full region minus its
     translates by each removed point.
 
     The differences are not convex, so everything is by enumeration.
-    Cached per polygon like the regions, so a plan is verified and its
-    supports built once per table, not once per position.
+    Cached per polygon and plan, so a plan is verified and its supports
+    built once per table, not once per position.
     """
     if q < 0:
         raise ValueError("degree must be nonnegative")
-    verify_plan(poly, plan)
-    region = _twisted_region if twisted else _plain_region
-    base = region(poly, q)
-    if not plan.removed:
+    verify_plan(poly, removed)
+    base = _region(poly, twisted, q)
+    if not removed:
         return base
-    shift_base = region(poly, q - 1) if q >= 1 else PointSet.of([])
+    shift_base = _region(poly, twisted, q - 1) if q >= 1 else PointSet.of([])
     gone: set[Point] = set()
-    for px, py in plan.removed:
+    for px, py in removed:
         gone.update((px + x, py + y) for x, y in shift_base)
     return base.difference(gone)
 
 
 @lru_cache(maxsize=None)
 def strand_spec(poly: LatticePolygon, strand: str, ell: int,
-                plan: RemovalPlan = EMPTY_PLAN) -> ComplexSpec:
+                removed: tuple[Point, ...] = ()) -> ComplexSpec:
     """Complex whose middle cohomology at each bidegree contributes to
     the table entry at homological position ell: row one ("b") through
     the plain modules, row two ("c") through the interior-twisted ones,
@@ -261,16 +233,17 @@ def strand_spec(poly: LatticePolygon, strand: str, ell: int,
     if ell < 1:
         raise ValueError(f"position must be at least 1, got {ell}")
     twisted = strand == "c"
-    a = poly.points.difference(plan.removed) if plan.removed else poly.points
-    s0, s1, s2 = (reduced_supports(poly, plan, twisted, q) for q in range(3))
+    a = poly.points.difference(removed) if removed else poly.points
+    s0, s1, s2 = (reduced_supports(poly, removed, twisted, q)
+                  for q in range(3))
     top = ell if twisted else ell + 1       # the incoming map's wedge degree
     region = (minkowski_hull(dilate_hull(poly.vertices, ell - 1),
                              interior_hull(poly).hull) if twisted
               else dilate_hull(poly.vertices, ell + 1))
     return ComplexSpec(
         strand=strand, ell=ell,
-        left=SupportTriple(a, s0, s1, top, plan.removed),
-        right=SupportTriple(a, s1, s2, top - 1, plan.removed),
+        left=SupportTriple(a, s0, s1, top, removed),
+        right=SupportTriple(a, s1, s2, top - 1, removed),
         region=region,
         translate_degree=top)
 
@@ -283,9 +256,7 @@ def twisted_quadratic_spec(poly: LatticePolygon, ell: int) -> ComplexSpec:
         raise ValueError(f"position {ell} outside 1..{n - 3}")
     a = poly.points
     p_mid = n - 3 - ell
-    s1 = _twisted_region(poly, 1)
-    s2 = _twisted_region(poly, 2)
-    s3 = _twisted_region(poly, 3)
+    s1, s2, s3 = (_region(poly, True, q) for q in (1, 2, 3))
     region = minkowski_hull(dilate_hull(poly.vertices, p_mid),
                             interior_hull(dilate(poly, 2)).hull)
     return ComplexSpec(
@@ -311,9 +282,6 @@ def _mask_layer(support: PointSet, p: int) -> dict[Point, list[int]]:
     ranking; treat the buckets as read-only.
     """
     n = len(support)
-    if n > 64:
-        raise ResourceExceeded(
-            f"a wedge support of {n} points does not fit 64-bit masks")
     xs = [x for x, _ in support]
     ys = [y for _, y in support]
     x0, y0 = min(xs, default=0), min(ys, default=0)
@@ -542,8 +510,10 @@ def peak_block(spec: ComplexSpec) -> int:
 
 
 @lru_cache(maxsize=None)
-def choose_removal(poly: LatticePolygon, strand: str = "b") -> RemovalPlan:
-    """Best exact removal the geometry allows.
+def choose_removal(poly: LatticePolygon,
+                   strand: str = "b") -> tuple[Point, ...]:
+    """Best exact removal the geometry allows, its points in order_key
+    order.
 
     Triangles give up their three vertices; quadrangles one diagonal
     pair; anything else a single vertex.  Ties are broken by the
@@ -555,19 +525,18 @@ def choose_removal(poly: LatticePolygon, strand: str = "b") -> RemovalPlan:
     verts = poly.vertices
     ell = max(1, (poly.n_points - 2) // 2)
     if len(verts) == 3:
-        plan = RemovalPlan(tuple(sorted(verts, key=order_key)), "triangle")
-        verify_plan(poly, plan)
-        return plan
-    if len(verts) == 4:
-        pairs = [(verts[0], verts[2]), (verts[1], verts[3])]
-        plans = [RemovalPlan(tuple(sorted(pr, key=order_key)), "opposite_pair")
-                 for pr in pairs]
-        for plan in plans:
-            verify_plan(poly, plan)
+        plans = [verts]
+    elif len(verts) == 4:
+        plans = [(verts[0], verts[2]), (verts[1], verts[3])]
     else:
-        plans = [RemovalPlan((v,), "single") for v in verts]
-    return min(plans, key=lambda pl: (
-        peak_block(strand_spec(poly, strand, ell, pl)), pl.removed))
+        plans = [(v,) for v in verts]
+    plans = [tuple(sorted(pl, key=order_key)) for pl in plans]
+    for removed in plans:
+        verify_plan(poly, removed)
+    if len(plans) == 1:         # a triangle's corners: nothing to size
+        return plans[0]
+    return min(plans, key=lambda removed: (
+        peak_block(strand_spec(poly, strand, ell, removed)), removed))
 
 
 def support_window(poly: LatticePolygon, p: int, q: int,

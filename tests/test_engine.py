@@ -21,8 +21,7 @@ from polybetti.engine import (BlockFailed, EngineOptions, EntryOutcome,
                               effective_plans, options_key, plan_strategy,
                               polygon_key, run_audits, strand_value,
                               verify_kp1)
-from polybetti.koszul import (EMPTY_PLAN, InvalidPlan, RemovalPlan,
-                              SupportTriple, choose_removal,
+from polybetti.koszul import (InvalidPlan, SupportTriple, choose_removal,
                               coboundary_matrix, middle_profile, peak_block,
                               reduced_supports, strand_spec, support_window,
                               verify_plan, wedge_basis)
@@ -164,13 +163,14 @@ def test_effective_plans_modes():
     square = parse_polygon("0,0 2,0 2,2 0,2")
     auto = EngineOptions()
     plan_b, plan_c = effective_plans(tri, auto)
-    assert plan_b.certificate == plan_c.certificate == "triangle"
-    assert effective_plans(square, auto) == (EMPTY_PLAN, EMPTY_PLAN)
+    assert set(plan_b) == set(plan_c) == set(tri.vertices)
+    assert effective_plans(square, auto) == ((), ())
     on = EngineOptions(removal="on")
+    diagonals = ({(0, 0), (2, 2)}, {(2, 0), (0, 2)})
     plan_b, plan_c = effective_plans(square, on)
-    assert plan_b.certificate == plan_c.certificate == "opposite_pair"
+    assert set(plan_b) in diagonals and set(plan_c) in diagonals
     off = EngineOptions(removal="off")
-    assert effective_plans(tri, off) == (EMPTY_PLAN, EMPTY_PLAN)
+    assert effective_plans(tri, off) == ((), ())
 
 
 def shape_corpus(per_shape=4):
@@ -201,8 +201,7 @@ def test_auto_routes_non_triangles_unreduced(prime):
     for poly in shape_corpus():
         auto = plan_strategy(poly, prime, EngineOptions())
         off = plan_strategy(poly, prime, EngineOptions(removal="off"))
-        assert effective_plans(poly, EngineOptions()) == (EMPTY_PLAN,
-                                                          EMPTY_PLAN)
+        assert effective_plans(poly, EngineOptions()) == ((), ())
         assert auto.choices == off.choices
 
 
@@ -257,9 +256,9 @@ def removal_candidates(poly):
     if len(verts) == 3:
         return {choose_removal(poly)}
     if len(verts) == 4:
-        return {RemovalPlan(tuple(sorted(pr, key=order_key)), "opposite_pair")
+        return {tuple(sorted(pr, key=order_key))
                 for pr in ((verts[0], verts[2]), (verts[1], verts[3]))}
-    return {RemovalPlan((v,), "single") for v in verts}
+    return {(v,) for v in verts}
 
 
 @pytest.mark.parametrize("text", ["-1,-1 2,0 0,2", "1,0 2,0 3,4 0,3",
@@ -328,7 +327,7 @@ def test_a_table_deflates_each_reduced_support_from_the_full_one(
 def test_an_invalid_plan_fails_every_time():
     """A cache must never hold a plan it did not verify."""
     square = parse_polygon("0,0 1,0 1,1 0,1")
-    bad = RemovalPlan(((0, 0), (1, 0)), "opposite_pair")
+    bad = ((0, 0), (1, 0))
     for _ in range(2):
         with pytest.raises(InvalidPlan):
             verify_plan(square, bad)
@@ -381,9 +380,9 @@ def test_symmetry_on_off_same_entries(prime):
     poly = named_polygon("Upsilon_2")
     budget = ComputeBudget(max_workers=1)
     for strand, ell in (("b", 2), ("c", 2)):
-        fast = strand_value(poly, strand, ell, prime, EMPTY_PLAN,
+        fast = strand_value(poly, strand, ell, prime, (),
                             use_symmetry=True, budget=budget)
-        slow = strand_value(poly, strand, ell, prime, EMPTY_PLAN,
+        slow = strand_value(poly, strand, ell, prime, (),
                             use_symmetry=False, budget=budget)
         assert fast.value == slow.value
         assert fast.bigraded == slow.bigraded
@@ -457,6 +456,31 @@ def test_checkpoint_header_keys(tmp_path, prime):
                           "prime": prime.p,
                           "options": options_key(prime, opts),
                           "removed": {"b": removed, "c": removed}}
+
+
+def test_a_log_from_an_earlier_commit_resumes_without_building(
+        tmp_path, prime, monkeypatch):
+    """tests/data/checkpoint_quad_1-0_2-0_3-4_0-3.jsonl was written by
+    `table --vertices "1,0 2,0 3,4 0,3" --checkpoint FILE --workers 1`
+    before removal plans became bare point tuples.  Its header (polygon
+    key, options key, removed points) must still match, so a table
+    resumed from a copy reads every block from it, builds none, gives
+    the frozen bigraded table and leaves the log byte for byte."""
+    data = Path(__file__).parent / "data"
+    frozen = (data / "checkpoint_quad_1-0_2-0_3-4_0-3.jsonl").read_bytes()
+    path = tmp_path / "quad.jsonl"
+    path.write_bytes(frozen)
+
+    def refuse(spec, ab, prime, which="right"):
+        raise AssertionError(f"block at {ab} built")
+
+    monkeypatch.setattr(engine, "coboundary_matrix", refuse)
+    table = betti_table(parse_polygon("1,0 2,0 3,4 0,3"), prime,
+                        EngineOptions(keep_bigraded=True, checkpoint=str(path),
+                                      budget=ComputeBudget(max_workers=1)))
+    assert to_json_dict(table) == json.loads(
+        (data / "bigraded_quad_1-0_2-0_3-4_0-3.json").read_text())
+    assert path.read_bytes() == frozen
 
 
 def test_aborted_run_keeps_partials_and_resumes(tmp_path, prime):

@@ -15,8 +15,8 @@ from conftest import REFERENCE_TABLES
 from entry_blocks import to_dense
 from polybetti.corpus import build_corpus, removal_corpus
 from polybetti.engine import BlockTask
-from polybetti.koszul import (EMPTY_PLAN, ComplexSpec, InvalidPlan,
-                              NotInPolygon, RemovalPlan, SupportTriple,
+from polybetti.koszul import (ComplexSpec, InvalidPlan, NotInPolygon,
+                              SupportTriple,
                               _deflate, _mask_layer, _wedge_layers,
                               basis_dimension_polynomial,
                               choose_removal, coboundary_matrix,
@@ -27,7 +27,7 @@ from polybetti.koszul import (EMPTY_PLAN, ComplexSpec, InvalidPlan,
                               target_profile, triple_criterion_by_enumeration,
                               twisted_quadratic_spec, verify_plan,
                               wedge_basis)
-from polybetti.linalg import (ComputeBudget, PrimeModulus, ResourceExceeded,
+from polybetti.linalg import (ComputeBudget, PrimeModulus, dense_rank_mod,
                               rank_batch)
 from polybetti.polygon import (PointSet, from_vertices, lawrence_prism,
                                named_polygon, order_key, parse_polygon)
@@ -176,28 +176,32 @@ def test_mask_layers_match_combinations():
                                  if m >> i & 1]) == s for m in bucket)
 
 
-# one reduced spec per removal certificate: removal leaves non-convex
-# supports, where dropped terms are the rule rather than the edge
+# the kinds of removal plan by their number of points, as test ids and
+# in tests/data/removal_plans.json
+PLAN_NAMES = {1: "single", 2: "opposite_pair", 3: "triangle"}
+
+# one reduced spec per kind of plan: removal leaves non-convex supports,
+# where dropped terms are the rule rather than the edge
 REDUCED_CASES = [
-    ("2*Sigma", "b", 2, "triangle"),
-    ("0,0 2,0 2,1 0,2", "b", 2, "opposite_pair"),
-    ("0,0 2,0 3,1 1,3 0,2", "c", 2, "single"),
+    ("2*Sigma", "b", 2, 3),
+    ("0,0 2,0 2,1 0,2", "b", 2, 2),
+    ("0,0 2,0 3,1 1,3 0,2", "c", 2, 1),
 ]
 
 
 def _assembly_specs():
     for name, kind, ell in SPEC_CASES:
         yield spec_for(named_polygon(name), kind, ell)
-    for name, strand, ell, certificate in REDUCED_CASES:
+    for name, strand, ell, n_removed in REDUCED_CASES:
         poly = (named_polygon(name) if "*" in name else parse_polygon(name))
-        plan = choose_removal(poly, strand)
-        assert plan.certificate == certificate
-        yield strand_spec(poly, strand, ell, plan)
+        removed = choose_removal(poly, strand)
+        assert len(removed) == n_removed
+        yield strand_spec(poly, strand, ell, removed)
 
 
 @pytest.mark.parametrize("spec", list(_assembly_specs()),
                          ids=["-".join(map(str, c)) for c in SPEC_CASES]
-                         + [c[3] for c in REDUCED_CASES])
+                         + [PLAN_NAMES[c[3]] for c in REDUCED_CASES])
 def test_assembly_matches_the_definition(spec):
     prime = PrimeModulus(40009)
     for ab in enumerate_bidegrees(spec):
@@ -257,17 +261,33 @@ def test_blocks_match_an_independent_construction(seed):
                 assert np.array_equal(to_dense(m), expected)
 
 
-def test_wedge_support_over_64_points_is_refused():
+def test_wedge_support_over_64_points_matches_the_definition():
+    """Masks are Python ints, so a support of more than 64 points builds
+    like any other: blocks of the 65-point triangle at bidegrees whose
+    wedges hold its 65th point, (0, 1) at bit 64, against reference_map,
+    at p = 3 and 40009, and ranked in a batch as the dense kernel ranks
+    the reference."""
     poly = from_vertices([(0, 0), (63, 0), (0, 1)])
-    assert poly.n_points == 65
-    spec = strand_spec(poly, "b", 1)
-    prime = PrimeModulus(40009)
-    with pytest.raises(ResourceExceeded, match="65 points"):
-        coboundary_matrix(spec, (1, 0), prime)
-    # in a batch the block fails alone, as a block over the memory cap does
-    task = BlockTask(spec, (1, 0), prime, "right", 1, 1)
-    [(rk, error)] = rank_batch([task], ComputeBudget(max_workers=1))
-    assert rk is None and "65 points" in error
+    assert poly.points.points[64] == (0, 1) and poly.n_points == 65
+    spec = strand_spec(poly, "b", 2)
+    cases = []
+    for ab in ((5, 1), (64, 1), (100, 1)):
+        for which, triple in (("left", spec.left), ("right", spec.right)):
+            assert any(w >> 64 for w in source_basis(triple, ab))
+            cases.append((ab, which, reference_map(triple, ab)))
+    for p in (3, 40009):
+        prime = PrimeModulus(p)
+        tasks, want_ranks = [], []
+        for ab, which, (n_rows, n_cols, want) in cases:
+            expected = np.zeros((n_rows, n_cols), dtype=np.int64)
+            for (r, c), v in want.items():
+                expected[r, c] = v % p
+            m = coboundary_matrix(spec, ab, prime, which)
+            assert np.array_equal(to_dense(m), expected)
+            tasks.append(BlockTask(spec, ab, prime, which, n_rows, n_cols))
+            want_ranks.append(dense_rank_mod(expected, p))
+        assert rank_batch(tasks, ComputeBudget(max_workers=1)) == [
+            (rk, None) for rk in want_ranks]
 
 
 REGULARITY_POLYGONS = [
@@ -308,8 +328,7 @@ def test_regularity_rejects_bad_inputs():
 
 def test_triple_removal_is_order_independent():
     poly = named_polygon("2*Sigma")
-    plans = [RemovalPlan(order, "triangle")
-             for order in permutations(poly.vertices)]
+    plans = list(permutations(poly.vertices))
     for twisted in (False, True):
         for q in (1, 2, 3):
             supports = {reduced_supports(poly, plan, twisted, q)
@@ -323,43 +342,40 @@ def test_triple_removal_is_order_independent():
 
 def test_removal_shrinks_supports_and_keeps_exactness_data():
     poly = named_polygon("3*Sigma")
-    plan = choose_removal(poly, "b")
-    assert plan.certificate == "triangle"
-    assert set(plan.removed) == set(poly.vertices)
+    removed = choose_removal(poly, "b")
+    assert len(removed) == 3 and set(removed) == set(poly.vertices)
     full = strand_spec(poly, "b", 3)
-    red = strand_spec(poly, "b", 3, plan)
+    red = strand_spec(poly, "b", 3, removed)
     assert sum(middle_profile(red).values()) < sum(
         middle_profile(full).values())
     assert peak_block(red) <= peak_block(full)
 
 
 def test_choose_removal_certificates_by_shape():
-    assert choose_removal(named_polygon("2*Sigma")).certificate == "triangle"
+    sigma = named_polygon("2*Sigma")
+    assert set(choose_removal(sigma)) == set(sigma.vertices)
     square = parse_polygon("0,0 1,0 1,1 0,1")
-    plan = choose_removal(square)
-    assert plan.certificate == "opposite_pair"
-    verify_plan(square, plan)
+    removed = choose_removal(square)
+    assert set(removed) in ({(0, 0), (1, 1)}, {(1, 0), (0, 1)})
+    verify_plan(square, removed)
     prism = lawrence_prism(3, 1)
-    assert choose_removal(prism).certificate == "opposite_pair"
+    assert len(choose_removal(prism)) == 2
     pentagon = parse_polygon("0,0 2,0 3,1 1,3 0,2")
-    plan = choose_removal(pentagon)
-    assert plan.certificate == "single"
-    verify_plan(pentagon, plan)
+    removed = choose_removal(pentagon)
+    assert len(removed) == 1 and removed[0] in pentagon.vertices
+    verify_plan(pentagon, removed)
 
 
 def test_verify_plan_rejects_invalid_plans():
     square = parse_polygon("0,0 1,0 1,1 0,1")
     with pytest.raises(InvalidPlan):
-        verify_plan(square, RemovalPlan(((0, 0), (1, 0)), "opposite_pair"))
+        verify_plan(square, ((0, 0), (1, 0)))
     with pytest.raises(InvalidPlan):
-        verify_plan(square, RemovalPlan(((5, 5),), "single"))
+        verify_plan(square, ((5, 5),))
     with pytest.raises(InvalidPlan):
-        verify_plan(square,
-                    RemovalPlan(((0, 0), (1, 0), (1, 1)), "triangle"))
-    with pytest.raises(ValueError):
-        RemovalPlan(((0, 0),), "opposite_pair")
-    with pytest.raises(ValueError):
-        RemovalPlan(((0, 0),), "unheard_of")
+        verify_plan(square, ((0, 0), (1, 0), (1, 1)))
+    with pytest.raises(InvalidPlan):
+        verify_plan(square, ((0, 0), (1, 0), (0, 1), (1, 1)))
 
 
 def test_oversized_wedge_degree_is_the_zero_space():
@@ -517,6 +533,6 @@ def test_choose_removal_plans_are_frozen():
             if warm:    # the full layers cached, as routing leaves them
                 _wedge_layers(poly.points, ())
             for strand in "bc":
-                want = RemovalPlan(tuple(map(tuple, rec[strand]["removed"])),
-                                   rec[strand]["certificate"])
+                want = tuple(map(tuple, rec[strand]["removed"]))
+                assert PLAN_NAMES[len(want)] == rec[strand]["certificate"]
                 assert choose_removal(poly, strand) == want, poly.vertices
