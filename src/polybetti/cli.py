@@ -29,6 +29,7 @@ from .linalg import (DEFAULT_PRIME, ComputeBudget, PrimeModulus,
                      ResourceExceeded, require, worker_pool)
 from .polygon import (LatticePolygon, classify, interior_hull, lattice_width,
                       named_polygon, parse_polygon)
+from .scope import call_scope
 from .table import render_ascii, to_json_dict
 
 EXIT_INPUT = 2
@@ -146,6 +147,7 @@ def main():
                    "--primes.")
 @click.option("--format", "fmt", type=click.Choice(["ascii", "json"]),
               default="ascii", show_default=True)
+@call_scope()       # one scope: every prime and the audit share geometry
 def table(model, vertices, file, prime, primes, removal, no_symmetry,
           workers, memory_cap, bigraded, audit, checkpoint, fmt):
     """Compute the graded Betti table of one polygon.
@@ -341,6 +343,40 @@ def verify_kp1_cmd(corpus_dir, prime, removal, no_symmetry, workers,
         if store:
             store.append({"key": key, **record})
 
+    @call_scope()   # a polygon's geometry lives while it is keyed and run
+    def resolve(name: str, path: str) -> str:
+        """Key the polygon in path and verify it unless done; its key."""
+        try:
+            with open(path) as fh:
+                poly = parse_polygon(fh.read())
+            key = polygon_key(poly)
+        except (ValueError, OSError, KeyError) as exc:
+            # logged under the file name: done, not computed
+            key = f"file:{name}"
+            if key not in done:
+                log(key, {"error": f"{type(exc).__name__}: {exc}"})
+        if key not in done:
+            try:
+                rep = verify_kp1(poly, moduli[0], opts)
+                log(key, {"polygon": key, "report": {
+                    "n": rep.n, "lattice_width": rep.lattice_width,
+                    "exceptional": rep.exceptional,
+                    "predicted_from_right": rep.predicted_from_right,
+                    "first_zero_index": rep.first_zero_index,
+                    "entries": {str(t): list(v) for t, v
+                                in sorted(rep.entries.items())},
+                    "verdict": rep.verdict,
+                    "notes": list(rep.notes)}})
+            except ResourceExceeded as exc:
+                # a limit of this run, not a fact of the polygon: kept
+                # out of the log, so a resumed run retries it
+                done[key] = {"polygon": key, "error":
+                             f"{type(exc).__name__}: {exc}"}
+            except ValueError as exc:
+                log(key, {"polygon": key,
+                          "error": f"{type(exc).__name__}: {exc}"})
+        return key
+
     names = sorted(os.listdir(corpus_dir))
     counts: dict[str, int] = {}
     shown = 0
@@ -350,35 +386,7 @@ def verify_kp1_cmd(corpus_dir, prime, removal, no_symmetry, workers,
                 path = os.path.join(corpus_dir, name)
                 if not os.path.isfile(path):
                     continue
-                try:
-                    with open(path) as fh:
-                        poly = parse_polygon(fh.read())
-                    key = polygon_key(poly)
-                except (ValueError, OSError, KeyError) as exc:
-                    # logged under the file name: done, not computed
-                    key = f"file:{name}"
-                    if key not in done:
-                        log(key, {"error": f"{type(exc).__name__}: {exc}"})
-                if key not in done:
-                    try:
-                        rep = verify_kp1(poly, moduli[0], opts)
-                        log(key, {"polygon": key, "report": {
-                            "n": rep.n, "lattice_width": rep.lattice_width,
-                            "exceptional": rep.exceptional,
-                            "predicted_from_right": rep.predicted_from_right,
-                            "first_zero_index": rep.first_zero_index,
-                            "entries": {str(t): list(v) for t, v
-                                        in sorted(rep.entries.items())},
-                            "verdict": rep.verdict,
-                            "notes": list(rep.notes)}})
-                    except ResourceExceeded as exc:
-                        # a limit of this run, not a fact of the polygon:
-                        # kept out of the log, so a resumed run retries it
-                        done[key] = {"polygon": key, "error":
-                                     f"{type(exc).__name__}: {exc}"}
-                    except ValueError as exc:
-                        log(key, {"polygon": key,
-                                  "error": f"{type(exc).__name__}: {exc}"})
+                key = resolve(name, path)
                 record = done[key]
                 if "error" in record:
                     counts["error"] = counts.get("error", 0) + 1
@@ -439,6 +447,7 @@ def dims(model, vertices, file, strand, position, removal):
 @_with(_polygon_options)
 @click.option("--primes", default="2,3,40009", show_default=True,
               help="Primes to compare at.")
+@call_scope()
 def oracle_check(model, vertices, file, primes):
     """Compare the engine against the brute-force reference.
 

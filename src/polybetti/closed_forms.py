@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 
 from .koszul import basis_dimension_polynomial
@@ -18,6 +17,7 @@ from .linalg import DEFAULT_PRIME, PrimeModulus, require
 from .polygon import (LatticePolygon, Point, PointSet, PolygonClass,
                       classify, dilate, interior_hull, lattice_width,
                       translate_count)
+from .scope import scoped_cache
 from .table import BettiTable
 
 
@@ -72,7 +72,7 @@ def antidiagonal_difference(poly: LatticePolygon, ell: int) -> int:
     return ell * comb(n - 1, ell + 1) - comb(n - 3, ell - 1) * poly.area2
 
 
-@lru_cache(maxsize=None)
+@scoped_cache()
 def antidiagonal_difference_bigraded(poly: LatticePolygon,
                                      ell: int) -> dict[Point, int]:
     """Bidegree slices of the strand Euler characteristic: the

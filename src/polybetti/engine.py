@@ -31,6 +31,7 @@ from .linalg import (DEFAULT_PRIME, ComputeBudget, InvariantViolation,
 from .polygon import (DimensionError, LatticePolygon, Point, canonical_form,
                       interior_hull, lattice_width, order_key, prune_vertex,
                       sigma_point, symmetry_group)
+from .scope import call_scope
 from .table import BettiTable
 
 
@@ -494,6 +495,7 @@ def _resolve_antidiagonal(poly: LatticePolygon, a: int, choice: str,
              if pos[strand] is not None}, breakdown)
 
 
+@call_scope()
 def betti_table(poly: LatticePolygon,
                 prime: PrimeModulus | int = DEFAULT_PRIME,
                 options: EngineOptions | None = None) -> BettiTable:
@@ -584,6 +586,7 @@ class Kp1Report:
     notes: tuple[str, ...]
 
 
+@call_scope()
 def verify_kp1(poly: LatticePolygon,
                prime: PrimeModulus | int = DEFAULT_PRIME,
                options: EngineOptions | None = None) -> Kp1Report:
@@ -770,6 +773,7 @@ def audit_prune(poly: LatticePolygon, prime: PrimeModulus, table: BettiTable,
     return issues
 
 
+@call_scope()
 def run_audits(poly: LatticePolygon,
                prime: PrimeModulus | int = DEFAULT_PRIME,
                options: EngineOptions | None = None,

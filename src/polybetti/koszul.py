@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .linalg import PrimeModulus, SparseMatrixFp, require
 from .polygon import (LatticePolygon, Point, PointSet, cross, dilate,
                       dilate_hull, hull_points, interior_hull, minkowski_hull,
                       negate_hull, order_key, sigma_point)
+from .scope import scoped_cache
 
 
 class NotInPolygon(ValueError):
@@ -88,7 +88,7 @@ class ComplexSpec:
         return self.left.removed
 
 
-@lru_cache(maxsize=None)
+@scoped_cache()
 def verify_plan(poly: LatticePolygon, removed: tuple[Point, ...]) -> None:
     """Raise InvalidPlan unless quotienting out the removed points is
     exact for poly: each is a lattice point of it, two are a regular
@@ -192,7 +192,7 @@ def _region(poly: LatticePolygon, twisted: bool, q: int) -> PointSet:
     return interior_hull(dilated).points if twisted else dilated.points
 
 
-@lru_cache(maxsize=None)
+@scoped_cache()
 def reduced_supports(poly: LatticePolygon, removed: tuple[Point, ...],
                      twisted: bool, q: int) -> PointSet:
     """Degree-q coefficient support, plain or interior-twisted, after
@@ -216,7 +216,7 @@ def reduced_supports(poly: LatticePolygon, removed: tuple[Point, ...],
     return base.difference(gone)
 
 
-@lru_cache(maxsize=None)
+@scoped_cache()
 def strand_spec(poly: LatticePolygon, strand: str, ell: int,
                 removed: tuple[Point, ...] = ()) -> ComplexSpec:
     """Complex whose middle cohomology at each bidegree contributes to
@@ -272,7 +272,7 @@ def enumerate_bidegrees(spec: ComplexSpec) -> list[Point]:
     return sorted(hull_points(spec.region), key=order_key)
 
 
-@lru_cache(maxsize=4)
+@scoped_cache(maxsize=4)
 def _mask_layer(support: PointSet, p: int) -> dict[Point, list[int]]:
     """All p-subsets of support as int masks, bucketed by coordinate
     sum: a dict from sum to bucket, its keys in order_key order; in a
@@ -342,7 +342,7 @@ def wedge_basis(support: PointSet, coeffs: PointSet, p: int,
             for w in bucket]
 
 
-@lru_cache(maxsize=16)
+@scoped_cache()
 def _reach(wedge: PointSet, source: PointSet,
            target: PointSet) -> dict[Point, int]:
     """For each cofactor c in source, the mask of the wedge points x
@@ -419,25 +419,53 @@ def _deflate(low: list[dict], v: Point) -> list[dict]:
     return out
 
 
-@lru_cache(maxsize=64)
-def _wedge_layers(a: PointSet, removed: tuple[Point, ...]
-                  ) -> tuple[dict, ...]:
+class _Layers:
+    """Bidegree counts of the bare wedge powers of an n-point support,
+    degrees 0..n, read by index.  ``low`` holds the degrees up to
+    n // 2.  A higher degree n - t mirrors degree t, an (n - t)-subset
+    being the complement of a t-subset, and is built the first time it
+    is read: a support only deflated from never builds it."""
+
+    __slots__ = ("low", "n", "total", "high")
+
+    def __init__(self, low: list[dict], a: PointSet):
+        self.low, self.n, self.high = low, len(a), {}
+        self.total = (sum(x for x, _ in a), sum(y for _, y in a))
+
+    def __len__(self) -> int:
+        return self.n + 1
+
+    def __getitem__(self, t: int) -> dict:
+        if t < len(self.low):
+            return self.low[t]
+        if t > self.n:
+            raise IndexError(t)
+        layer = self.high.get(t)
+        if layer is None:
+            sx, sy = self.total
+            layer = self.high[t] = {
+                (sx - x, sy - y): cnt
+                for (x, y), cnt in self.low[self.n - t].items()}
+        return layer
+
+
+@scoped_cache()
+def _wedge_layers(a: PointSet, removed: tuple[Point, ...]) -> _Layers:
     """Bidegree counts of the bare wedge powers of a, degrees 0..len(a).
 
     Degrees up to len(a) // 2 are deflated, one removed point at a
     time, from those of the full support a ∪ removed, which every
     removal candidate and position shares; with nothing removed they
-    are multiplied out point by point.  Each higher degree n - t mirrors
-    degree t, an (n - t)-subset being the complement of a t-subset.
-    Cached because the planner asks for the same support at every
-    homological position; treat the returned dicts as read-only.  The
-    cache keys a call without removed apart, so always pass it.
+    are multiplied out point by point.  The higher degrees are mirrored
+    as they are read (_Layers).  Cached because the planner asks for
+    the same support at every homological position; treat the returned
+    dicts as read-only.  The cache keys a call without removed apart,
+    so always pass it.
     """
-    n = len(a)
-    half = n // 2
+    half = len(a) // 2
     if removed:
         full = PointSet.of(a.points + removed)
-        low = list(_wedge_layers(full, ())[:half + 1])
+        low = _wedge_layers(full, ()).low[:half + 1]
         for v in removed:
             low = _deflate(low, v)
     else:
@@ -450,10 +478,7 @@ def _wedge_layers(a: PointSet, removed: tuple[Point, ...]
                 for (x, y), cnt in low[t].items():
                     key = (x + px, y + py)
                     target[key] = target.get(key, 0) + cnt
-    sx, sy = sum(x for x, _ in a), sum(y for _, y in a)
-    return tuple(low) + tuple(
-        {(sx - x, sy - y): cnt for (x, y), cnt in low[n - t].items()}
-        for t in range(half + 1, n + 1))
+    return _Layers(low, a)
 
 
 def basis_dimension_polynomial(a: PointSet, b: PointSet, p: int,
@@ -509,7 +534,7 @@ def peak_block(spec: ComplexSpec) -> int:
     return max(prof.values(), default=0)
 
 
-@lru_cache(maxsize=None)
+@scoped_cache()
 def choose_removal(poly: LatticePolygon,
                    strand: str = "b") -> tuple[Point, ...]:
     """Best exact removal the geometry allows, its points in order_key

@@ -10,9 +10,10 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .linalg import require
+from .scope import scoped_cache
 
 Point = tuple[int, int]
 
@@ -222,7 +223,7 @@ class InteriorHull:
     hull: tuple[Point, ...]
 
 
-@lru_cache(maxsize=None)
+@scoped_cache()
 def interior_hull(poly: LatticePolygon) -> InteriorHull:
     inner = [p for p in poly.points if poly.strictly_contains(p)]
     hull = convex_hull(inner)
@@ -237,7 +238,7 @@ def interior_hull(poly: LatticePolygon) -> InteriorHull:
     return InteriorHull(PointSet.of(inner), dim, tuple(hull))
 
 
-@lru_cache(maxsize=None)
+@scoped_cache()
 def dilate(poly: LatticePolygon, q: int) -> LatticePolygon:
     if q < 0:
         raise ValueError(f"dilation factor must be nonnegative, got {q}")
@@ -289,7 +290,7 @@ def negate_hull(hull: tuple[Point, ...]) -> tuple[Point, ...]:
     return tuple(convex_hull([(-x, -y) for x, y in hull]))
 
 
-@lru_cache(maxsize=None)
+@scoped_cache()
 def lattice_width_data(poly: LatticePolygon) -> tuple[int, tuple[Point, ...]]:
     """Lattice width plus all primitive directions attaining it.
 
@@ -373,7 +374,7 @@ def _affine_from_triples(src, dst) -> AffineUnimodularMap | None:
     return AffineUnimodularMap(mat, (t0[0] - lx, t0[1] - ly))
 
 
-@lru_cache(maxsize=None)
+@scoped_cache()
 def symmetry_group(poly: LatticePolygon) -> tuple[AffineUnimodularMap, ...]:
     """All integer affine unimodular maps fixing the point set setwise."""
     verts = poly.vertices
@@ -427,7 +428,7 @@ def _argmin_convex(f) -> list[int]:
     return sorted(ks)
 
 
-@lru_cache(maxsize=None)
+@scoped_cache()
 def strip_placements(poly: LatticePolygon) -> tuple[tuple[Point, ...], ...]:
     """Point tuples of every normalized placement used for canonicalization.
 
@@ -471,7 +472,7 @@ def strip_placements(poly: LatticePolygon) -> tuple[tuple[Point, ...], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@scoped_cache()
 def canonical_form(poly: LatticePolygon) -> tuple[Point, ...]:
     """Canonical point tuple under unimodular equivalence.
 

@@ -29,6 +29,7 @@ from polybetti.linalg import ComputeBudget, PrimeModulus
 from polybetti.polygon import (AffineUnimodularMap, from_vertices,
                                interior_hull, named_polygon, order_key,
                                parse_polygon)
+from polybetti.scope import call_scope
 from polybetti.table import to_json_dict
 
 
@@ -227,27 +228,29 @@ def test_auto_ranks_a_quadrilateral_on_reduced_supports(prime, monkeypatch):
 
 def test_plans_are_made_once_and_only_for_computed_strands(prime):
     serial = ComputeBudget(max_workers=1)
-    choose_removal.cache_clear()
-    # every antidiagonal a shortcut: presets and the table edge
-    for text in ("-1,0 0,-1 1,0 0,1", "-1,0 0,-1 1,-1 1,0 0,1 -1,1"):
-        poly = parse_polygon(text)
-        assert set(plan_strategy(poly, prime).choices.values()) \
-            == {"shortcut"}
+    # the caches live until the outermost scope exits
+    with call_scope():
+        choose_removal.cache_clear()
+        # every antidiagonal a shortcut: presets and the table edge
+        for text in ("-1,0 0,-1 1,0 0,1", "-1,0 0,-1 1,-1 1,0 0,1 -1,1"):
+            poly = parse_polygon(text)
+            assert set(plan_strategy(poly, prime).choices.values()) \
+                == {"shortcut"}
+            betti_table(poly, prime, EngineOptions(budget=serial))
+            assert choose_removal.cache_info().misses == 0
+        # a computed strand plans once per table, however many entries
+        poly = parse_polygon("1,0 2,0 3,4 0,3")
+        strategy = plan_strategy(poly, prime)
+        computed = {ch[-1] for ch in strategy.choices.values()
+                    if ch != "shortcut"}
+        assert list(strategy.choices.values()).count("compute_c") > 1
+        choose_removal.cache_clear()
         betti_table(poly, prime, EngineOptions(budget=serial))
-        assert choose_removal.cache_info().misses == 0
-    # a computed strand plans once per table, however many entries
-    poly = parse_polygon("1,0 2,0 3,4 0,3")
-    strategy = plan_strategy(poly, prime)
-    computed = {ch[-1] for ch in strategy.choices.values()
-                if ch != "shortcut"}
-    assert list(strategy.choices.values()).count("compute_c") > 1
-    choose_removal.cache_clear()
-    betti_table(poly, prime, EngineOptions(budget=serial))
-    assert choose_removal.cache_info().misses == len(computed)
-    # and the plans made are those of the computed strands
-    for strand in computed:
-        choose_removal(poly, strand)
-    assert choose_removal.cache_info().misses == len(computed)
+        assert choose_removal.cache_info().misses == len(computed)
+        # and the plans made are those of the computed strands
+        for strand in computed:
+            choose_removal(poly, strand)
+        assert choose_removal.cache_info().misses == len(computed)
 
 
 def removal_candidates(poly):
@@ -279,18 +282,19 @@ def test_a_table_verifies_each_plan_once_and_builds_each_support_once(
     pairs = {(routed[s], s == "c") for s in "bc"} | {
         (plan, s == "c") for s in computed
         for plan in removal_candidates(poly)}
-    for cached in (verify_plan, reduced_supports, strand_spec,
-                   choose_removal):
-        cached.cache_clear()
-    betti_table(poly, prime, options)
-    assert verify_plan.cache_info().misses == len({pl for pl, _ in pairs})
-    assert reduced_supports.cache_info().misses == 3 * len(pairs)
-    # a second table plans nothing anew
-    misses = [f.cache_info().misses for f in (verify_plan, reduced_supports,
-                                               strand_spec)]
-    betti_table(poly, prime, options)
-    assert [f.cache_info().misses for f in (verify_plan, reduced_supports,
-                                             strand_spec)] == misses
+    with call_scope():
+        for cached in (verify_plan, reduced_supports, strand_spec,
+                       choose_removal):
+            cached.cache_clear()
+        betti_table(poly, prime, options)
+        assert verify_plan.cache_info().misses == len({pl for pl, _ in pairs})
+        assert reduced_supports.cache_info().misses == 3 * len(pairs)
+        # a second table plans nothing anew
+        misses = [f.cache_info().misses
+                  for f in (verify_plan, reduced_supports, strand_spec)]
+        betti_table(poly, prime, options)
+        assert [f.cache_info().misses for f in (verify_plan, reduced_supports,
+                                                 strand_spec)] == misses
 
 
 @pytest.mark.parametrize("text", ["4*Sigma", "0,0 2,0 3,1 1,3 0,2"])
@@ -314,14 +318,15 @@ def test_a_table_deflates_each_reduced_support_from_the_full_one(
 
     monkeypatch.setattr(koszul, "_wedge_layers", layers)
     monkeypatch.setattr(koszul, "_deflate", deflate)
-    for cached in (real_layers, choose_removal, strand_spec):
-        cached.cache_clear()
-    betti_table(poly, prime,
-                EngineOptions(budget=ComputeBudget(max_workers=1)))
-    assert [a for a, removed in asked if not removed] == [poly.points]
-    assert real_layers.cache_info().misses == len(asked)
-    assert deflated
-    assert len(deflated) == sum(len(removed) for _, removed in asked)
+    with call_scope():
+        for cached in (real_layers, choose_removal, strand_spec):
+            cached.cache_clear()
+        betti_table(poly, prime,
+                    EngineOptions(budget=ComputeBudget(max_workers=1)))
+        assert [a for a, removed in asked if not removed] == [poly.points]
+        assert real_layers.cache_info().misses == len(asked)
+        assert deflated
+        assert len(deflated) == sum(len(removed) for _, removed in asked)
 
 
 def test_an_invalid_plan_fails_every_time():
@@ -827,14 +832,15 @@ def test_verify_kp1_plans_each_polygon_once(prime, serial_options):
     plan is chosen at most once per polygon."""
     planned = 0
     for poly in kp1_corpus(2028, 20, n_max=12):
-        choose_removal.cache_clear()
-        verify_kp1(poly, prime, serial_options)
-        misses = choose_removal.cache_info().misses
-        assert misses <= 2, poly.vertices
-        # every plan made was one strand's, each made once
-        for strand in "bc":
-            choose_removal(poly, strand)
-        assert choose_removal.cache_info().misses == 2, poly.vertices
+        with call_scope():
+            choose_removal.cache_clear()
+            verify_kp1(poly, prime, serial_options)
+            misses = choose_removal.cache_info().misses
+            assert misses <= 2, poly.vertices
+            # every plan made was one strand's, each made once
+            for strand in "bc":
+                choose_removal(poly, strand)
+            assert choose_removal.cache_info().misses == 2, poly.vertices
         planned += misses
     assert planned
 
