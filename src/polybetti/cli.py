@@ -343,40 +343,6 @@ def verify_kp1_cmd(corpus_dir, prime, removal, no_symmetry, workers,
         if store:
             store.append({"key": key, **record})
 
-    @call_scope()   # a polygon's geometry lives while it is keyed and run
-    def resolve(name: str, path: str) -> str:
-        """Key the polygon in path and verify it unless done; its key."""
-        try:
-            with open(path) as fh:
-                poly = parse_polygon(fh.read())
-            key = polygon_key(poly)
-        except (ValueError, OSError, KeyError) as exc:
-            # logged under the file name: done, not computed
-            key = f"file:{name}"
-            if key not in done:
-                log(key, {"error": f"{type(exc).__name__}: {exc}"})
-        if key not in done:
-            try:
-                rep = verify_kp1(poly, moduli[0], opts)
-                log(key, {"polygon": key, "report": {
-                    "n": rep.n, "lattice_width": rep.lattice_width,
-                    "exceptional": rep.exceptional,
-                    "predicted_from_right": rep.predicted_from_right,
-                    "first_zero_index": rep.first_zero_index,
-                    "entries": {str(t): list(v) for t, v
-                                in sorted(rep.entries.items())},
-                    "verdict": rep.verdict,
-                    "notes": list(rep.notes)}})
-            except ResourceExceeded as exc:
-                # a limit of this run, not a fact of the polygon: kept
-                # out of the log, so a resumed run retries it
-                done[key] = {"polygon": key, "error":
-                             f"{type(exc).__name__}: {exc}"}
-            except ValueError as exc:
-                log(key, {"polygon": key,
-                          "error": f"{type(exc).__name__}: {exc}"})
-        return key
-
     names = sorted(os.listdir(corpus_dir))
     counts: dict[str, int] = {}
     shown = 0
@@ -386,7 +352,42 @@ def verify_kp1_cmd(corpus_dir, prime, removal, no_symmetry, workers,
                 path = os.path.join(corpus_dir, name)
                 if not os.path.isfile(path):
                     continue
-                key = resolve(name, path)
+                # a polygon's geometry lives while it is keyed and run
+                with call_scope():
+                    try:
+                        with open(path) as fh:
+                            poly = parse_polygon(fh.read())
+                        key = polygon_key(poly)
+                    except (ValueError, OSError, KeyError) as exc:
+                        # logged under the file name: done, not computed
+                        key = f"file:{name}"
+                        if key not in done:
+                            log(key, {"error":
+                                      f"{type(exc).__name__}: {exc}"})
+                    if key not in done:
+                        try:
+                            rep = verify_kp1(poly, moduli[0], opts)
+                            log(key, {"polygon": key, "report": {
+                                "n": rep.n,
+                                "lattice_width": rep.lattice_width,
+                                "exceptional": rep.exceptional,
+                                "predicted_from_right":
+                                    rep.predicted_from_right,
+                                "first_zero_index": rep.first_zero_index,
+                                "entries": {str(t): list(v) for t, v
+                                            in sorted(rep.entries.items())},
+                                "verdict": rep.verdict,
+                                "notes": list(rep.notes)}})
+                        except ResourceExceeded as exc:
+                            # a limit of this run, not a fact of the
+                            # polygon: kept out of the log, so a resumed
+                            # run retries it
+                            done[key] = {"polygon": key, "error":
+                                         f"{type(exc).__name__}: {exc}"}
+                        except ValueError as exc:
+                            log(key, {"polygon": key,
+                                      "error": f"{type(exc).__name__}: "
+                                               f"{exc}"})
                 record = done[key]
                 if "error" in record:
                     counts["error"] = counts.get("error", 0) + 1

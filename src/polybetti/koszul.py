@@ -419,53 +419,23 @@ def _deflate(low: list[dict], v: Point) -> list[dict]:
     return out
 
 
-class _Layers:
-    """Bidegree counts of the bare wedge powers of an n-point support,
-    degrees 0..n, read by index.  ``low`` holds the degrees up to
-    n // 2.  A higher degree n - t mirrors degree t, an (n - t)-subset
-    being the complement of a t-subset, and is built the first time it
-    is read: a support only deflated from never builds it."""
-
-    __slots__ = ("low", "n", "total", "high")
-
-    def __init__(self, low: list[dict], a: PointSet):
-        self.low, self.n, self.high = low, len(a), {}
-        self.total = (sum(x for x, _ in a), sum(y for _, y in a))
-
-    def __len__(self) -> int:
-        return self.n + 1
-
-    def __getitem__(self, t: int) -> dict:
-        if t < len(self.low):
-            return self.low[t]
-        if t > self.n:
-            raise IndexError(t)
-        layer = self.high.get(t)
-        if layer is None:
-            sx, sy = self.total
-            layer = self.high[t] = {
-                (sx - x, sy - y): cnt
-                for (x, y), cnt in self.low[self.n - t].items()}
-        return layer
-
-
 @scoped_cache()
-def _wedge_layers(a: PointSet, removed: tuple[Point, ...]) -> _Layers:
-    """Bidegree counts of the bare wedge powers of a, degrees 0..len(a).
+def _wedge_layers(a: PointSet, removed: tuple[Point, ...]
+                  ) -> tuple[dict, ...]:
+    """Bidegree counts of the bare wedge powers of a, degrees 0 to
+    len(a) // 2; basis_dimension_polynomial mirrors a higher degree.
 
-    Degrees up to len(a) // 2 are deflated, one removed point at a
-    time, from those of the full support a ∪ removed, which every
-    removal candidate and position shares; with nothing removed they
-    are multiplied out point by point.  The higher degrees are mirrored
-    as they are read (_Layers).  Cached because the planner asks for
-    the same support at every homological position; treat the returned
-    dicts as read-only.  The cache keys a call without removed apart,
-    so always pass it.
+    They are deflated, one removed point at a time, from those of the
+    full support a ∪ removed, which every removal candidate and
+    position shares; with nothing removed they are multiplied out point
+    by point.  Cached because the planner asks for the same support at
+    every homological position; treat the returned dicts as read-only.
+    The cache keys a call without removed apart, so always pass it.
     """
     half = len(a) // 2
     if removed:
         full = PointSet.of(a.points + removed)
-        low = _wedge_layers(full, ()).low[:half + 1]
+        low = _wedge_layers(full, ())[:half + 1]
         for v in removed:
             low = _deflate(low, v)
     else:
@@ -478,7 +448,7 @@ def _wedge_layers(a: PointSet, removed: tuple[Point, ...]) -> _Layers:
                 for (x, y), cnt in low[t].items():
                     key = (x + px, y + py)
                     target[key] = target.get(key, 0) + cnt
-    return _Layers(low, a)
+    return tuple(low)
 
 
 def basis_dimension_polynomial(a: PointSet, b: PointSet, p: int,
@@ -490,10 +460,15 @@ def basis_dimension_polynomial(a: PointSet, b: PointSet, p: int,
     exceeds the support size.  removed, the points a lacks, lets its
     layers deflate from the full support's.
     """
-    layers = _wedge_layers(a, removed)
-    if not (0 <= p < len(layers) and b):
+    low, n = _wedge_layers(a, removed), len(a)
+    if not (0 <= p <= n and b):
         return {}
-    layer = layers[p]
+    if p < len(low):
+        layer = low[p]
+    else:   # a p-subset is the complement of an (n - p)-subset
+        sx, sy = sum(x for x, _ in a), sum(y for _, y in a)
+        layer = {(sx - x, sy - y): cnt
+                 for (x, y), cnt in low[n - p].items()}
     # sums packed y-major into ints, x taken from the least x sum so that
     # it never carries into y: ints add and hash faster than tuples
     x0 = min(x for x, _ in layer) + min(x for x, _ in b)

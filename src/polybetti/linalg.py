@@ -32,6 +32,8 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import TYPE_CHECKING
 
+from .scope import adopt, current
+
 if TYPE_CHECKING:
     import numpy as np
 
@@ -364,7 +366,11 @@ def _rank_task(args) -> tuple[int | None, str | None]:
         return None, str(exc)
 
 
-def _rank_chunk(chunk: list) -> list[tuple[int | None, str | None]]:
+def _rank_chunk(chunk: list, count: int
+                ) -> list[tuple[int | None, str | None]]:
+    # runs in a pool worker: caches left by an earlier call of the
+    # sender go before this chunk builds its blocks
+    adopt(count)
     return [_rank_task(a) for a in chunk]
 
 
@@ -447,7 +453,7 @@ def _dispatch(args, costs: list[int]) -> list | None:
             _shared = (pool, workers)
         for chunk in _chunks(costs, min(len(args), 4 * workers)):
             futures.append((chunk, pool.submit(
-                _rank_chunk, [args[i] for i in chunk])))
+                _rank_chunk, [args[i] for i in chunk], current())))
     except BrokenProcessPool:
         broken = True
     except OSError:     # sandboxes without process spawning run serially

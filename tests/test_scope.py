@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import importlib
+import json
 import pkgutil
 
 import pytest
@@ -13,7 +14,7 @@ from polybetti.cli import main
 from polybetti.engine import (BlockFailed, EngineOptions, betti_table,
                               run_audits, verify_kp1)
 from polybetti.koszul import strand_spec
-from polybetti.linalg import ComputeBudget
+from polybetti.linalg import ComputeBudget, ResourceExceeded, rank_batch
 from polybetti.polygon import canonical_form, named_polygon, parse_polygon
 from polybetti.scope import call_scope
 
@@ -147,3 +148,44 @@ def test_verify_kp1_command_scopes_each_polygon_file(tmp_path, monkeypatch):
         assert "polygons: 3" in r.output
     assert seen == [{}] * 6
     assert held() == {}
+
+
+class _CacheProbe:
+    """A block whose build fails with the entries that the scoped caches
+    of the process ranking it hold, as its error text."""
+
+    n_rows = n_cols = 1
+
+    def build(self):
+        raise ResourceExceeded(json.dumps(held(), sort_keys=True))
+
+
+def test_pool_workers_drop_an_earlier_polygons_caches(
+        tmp_path, monkeypatch, pool_every_batch):
+    """verify-kp1 keeps one pool across its files, and the workers build
+    blocks, so fill caches, without opening a scope: before each file
+    after the first is verified, every worker that the file's work
+    reaches holds none of an earlier file's caches."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    texts = [QUAD, "0,0 4,0 2,3 0,2", "0,0 3,0 0,3", "0,0 5,0 0,4"]
+    for i, text in enumerate(texts):
+        (corpus / f"p{i}.txt").write_text(text)
+    budget = ComputeBudget(max_workers=2)
+    verified, reports = [], []
+    real = cli.verify_kp1
+
+    def verifying(poly, prime, options):
+        if verified:    # the first file's batches started the pool
+            reports.append({text for _, text in rank_batch(
+                [_CacheProbe() for _ in range(8)], budget)})
+        verified.append(poly)
+        return real(poly, prime, options)
+
+    monkeypatch.setattr(cli, "verify_kp1", verifying)
+    empty_caches()
+    r = CliRunner().invoke(main, ["verify-kp1", str(corpus),
+                                  "--workers", "2"])
+    assert r.exit_code == 0, r.output
+    assert f"polygons: {len(texts)}" in r.output
+    assert reports == [{"{}"}] * (len(texts) - 1)
