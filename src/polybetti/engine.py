@@ -547,6 +547,7 @@ def betti_table(poly: LatticePolygon,
     return table
 
 
+@call_scope()
 def block_dimensions(poly: LatticePolygon, strand: str, ell: int,
                      options: EngineOptions | None = None) -> list[tuple]:
     """(bidegree, rows, cols) over the whole middle region, zero blocks

@@ -18,15 +18,18 @@ by its predicted ``n_rows`` and ``n_cols`` (``engine.BlockTask``): the
 memory cap is checked against those sizes, and only then does the
 process that ranks the block call its ``build()``, which assembles a
 fresh ``SparseMatrixFp`` for ``rank`` to consume.  numpy is imported by
-the dense path alone, and before a pool forks its workers, so a process
-whose remainders all stay sparse never loads it.
+the dense path alone, and numpy and the pool machinery
+(``ProcessPoolExecutor``, ``BrokenProcessPool``) are loaded just before a
+pool forks, so a process whose remainders all stay sparse never loads
+numpy, and one whose batches all rank in-process never loads
+``concurrent.futures``.  The executor is still read, and may be
+patched, as this module's ``ProcessPoolExecutor``.
 """
 from __future__ import annotations
 
 import heapq
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
@@ -35,6 +38,8 @@ from typing import TYPE_CHECKING
 from .scope import adopt, current
 
 if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
+
     import numpy as np
 
 # The sparse loop hands its remainder to dense_rank_mod once the
@@ -420,6 +425,17 @@ def worker_pool(budget: ComputeBudget | None = None):
             pool.shutdown(wait=True, cancel_futures=True)
 
 
+def __getattr__(name: str):
+    # ProcessPoolExecutor is imported on first access, which _dispatch
+    # makes just before a pool forks, and then kept as a module global
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute "
+                             f"{name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
+
+
 def _chunks(costs: list[int], n_chunks: int) -> list[list[int]]:
     """Task indices dealt largest first, each to the chunk with the least
     work so far (LPT scheduling); chunk k holds the k-th largest task."""
@@ -440,16 +456,21 @@ def _dispatch(args, costs: list[int]) -> list | None:
     pool is dropped so that the next batch that pools starts live
     workers.  None if no process can be started here."""
     global _shared
+    # numpy and the pool machinery are loaded just before a pool forks,
+    # so that forked workers inherit numpy for their dense remainders
+    # instead of each loading it, and a process whose batches all rank
+    # in-process loads neither
+    from concurrent.futures.process import BrokenProcessPool
     pool, workers = _shared
     results: list = [(None, "worker process died")] * len(args)
     futures = []
     broken = False
     try:
         if pool is None:
-            # loaded before the fork, so that forked workers inherit
-            # numpy for their dense remainders instead of each loading it
             import numpy  # noqa: F401
-            pool = ProcessPoolExecutor(max_workers=workers)
+            # read through the module, where a test may have patched it
+            pool = sys.modules[__name__].ProcessPoolExecutor(
+                max_workers=workers)
             _shared = (pool, workers)
         for chunk in _chunks(costs, min(len(args), 4 * workers)):
             futures.append((chunk, pool.submit(

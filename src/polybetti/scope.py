@@ -1,11 +1,12 @@
 """Caches that live as long as one public call.
 
 Geometry, plans, specs and wedge layers are cached with
-``scoped_cache``.  ``betti_table``, ``verify_kp1`` and ``run_audits``
-run inside ``call_scope``, and the outermost open scope clears every
-scoped cache when it exits.  So a table inside an audit, or the CLI's
-``--primes`` loop inside one scope, shares one polygon's geometry,
-while a process that runs many polygons holds only the current one's.
+``scoped_cache``.  ``betti_table``, ``verify_kp1``, ``run_audits`` and
+``block_dimensions`` run inside ``call_scope``, and the outermost open
+scope clears every scoped cache when it exits.  So a table inside an
+audit, or the CLI's ``--primes`` loop inside one scope, shares one
+polygon's geometry, while a process that runs many polygons holds only
+the current one's.
 
 A pool worker, which builds blocks and so fills caches too, never
 opens a scope: each chunk of work it is sent carries the number of

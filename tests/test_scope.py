@@ -59,6 +59,16 @@ def _audits():
     assert run_audits(named_polygon("3*Sigma"), 40009, SERIAL) == []
 
 
+def _dims():
+    assert engine.block_dimensions(parse_polygon(QUAD), "b", 2)
+
+
+def _dims_cli():
+    r = CliRunner().invoke(main, ["dims", "--vertices", QUAD, "--strand",
+                                  "c", "--position", "3"])
+    assert r.exit_code == 0, r.output
+
+
 def _capped_table():
     with pytest.raises(BlockFailed):
         betti_table(named_polygon("Upsilon_3"), 40009, EngineOptions(
@@ -72,9 +82,11 @@ def _capped_cli():
 
 
 @pytest.mark.parametrize("call", [_table(1), _table(2), _kp1, _audits,
-                                  _capped_table, _capped_cli],
+                                  _dims, _dims_cli, _capped_table,
+                                  _capped_cli],
                          ids=["table-w1", "table-w2", "verify_kp1",
-                              "run_audits", "capped-table", "capped-cli"])
+                              "run_audits", "block_dimensions", "dims-cli",
+                              "capped-table", "capped-cli"])
 def test_scoped_caches_are_empty_after_each_public_call(call,
                                                         pool_every_batch):
     """Whatever the caches held before, the outermost call leaves them
