@@ -9,8 +9,9 @@ import argparse
 import time
 
 from polybetti.engine import EngineOptions, betti_table
-from polybetti.linalg import DEFAULT_PRIME, ComputeBudget, worker_pool
+from polybetti.linalg import DEFAULT_PRIME, ComputeBudget
 from polybetti.polygon import named_polygon
+from polybetti.scope import call_scope, clear
 from polybetti.table import render_ascii
 
 MODELS = ["Sigma", "Upsilon", "2*Sigma", "Upsilon_2", "3*Sigma",
@@ -31,8 +32,9 @@ def main() -> None:
     options = EngineOptions(budget=budget)
     names = MODELS if args.quick else MODELS + STRETCH
     grand = time.time()
-    with worker_pool(budget):
+    with call_scope():      # one pool serves every model
         for name in names:
+            clear()         # and the caches hold one model at a time
             poly = named_polygon(name)
             t0 = time.time()
             table = betti_table(poly, args.prime, options)

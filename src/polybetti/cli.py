@@ -26,10 +26,10 @@ from .closed_forms import (EmptyInterior, PathologicalPolygon, cg_lower_bound,
 from .engine import (AppendLog, EngineOptions, betti_table, block_dimensions,
                      polygon_key, run_audits, verify_kp1)
 from .linalg import (DEFAULT_PRIME, ComputeBudget, PrimeModulus,
-                     ResourceExceeded, require, worker_pool)
+                     ResourceExceeded, require)
 from .polygon import (LatticePolygon, classify, interior_hull, lattice_width,
                       named_polygon, parse_polygon)
-from .scope import call_scope
+from .scope import call_scope, clear
 from .table import render_ascii, to_json_dict
 
 EXIT_INPUT = 2
@@ -347,47 +347,43 @@ def verify_kp1_cmd(corpus_dir, prime, removal, no_symmetry, workers,
     counts: dict[str, int] = {}
     shown = 0
     try:
-        with worker_pool(opts.budget):
+        with call_scope():      # one pool serves every file
             for name in names:
                 path = os.path.join(corpus_dir, name)
                 if not os.path.isfile(path):
                     continue
-                # a polygon's geometry lives while it is keyed and run
-                with call_scope():
-                    try:
-                        with open(path) as fh:
-                            poly = parse_polygon(fh.read())
-                        key = polygon_key(poly)
-                    except (ValueError, OSError, KeyError) as exc:
-                        # logged under the file name: done, not computed
-                        key = f"file:{name}"
-                        if key not in done:
-                            log(key, {"error":
-                                      f"{type(exc).__name__}: {exc}"})
+                # the caches hold one polygon's geometry at a time
+                clear()
+                try:
+                    with open(path) as fh:
+                        poly = parse_polygon(fh.read())
+                    key = polygon_key(poly)
+                except (ValueError, OSError, KeyError) as exc:
+                    # logged under the file name: done, not computed
+                    key = f"file:{name}"
                     if key not in done:
-                        try:
-                            rep = verify_kp1(poly, moduli[0], opts)
-                            log(key, {"polygon": key, "report": {
-                                "n": rep.n,
-                                "lattice_width": rep.lattice_width,
-                                "exceptional": rep.exceptional,
-                                "predicted_from_right":
-                                    rep.predicted_from_right,
-                                "first_zero_index": rep.first_zero_index,
-                                "entries": {str(t): list(v) for t, v
-                                            in sorted(rep.entries.items())},
-                                "verdict": rep.verdict,
-                                "notes": list(rep.notes)}})
-                        except ResourceExceeded as exc:
-                            # a limit of this run, not a fact of the
-                            # polygon: kept out of the log, so a resumed
-                            # run retries it
-                            done[key] = {"polygon": key, "error":
-                                         f"{type(exc).__name__}: {exc}"}
-                        except ValueError as exc:
-                            log(key, {"polygon": key,
-                                      "error": f"{type(exc).__name__}: "
-                                               f"{exc}"})
+                        log(key, {"error": f"{type(exc).__name__}: {exc}"})
+                if key not in done:
+                    try:
+                        rep = verify_kp1(poly, moduli[0], opts)
+                        log(key, {"polygon": key, "report": {
+                            "n": rep.n,
+                            "lattice_width": rep.lattice_width,
+                            "exceptional": rep.exceptional,
+                            "predicted_from_right": rep.predicted_from_right,
+                            "first_zero_index": rep.first_zero_index,
+                            "entries": {str(t): list(v) for t, v
+                                        in sorted(rep.entries.items())},
+                            "verdict": rep.verdict,
+                            "notes": list(rep.notes)}})
+                    except ResourceExceeded as exc:
+                        # a limit of this run, not a fact of the polygon:
+                        # kept out of the log, so a resumed run retries it
+                        done[key] = {"polygon": key, "error":
+                                     f"{type(exc).__name__}: {exc}"}
+                    except ValueError as exc:
+                        log(key, {"polygon": key, "error":
+                                  f"{type(exc).__name__}: {exc}"})
                 record = done[key]
                 if "error" in record:
                     counts["error"] = counts.get("error", 0) + 1

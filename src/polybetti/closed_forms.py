@@ -17,7 +17,6 @@ from .linalg import DEFAULT_PRIME, PrimeModulus, require
 from .polygon import (LatticePolygon, Point, PointSet, PolygonClass,
                       classify, dilate, interior_hull, lattice_width,
                       translate_count)
-from .scope import scoped_cache
 from .table import BettiTable
 
 
@@ -72,12 +71,10 @@ def antidiagonal_difference(poly: LatticePolygon, ell: int) -> int:
     return ell * comb(n - 1, ell + 1) - comb(n - 3, ell - 1) * poly.area2
 
 
-@scoped_cache()
 def antidiagonal_difference_bigraded(poly: LatticePolygon,
                                      ell: int) -> dict[Point, int]:
     """Bidegree slices of the strand Euler characteristic: the
-    alternating sums of wedge-tensor dimensions, keyed by (a, b).
-    Shared by every caller; do not mutate."""
+    alternating sums of wedge-tensor dimensions, keyed by (a, b)."""
     n = poly.n_points
     if not (1 <= ell <= n - 2):
         raise RangeError(f"position {ell} outside 1..{n - 2}")

@@ -27,7 +27,7 @@ from .koszul import (ComplexSpec, choose_removal, coboundary_matrix,
                      target_profile, twisted_quadratic_spec)
 from .linalg import (DEFAULT_PRIME, ComputeBudget, InvariantViolation,
                      PrimeModulus, ResourceExceeded, SparseMatrixFp,
-                     rank_batch, require, worker_pool)
+                     rank_batch, require)
 from .polygon import (DimensionError, LatticePolygon, Point, canonical_form,
                       interior_hull, lattice_width, order_key, prune_vertex,
                       sigma_point, symmetry_group)
@@ -309,6 +309,7 @@ def _orbit_cohomology(poly: LatticePolygon, spec: ComplexSpec,
     return EntryOutcome(value, value == 0 or all_trivial, bigraded)
 
 
+@call_scope()
 def strand_value(poly: LatticePolygon, strand: str, ell: int,
                  prime: PrimeModulus, removed: tuple[Point, ...] = (), *,
                  use_symmetry: bool = True,
@@ -328,6 +329,7 @@ def compute_b(poly: LatticePolygon, ell: int, prime: PrimeModulus, *,
     return strand_value(poly, "b", ell, prime, budget=budget)
 
 
+@call_scope()
 def compute_c(poly: LatticePolygon, ell: int, prime: PrimeModulus, *,
               budget: ComputeBudget | None = None) -> EntryOutcome:
     """Row-two entry at one position, computed directly; zero when the
@@ -412,6 +414,7 @@ def _choose_side(poly: LatticePolygon, a: int, b_preset: dict,
     return "compute_c" if peak_c <= peak_b else "compute_b"
 
 
+@call_scope()
 def plan_strategy(poly: LatticePolygon, prime: PrimeModulus,
                   options: EngineOptions | None = None) -> Strategy:
     """Pick the route for every antidiagonal before any matrix exists.
@@ -520,14 +523,13 @@ def betti_table(poly: LatticePolygon,
             "removed": {s: [list(pt) for pt in compute_plan(poly, s, options)]
                         for s in "bc"}}, _block_key)
     try:
-        with worker_pool(options.budget):
-            for a, choice in sorted(strategy.choices.items()):
-                entries, breakdown = _resolve_antidiagonal(
-                    poly, a, choice, prime,
-                    (strategy.b_preset, strategy.c_preset), options, store)
-                cells.update(entries)
-                if options.keep_bigraded:
-                    bigraded.update(breakdown)
+        for a, choice in sorted(strategy.choices.items()):
+            entries, breakdown = _resolve_antidiagonal(
+                poly, a, choice, prime,
+                (strategy.b_preset, strategy.c_preset), options, store)
+            cells.update(entries)
+            if options.keep_bigraded:
+                bigraded.update(breakdown)
     finally:
         if store:
             store.close()
@@ -619,9 +621,8 @@ def verify_kp1(poly: LatticePolygon,
         entries = {t: (table.b_entry(t), table.b_rigorous[t - 1])
                    for t in targets}
     else:
-        with worker_pool(options.budget):
-            entries = {t: _resolve_entry_b(poly, t, prime, options)
-                       for t in targets}
+        entries = {t: _resolve_entry_b(poly, t, prime, options)
+                   for t in targets}
     notes = []
     verdict = "holds"
     for t in targets:
@@ -785,21 +786,20 @@ def run_audits(poly: LatticePolygon,
         prime = PrimeModulus(prime)
     options = options or EngineOptions()
     n = poly.n_points
-    with worker_pool(options.budget):
-        if table is None:
-            table = betti_table(poly, prime, options)
-        direct = _direct_entries(poly, prime, options.budget)
-        issues = audit_shortcuts(poly, table, direct)
-        if n <= 9:
-            issues += audit_quotient(poly, prime, table, options)
-        if n <= 8:
-            issues += audit_duality(poly, prime, direct, options.budget)
-            issues += audit_symmetry(poly, prime, direct, options)
-            issues += audit_prune(poly, prime, table, options)
-        if n <= 7:
-            from .oracle import oracle_betti
-            ref = oracle_betti(poly, prime)
-            if table.b != ref.b or table.c != ref.c:
-                issues.append(f"brute-force disagreement: "
-                              f"{table.b}/{table.c} vs {ref.b}/{ref.c}")
-        return issues
+    if table is None:
+        table = betti_table(poly, prime, options)
+    direct = _direct_entries(poly, prime, options.budget)
+    issues = audit_shortcuts(poly, table, direct)
+    if n <= 9:
+        issues += audit_quotient(poly, prime, table, options)
+    if n <= 8:
+        issues += audit_duality(poly, prime, direct, options.budget)
+        issues += audit_symmetry(poly, prime, direct, options)
+        issues += audit_prune(poly, prime, table, options)
+    if n <= 7:
+        from .oracle import oracle_betti
+        ref = oracle_betti(poly, prime)
+        if table.b != ref.b or table.c != ref.c:
+            issues.append(f"brute-force disagreement: "
+                          f"{table.b}/{table.c} vs {ref.b}/{ref.c}")
+    return issues

@@ -342,12 +342,15 @@ def wedge_basis(support: PointSet, coeffs: PointSet, p: int,
             for w in bucket]
 
 
-@scoped_cache()
+@scoped_cache(maxsize=16)
 def _reach(wedge: PointSet, source: PointSet,
            target: PointSet) -> dict[Point, int]:
     """For each cofactor c in source, the mask of the wedge points x
     with c + x in target: the omissions of a column with cofactor c
-    that land on a row."""
+    that land on a row.
+
+    Bounded because a pool worker may serve many polygons in one
+    scope; one call uses fewer."""
     return {c: sum(1 << i for i, (x, y) in enumerate(wedge)
                    if (c[0] + x, c[1] + y) in target)
             for c in source}

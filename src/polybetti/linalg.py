@@ -9,10 +9,12 @@ pivots follow, and the remainder goes to dense row reduction with
 delayed reduction mod p once it is more than DENSE_FILL_CUTOFF full,
 counted against at least DENSE_MIN_CELLS cells, so that a small
 remainder stays sparse whatever its fill.  ``rank_batch`` ranks a batch
-of blocks on a process pool, shared by every batch inside one
-``worker_pool`` block, when the batch's predicted dense cells, Σ
+of blocks on a process pool when the batch's predicted dense cells, Σ
 n_rows · n_cols, reach POOL_MIN_CELLS; smaller batches rank
-in-process.  Each block comes back as a
+in-process.  The pool belongs to the outermost open
+``scope.call_scope``: its first pooled batch starts it, every later
+batch inside the scope reuses it, and the scope joins it on exit.  Each
+block comes back as a
 ``(rank, None)`` or ``(None, error text)`` pair.  A block is described
 by its predicted ``n_rows`` and ``n_cols`` (``engine.BlockTask``): the
 memory cap is checked against those sizes, and only then does the
@@ -30,16 +32,13 @@ from __future__ import annotations
 import heapq
 import os
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import TYPE_CHECKING
 
-from .scope import adopt, current
+from . import scope
 
 if TYPE_CHECKING:
-    from concurrent.futures import ProcessPoolExecutor
-
     import numpy as np
 
 # The sparse loop hands its remainder to dense_rank_mod once the
@@ -371,11 +370,7 @@ def _rank_task(args) -> tuple[int | None, str | None]:
         return None, str(exc)
 
 
-def _rank_chunk(chunk: list, count: int
-                ) -> list[tuple[int | None, str | None]]:
-    # runs in a pool worker: caches left by an earlier call of the
-    # sender go before this chunk builds its blocks
-    adopt(count)
+def _rank_chunk(chunk: list) -> list[tuple[int | None, str | None]]:
     return [_rank_task(a) for a in chunk]
 
 
@@ -394,36 +389,6 @@ def _rank_chunk(chunk: list, count: int
 # workload, 1,000,000 left big-table's wall time within noise and
 # raised its peak RSS 1.4%.
 POOL_MIN_CELLS = 500_000
-
-# the outermost open worker_pool block: its executor, built by the first
-# batch that pools (None until then), and its worker count
-_shared: tuple[ProcessPoolExecutor | None, int] | None = None
-
-
-@contextmanager
-def worker_pool(budget: ComputeBudget | None = None):
-    """Share one process pool among every rank_batch inside the block.
-
-    The pool has ``budget.max_workers`` processes and is started by the
-    first batch that pools, so a block whose batches all rank in-process
-    forks nothing.  With one worker, or inside an open block, this does
-    nothing and the outer pool is reused.  The workers are joined on
-    exit, so none outlives the block.
-    """
-    global _shared
-    budget = budget or ComputeBudget()
-    if budget.max_workers <= 1 or _shared is not None:
-        yield
-        return
-    _shared = (None, budget.max_workers)
-    try:
-        yield
-    finally:
-        pool = _shared[0]
-        _shared = None
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
-
 
 def __getattr__(name: str):
     # ProcessPoolExecutor is imported on first access, which _dispatch
@@ -448,20 +413,20 @@ def _chunks(costs: list[int], n_chunks: int) -> list[list[int]]:
     return chunks
 
 
-def _dispatch(args, costs: list[int]) -> list | None:
-    """Run the tasks on the open block's pool, starting it if no batch
-    has yet, one future per chunk, the chunk with the largest task
-    first.  The tasks of a chunk lost to a dead worker, or never
-    submitted because the pool broke, are marked failed, and the broken
-    pool is dropped so that the next batch that pools starts live
-    workers.  None if no process can be started here."""
-    global _shared
+def _dispatch(args, costs: list[int], workers: int) -> list | None:
+    """Run the tasks on the open scope's pool, starting it with
+    ``workers`` processes if no batch has yet, one future per chunk,
+    the chunk with the largest task first.  The tasks of a chunk lost
+    to a dead worker, or never submitted because the pool broke, are
+    marked failed, and the broken pool is dropped so that the next
+    batch that pools starts live workers.  None if no process can be
+    started here."""
     # numpy and the pool machinery are loaded just before a pool forks,
     # so that forked workers inherit numpy for their dense remainders
     # instead of each loading it, and a process whose batches all rank
     # in-process loads neither
     from concurrent.futures.process import BrokenProcessPool
-    pool, workers = _shared
+    pool = scope.pool
     results: list = [(None, "worker process died")] * len(args)
     futures = []
     broken = False
@@ -469,12 +434,11 @@ def _dispatch(args, costs: list[int]) -> list | None:
         if pool is None:
             import numpy  # noqa: F401
             # read through the module, where a test may have patched it
-            pool = sys.modules[__name__].ProcessPoolExecutor(
+            pool = scope.pool = sys.modules[__name__].ProcessPoolExecutor(
                 max_workers=workers)
-            _shared = (pool, workers)
         for chunk in _chunks(costs, min(len(args), 4 * workers)):
             futures.append((chunk, pool.submit(
-                _rank_chunk, [args[i] for i in chunk], current())))
+                _rank_chunk, [args[i] for i in chunk])))
     except BrokenProcessPool:
         broken = True
     except OSError:     # sandboxes without process spawning run serially
@@ -489,7 +453,7 @@ def _dispatch(args, costs: list[int]) -> list | None:
             results[i] = r
     if broken:
         pool.shutdown(wait=True, cancel_futures=True)
-        _shared = (None, workers)
+        scope.pool = None
     return results
 
 
@@ -501,16 +465,19 @@ def rank_batch(tasks: list, budget: ComputeBudget | None = None
     finish; if a worker process dies, every task it left unfinished
     fails.  A batch of several blocks whose predicted dense cells,
     n_rows · n_cols, sum to at least POOL_MIN_CELLS runs on the pool of
-    an open worker_pool block, or else on a pool of its own, dealt to
-    the workers by n_rows + n_cols; any other batch runs serially in
-    the calling process, one block built at a time."""
+    the outermost open call_scope, started with budget.max_workers
+    processes if no batch has yet (outside any scope, the batch opens
+    one, so its pool is joined before it returns), dealt to the workers
+    by n_rows + n_cols; any other batch runs serially in the calling
+    process, one block built at a time."""
     budget = budget or ComputeBudget()
     args = [(m, budget.memory_cap) for m in tasks]
     results = None
     if budget.max_workers > 1 and len(tasks) > 1 and sum(
             m.n_rows * m.n_cols for m in tasks) >= POOL_MIN_CELLS:
-        with worker_pool(budget):
-            results = _dispatch(args, [m.n_rows + m.n_cols for m in tasks])
+        with scope.call_scope():
+            results = _dispatch(args, [m.n_rows + m.n_cols for m in tasks],
+                                budget.max_workers)
     if results is None:
         results = [_rank_task(a) for a in args]
     return results

@@ -428,7 +428,6 @@ def _argmin_convex(f) -> list[int]:
     return sorted(ks)
 
 
-@scoped_cache()
 def strip_placements(poly: LatticePolygon) -> tuple[tuple[Point, ...], ...]:
     """Point tuples of every normalized placement used for canonicalization.
 

@@ -1,18 +1,18 @@
-"""Caches that live as long as one public call.
+"""What one public call holds: its caches and its process pool.
 
 Geometry, plans, specs and wedge layers are cached with
-``scoped_cache``.  ``betti_table``, ``verify_kp1``, ``run_audits`` and
-``block_dimensions`` run inside ``call_scope``, and the outermost open
-scope clears every scoped cache when it exits.  So a table inside an
-audit, or the CLI's ``--primes`` loop inside one scope, shares one
-polygon's geometry, while a process that runs many polygons holds only
-the current one's.
+``scoped_cache``.  ``betti_table``, ``verify_kp1``, ``run_audits``,
+``block_dimensions``, ``plan_strategy`` and ``strand_value`` run inside
+``call_scope``, and the outermost open scope clears every scoped cache
+when it exits.  So a table inside an audit, or the CLI's ``--primes``
+loop inside one scope, shares one polygon's geometry, while a process
+that runs many polygons holds only the current one's.
 
-A pool worker, which builds blocks and so fills caches too, never
-opens a scope: each chunk of work it is sent carries the number of
-the sender's scope (``current``), and the worker clears its caches
-when that number moves on (``adopt``), so it holds one call's caches
-however many calls its pool serves.
+The outermost scope also owns the process pool that its first pooled
+batch starts (``pool``, filled by ``linalg``): every batch inside the
+scope shares it, and the scope joins its workers on exit.  A worker
+fills only the bounded caches that building a block uses, so however
+many polygons one pool serves, what a worker holds stays bounded.
 """
 from __future__ import annotations
 
@@ -23,9 +23,9 @@ from functools import lru_cache
 # never searches modules for caches
 _CACHES: list = []
 _open = False
-# outermost scopes opened so far in this process, or, in a pool worker,
-# the number of the sender's scope its caches belong to
-_count = 0
+# the open outermost scope's ProcessPoolExecutor, None until a batch
+# inside it pools
+pool = None
 
 
 def scoped_cache(maxsize: int | None = None):
@@ -38,42 +38,29 @@ def scoped_cache(maxsize: int | None = None):
     return wrap
 
 
-def _clear() -> None:
+def clear() -> None:
+    """Empty every scoped cache now; an open scope keeps its pool."""
     for cached in _CACHES:
         cached.cache_clear()
 
 
 @contextmanager
 def call_scope():
-    """Keep the scoped caches for the block, and clear them all when the
-    outermost block exits, also when it raises.  Inside an open block
-    this does nothing.  Like any ``contextmanager``, ``call_scope()``
-    also decorates a function."""
-    global _open, _count
+    """Keep the scoped caches and the pool for the block; when the
+    outermost block exits, also when it raises, join the pool's workers
+    and then clear every cache.  Inside an open block this does
+    nothing.  Like any ``contextmanager``, ``call_scope()`` also
+    decorates a function."""
+    global _open, pool
     if _open:
         yield
         return
     _open = True
-    _count += 1
     try:
         yield
     finally:
         _open = False
-        _clear()
-
-
-def current() -> int:
-    """The number of the latest outermost scope: what a chunk of pool
-    work carries to its worker."""
-    return _count
-
-
-def adopt(count: int) -> None:
-    """In a pool worker, before a chunk sent from scope ``count``: clear
-    every scoped cache unless they already belong to that scope.  A
-    forked worker starts with its parent's number, so it keeps the
-    caches it inherited for the rest of the call that forked it."""
-    global _count
-    if count != _count:
-        _count = count
-        _clear()
+        held, pool = pool, None
+        if held is not None:
+            held.shutdown(wait=True, cancel_futures=True)
+        clear()

@@ -14,10 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entry_blocks import EntryBlock, to_dense
-from polybetti import linalg
+from polybetti import linalg, scope
 from polybetti.linalg import (ComputeBudget, PrimeModulus, ResourceExceeded,
                               _chunks, dense_rank_mod, is_prime, rank,
-                              rank_batch, worker_pool)
+                              rank_batch)
+from polybetti.scope import call_scope
 
 P40009 = PrimeModulus(40009)
 
@@ -308,7 +309,7 @@ def test_rank_batch_pooled_matches_serial(pool_every_batch):
         None if i == over else rank(m) for i, m in enumerate(batch)]
     budget = ComputeBudget(max_workers=2, memory_cap=20000)
     assert rank_batch(batch, budget) == serial
-    with worker_pool(budget):
+    with call_scope():
         assert rank_batch(batch, budget) == serial
         assert rank_batch(batch[::-1], budget) == serial[::-1]
     assert multiprocessing.active_children() == []
@@ -324,34 +325,35 @@ def test_chunks_deal_largest_first():
     assert max(loads) - min(loads) <= max(costs)
 
 
-def test_worker_pool_opens_one_pool_and_joins_it(opened_pools,
-                                                 pool_every_batch):
+def test_call_scope_opens_one_pool_and_joins_it(opened_pools,
+                                                pool_every_batch):
     batch, _ = _mixed_batch()
     budget = ComputeBudget(max_workers=2, memory_cap=20000)
-    with worker_pool(budget):
-        with worker_pool(budget):       # nested: reuses the outer pool
+    with call_scope():
+        with call_scope():              # nested: reuses the outer pool
             rank_batch(batch, budget)
         rank_batch(batch, budget)
         assert multiprocessing.active_children()
     assert len(opened_pools) == 1
     assert multiprocessing.active_children() == []
-    with worker_pool(ComputeBudget(max_workers=1)):
-        rank_batch(batch, budget)       # no shared pool: one of its own
-    assert len(opened_pools) == 2
+    rank_batch(batch, budget)           # outside a scope: a pool of its own
+    rank_batch(batch, budget)
+    assert len(opened_pools) == 3
+    assert multiprocessing.active_children() == []
 
 
 def test_broken_shared_pool_fails_the_batch(pool_every_batch):
     batch, _ = _mixed_batch()
     budget = ComputeBudget(max_workers=2, memory_cap=20000)
-    with worker_pool(budget):
-        rank_batch(batch, budget)       # starts the block's pool
-        pool, _ = linalg._shared
+    with call_scope():
+        rank_batch(batch, budget)       # starts the scope's pool
+        pool = scope.pool
         with pytest.raises(BrokenProcessPool):
             pool.submit(os._exit, 1).result()
         # the pool is broken before the batch starts: submit raises
         out = rank_batch(batch, budget)
         # the broken pool was replaced: the next batch gets live workers
-        assert linalg._shared[0] is not pool
+        assert scope.pool is not pool
         again = rank_batch(batch, budget)
     assert out == [(None, "worker process died")] * len(batch)
     serial = rank_batch(batch, ComputeBudget(max_workers=1, memory_cap=20000))
@@ -383,7 +385,7 @@ def test_only_batches_worth_a_pool_start_one(monkeypatch):
     many = [_diagonal(50)] * 50     # Σ(rows + cols) 5,000, 125,000 cells
     assert 2 * side ** 2 < linalg.POOL_MIN_CELLS <= 2 * (side + 1) ** 2
     assert 50 * 50 ** 2 < linalg.POOL_MIN_CELLS
-    with worker_pool(budget):
+    with call_scope():
         assert attempts == []
         assert rank_batch(small, budget) == [(side, None)] * 2
         assert rank_batch(many, budget) == [(50, None)] * 50
