@@ -15,8 +15,11 @@ from __future__ import annotations
 import json
 import os
 import sys
+from collections import Counter
+from dataclasses import asdict
 
 import click
+from click.core import ParameterSource
 
 from .closed_forms import (EmptyInterior, PathologicalPolygon, cg_lower_bound,
                            eagon_northcott_table, entry_bN4,
@@ -158,6 +161,9 @@ def table(model, vertices, file, prime, primes, removal, no_symmetry,
     value known only modulo the working prime.
     """
     poly = _load_polygon(model, vertices, file)
+    source = click.get_current_context().get_parameter_source("prime")
+    if primes is not None and source is ParameterSource.COMMANDLINE:
+        _fail(EXIT_INPUT, "give --prime or --primes, not both")
     moduli = _parse_primes(prime, primes)
     if checkpoint and len(moduli) > 1:
         _fail(EXIT_INPUT, "--checkpoint records one prime's blocks; "
@@ -344,7 +350,7 @@ def verify_kp1_cmd(corpus_dir, prime, removal, no_symmetry, workers,
             store.append({"key": key, **record})
 
     names = sorted(os.listdir(corpus_dir))
-    counts: dict[str, int] = {}
+    counts: Counter[str] = Counter()
     shown = 0
     try:
         with call_scope():      # one pool serves every file
@@ -365,17 +371,12 @@ def verify_kp1_cmd(corpus_dir, prime, removal, no_symmetry, workers,
                         log(key, {"error": f"{type(exc).__name__}: {exc}"})
                 if key not in done:
                     try:
-                        rep = verify_kp1(poly, moduli[0], opts)
-                        log(key, {"polygon": key, "report": {
-                            "n": rep.n,
-                            "lattice_width": rep.lattice_width,
-                            "exceptional": rep.exceptional,
-                            "predicted_from_right": rep.predicted_from_right,
-                            "first_zero_index": rep.first_zero_index,
-                            "entries": {str(t): list(v) for t, v
-                                        in sorted(rep.entries.items())},
-                            "verdict": rep.verdict,
-                            "notes": list(rep.notes)}})
+                        rep = asdict(verify_kp1(poly, moduli[0], opts))
+                        # str keys, so that sort_keys puts "10" before
+                        # "9", as in every log written so far
+                        rep["entries"] = {str(t): v for t, v
+                                          in rep["entries"].items()}
+                        log(key, {"polygon": key, "report": rep})
                     except ResourceExceeded as exc:
                         # a limit of this run, not a fact of the polygon:
                         # kept out of the log, so a resumed run retries it
@@ -385,11 +386,8 @@ def verify_kp1_cmd(corpus_dir, prime, removal, no_symmetry, workers,
                         log(key, {"polygon": key, "error":
                                   f"{type(exc).__name__}: {exc}"})
                 record = done[key]
-                if "error" in record:
-                    counts["error"] = counts.get("error", 0) + 1
-                else:
-                    verdict = record["report"]["verdict"]
-                    counts[verdict] = counts.get(verdict, 0) + 1
+                counts["error" if "error" in record
+                       else record["report"]["verdict"]] += 1
                 click.echo(_kp1_line(name, record))
                 shown += 1
     finally:

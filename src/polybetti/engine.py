@@ -329,13 +329,10 @@ def compute_b(poly: LatticePolygon, ell: int, prime: PrimeModulus, *,
     return strand_value(poly, "b", ell, prime, budget=budget)
 
 
-@call_scope()
 def compute_c(poly: LatticePolygon, ell: int, prime: PrimeModulus, *,
               budget: ComputeBudget | None = None) -> EntryOutcome:
     """Row-two entry at one position, computed directly; zero when the
-    interior is empty."""
-    if not interior_hull(poly).points:
-        return EntryOutcome(0, True, {})
+    interior is empty, the twisted supports then being empty."""
     return strand_value(poly, "c", ell, prime, budget=budget)
 
 
@@ -733,9 +730,9 @@ def audit_shortcuts(poly: LatticePolygon, table: BettiTable,
             tag = getattr(table, f"{strand}_provenance")[pos - 1]
             issues.append(f"{row} {pos}: table {have} vs recomputed "
                           f"{out.value} ({tag})")
-        window = (support_window(poly, pos, 1, twisted=False)
+        window = (support_window(poly, pos, twisted=False)
                   if strand == "b" else
-                  support_window(poly, pos - 1, 1, twisted=True))
+                  support_window(poly, pos - 1, twisted=True))
         for ab in sorted(set(out.bigraded) - window, key=order_key):
             issues.append(f"{row} {pos}: bidegree {ab} outside its "
                           f"support window")

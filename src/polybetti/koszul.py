@@ -150,16 +150,21 @@ def regular_triple(poly: LatticePolygon, p: Point, q: Point, r: Point) -> bool:
     return len(poly.vertices) == 3 and set(poly.vertices) == {p, q, r}
 
 
+def _dilate_contains(poly: LatticePolygon, k: int):
+    """Membership test of kΔ, k >= 0; 0Δ is the origin alone."""
+    return dilate(poly, k).contains if k else lambda pt: pt == (0, 0)
+
+
 def pair_criterion_by_enumeration(poly: LatticePolygon, p: Point, q: Point,
                                   q_max: int = 4) -> bool:
     """Containment form of pair regularity, checked degree by degree:
     every lattice point of (kΔ - p) ∩ (kΔ - q) lies in (k-1)Δ."""
     for k in range(1, q_max + 1):
         big = dilate(poly, k).points
-        small = dilate(poly, k - 1)
+        small = _dilate_contains(poly, k - 1)
         shared = ({(x - p[0], y - p[1]) for x, y in big}
                   & {(x - q[0], y - q[1]) for x, y in big})
-        if not all(small.contains(pt) for pt in shared):
+        if not all(small(pt) for pt in shared):
             return False
     return True
 
@@ -174,12 +179,12 @@ def triple_criterion_by_enumeration(poly: LatticePolygon, p: Point, q: Point,
         return False
     for k in range(1, q_max + 1):
         big = dilate(poly, k).points
-        small = dilate(poly, k - 1)
+        small = _dilate_contains(poly, k - 1)
         shifted = ({(x + p[0] - r[0], y + p[1] - r[1]) for x, y in big}
                    | {(x + q[0] - r[0], y + q[1] - r[1]) for x, y in big})
         for x, y in set(big) & shifted:
-            if not (small.contains((x - p[0], y - p[1]))
-                    or small.contains((x - q[0], y - q[1]))):
+            if not (small((x - p[0], y - p[1]))
+                    or small((x - q[0], y - q[1]))):
                 return False
     return True
 
@@ -190,6 +195,16 @@ def _region(poly: LatticePolygon, twisted: bool, q: int) -> PointSet:
         return PointSet.of([] if twisted else [(0, 0)])
     dilated = dilate(poly, q)
     return interior_hull(dilated).points if twisted else dilated.points
+
+
+def bidegree_hull(poly: LatticePolygon, p: int, q: int,
+                  twisted: bool) -> tuple[Point, ...]:
+    """Hull of the bidegrees of p-wedges with coefficients in degree q:
+    pΔ + qΔ plain, pΔ + int(qΔ) interior-twisted, q >= 1."""
+    if not twisted:
+        return dilate_hull(poly.vertices, p + q)
+    return minkowski_hull(dilate_hull(poly.vertices, p),
+                          interior_hull(dilate(poly, q)).hull)
 
 
 @scoped_cache()
@@ -237,14 +252,11 @@ def strand_spec(poly: LatticePolygon, strand: str, ell: int,
     s0, s1, s2 = (reduced_supports(poly, removed, twisted, q)
                   for q in range(3))
     top = ell if twisted else ell + 1       # the incoming map's wedge degree
-    region = (minkowski_hull(dilate_hull(poly.vertices, ell - 1),
-                             interior_hull(poly).hull) if twisted
-              else dilate_hull(poly.vertices, ell + 1))
     return ComplexSpec(
         strand=strand, ell=ell,
         left=SupportTriple(a, s0, s1, top, removed),
         right=SupportTriple(a, s1, s2, top - 1, removed),
-        region=region,
+        region=bidegree_hull(poly, top - 1, 1, twisted),
         translate_degree=top)
 
 
@@ -257,13 +269,11 @@ def twisted_quadratic_spec(poly: LatticePolygon, ell: int) -> ComplexSpec:
     a = poly.points
     p_mid = n - 3 - ell
     s1, s2, s3 = (_region(poly, True, q) for q in (1, 2, 3))
-    region = minkowski_hull(dilate_hull(poly.vertices, p_mid),
-                            interior_hull(dilate(poly, 2)).hull)
     return ComplexSpec(
         strand="mirror", ell=ell,
         left=SupportTriple(a, s1, s2, p_mid + 1),
         right=SupportTriple(a, s2, s3, p_mid),
-        region=region,
+        region=bidegree_hull(poly, p_mid, 2, True),
         translate_degree=p_mid + 2)
 
 
@@ -542,23 +552,13 @@ def choose_removal(poly: LatticePolygon,
         peak_block(strand_spec(poly, strand, ell, removed)), removed))
 
 
-def support_window(poly: LatticePolygon, p: int, q: int,
+def support_window(poly: LatticePolygon, p: int,
                    twisted: bool) -> set[Point]:
-    """Bidegrees where the (p, q) cohomology can be nonzero at all: the
-    natural region intersected with its reflection through the total
-    point sum."""
-    n = poly.n_points
-    sigma = sigma_point(poly)
-    if twisted:
-        first = minkowski_hull(dilate_hull(poly.vertices, p),
-                               interior_hull(dilate(poly, q)).hull
-                               if q >= 1 else ((0, 0),))
-        second = dilate_hull(poly.vertices, n - p - q)
-    else:
-        first = dilate_hull(poly.vertices, p + q)
-        inner = (interior_hull(dilate(poly, 3 - q)).hull
-                 if 3 - q >= 1 else ((0, 0),))
-        second = minkowski_hull(dilate_hull(poly.vertices, n - 3 - p), inner)
-    flipped = {(sigma[0] + x, sigma[1] + y)
-               for x, y in hull_points(negate_hull(second))}
-    return set(hull_points(first)) & flipped
+    """Bidegrees where the degree-1 cohomology of p-wedges can be nonzero
+    at all: its bidegree hull intersected with the reflection, through
+    the total point sum, of its dual's, which sits in wedge degree
+    n - 3 - p with coefficients in degree 2 and the other twist."""
+    sx, sy = sigma_point(poly)
+    dual = bidegree_hull(poly, poly.n_points - 3 - p, 2, not twisted)
+    flipped = {(sx + x, sy + y) for x, y in hull_points(negate_hull(dual))}
+    return set(hull_points(bidegree_hull(poly, p, 1, twisted))) & flipped

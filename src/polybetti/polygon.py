@@ -102,18 +102,12 @@ class PointSet:
 
 @dataclass(frozen=True)
 class LatticePolygon:
-    """Convex lattice polygon given by its counterclockwise vertex cycle.
-
-    ``degenerate`` marks the zero-fold dilation, a single point; none of
-    the polygon invariants apply to it.
-    """
+    """Convex lattice polygon given by its counterclockwise vertex cycle;
+    always two-dimensional."""
 
     vertices: tuple[Point, ...]
-    degenerate: bool = False
 
     def __post_init__(self):
-        if self.degenerate:
-            return
         if len(self.vertices) < 3:
             raise DimensionError(
                 f"hull of {list(self.vertices)} is not two-dimensional")
@@ -129,16 +123,12 @@ class LatticePolygon:
     @cached_property
     def area2(self) -> int:
         """Twice the Euclidean area (shoelace), an exact integer."""
-        if self.degenerate:
-            return 0
         v = self.vertices
         return sum(v[i - 1][0] * v[i][1] - v[i][0] * v[i - 1][1]
                    for i in range(len(v)))
 
     @cached_property
     def boundary_count(self) -> int:
-        if self.degenerate:
-            return 1
         v = self.vertices
         return sum(math.gcd(abs(v[i][0] - v[i - 1][0]),
                             abs(v[i][1] - v[i - 1][1]))
@@ -175,8 +165,6 @@ class LatticePolygon:
 
     @cached_property
     def points(self) -> PointSet:
-        if self.degenerate:
-            return PointSet.of(self.vertices)
         out: list[Point] = []
         x0, y0, x1, y1 = self.bbox
         for y in range(y0, y1 + 1):
@@ -192,15 +180,11 @@ class LatticePolygon:
         return len(self.points)
 
     def contains(self, pt: Point) -> bool:
-        if self.degenerate:
-            return pt == self.vertices[0]
         v = self.vertices
         n = len(v)
         return all(cross(v[i], v[(i + 1) % n], pt) >= 0 for i in range(n))
 
     def strictly_contains(self, pt: Point) -> bool:
-        if self.degenerate:
-            return False
         v = self.vertices
         n = len(v)
         return all(cross(v[i], v[(i + 1) % n], pt) > 0 for i in range(n))
@@ -216,34 +200,29 @@ def from_vertices(pts) -> LatticePolygon:
 
 @dataclass(frozen=True)
 class InteriorHull:
-    """Strictly interior lattice points together with their hull shape."""
+    """Strictly interior lattice points together with their hull; dim
+    is the hull's dimension, -1 when there are no interior points."""
 
     points: PointSet
-    dim: int
     hull: tuple[Point, ...]
+
+    @property
+    def dim(self) -> int:
+        return min(len(self.hull), 3) - 1
 
 
 @scoped_cache()
 def interior_hull(poly: LatticePolygon) -> InteriorHull:
     inner = [p for p in poly.points if poly.strictly_contains(p)]
-    hull = convex_hull(inner)
-    if not hull:
-        dim = -1
-    elif len(hull) == 1:
-        dim = 0
-    elif len(hull) == 2:
-        dim = 1
-    else:
-        dim = 2
-    return InteriorHull(PointSet.of(inner), dim, tuple(hull))
+    return InteriorHull(PointSet.of(inner), tuple(convex_hull(inner)))
 
 
 @scoped_cache()
 def dilate(poly: LatticePolygon, q: int) -> LatticePolygon:
-    if q < 0:
-        raise ValueError(f"dilation factor must be nonnegative, got {q}")
-    if q == 0:
-        return LatticePolygon(((0, 0),), degenerate=True)
+    """The q-fold dilation qΔ, q >= 1; the single point 0Δ is not a
+    polygon, so callers that reach degree 0 handle it themselves."""
+    if q < 1:
+        raise ValueError(f"dilation factor must be positive, got {q}")
     if q == 1:
         return poly
     return LatticePolygon(tuple((q * x, q * y) for x, y in poly.vertices))
@@ -400,34 +379,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, y, x - (a // b) * y
 
 
-def _argmin_convex(f) -> list[int]:
-    """All integer minimizers of a convex integer function."""
-    lo, hi = -1, 1
-    while f(lo) < f(lo + 1):
-        lo *= 2
-    while f(hi) < f(hi - 1):
-        hi *= 2
-    while hi - lo > 2:
-        m1 = lo + (hi - lo) // 3
-        m2 = hi - (hi - lo) // 3
-        if f(m1) <= f(m2):
-            hi = m2
-        else:
-            lo = m1
-    k0 = min(range(lo, hi + 1), key=f)
-    best = f(k0)
-    ks = [k0]
-    k = k0 - 1
-    while f(k) == best:
-        ks.append(k)
-        k -= 1
-    k = k0 + 1
-    while f(k) == best:
-        ks.append(k)
-        k += 1
-    return sorted(ks)
-
-
 def strip_placements(poly: LatticePolygon) -> tuple[tuple[Point, ...], ...]:
     """Point tuples of every normalized placement used for canonicalization.
 
@@ -435,6 +386,10 @@ def strip_placements(poly: LatticePolygon) -> tuple[tuple[Point, ...], ...]:
     shear attaining the minimal horizontal extent, the polygon is mapped
     into the strip RR x [0, lw] and translated so minima sit at zero.
     Each placement is checked to be a unimodular image of the point set.
+
+    The shears scanned are |k| <= 2 extent(0) // lw: the lowest and the
+    highest point alone give extent(k) >= |k| lw - extent(0), so beyond
+    that no shear can reach extent(0), let alone the minimum.
     """
     w, dirs = lattice_width_data(poly)
     base_pts = list(poly.points)
@@ -451,11 +406,14 @@ def strip_placements(poly: LatticePolygon) -> tuple[tuple[Point, ...], ...]:
                        lin[1][0] * px + lin[1][1] * py)
                       for px, py in base_pts]
 
-            def extent(k: int, coords=coords) -> int:
+            def extent(k: int) -> int:
                 xs = [cx + k * cy for cx, cy in coords]
                 return max(xs) - min(xs)
 
-            for k in _argmin_convex(extent):
+            bound = 2 * extent(0) // w
+            spans = {k: extent(k) for k in range(-bound, bound + 1)}
+            least = min(spans.values())
+            for k in [k for k, span in spans.items() if span == least]:
                 mat = ((lin[0][0] + k * u1, lin[0][1] + k * u2), (u1, u2))
                 moved = [(cx + k * cy, cy) for cx, cy in coords]
                 min_x = min(p[0] for p in moved)

@@ -122,6 +122,9 @@ def test_table_accepts_vertices_and_files(runner, tmp_path):
     ("table", "--vertices", '{"vertices": [[0, 0], [2.7, 0], [0, 2]]}'),
     ("table", "--vertices", '{"vertices": [[0, 0], [true, 0], [0, 2]]}'),
     ("table", "--vertices", '{"vertices": "0,0 2,0 0,2"}'),
+    # --prime and --primes together: neither is silently dropped
+    ("table", "--model", "Upsilon_2", "--prime", "4", "--primes", "2,5"),
+    ("table", "--model", "Upsilon_2", "--prime", "3", "--primes", "2,3"),
 ])
 def test_invalid_input_exits_2(runner, args):
     env, cmd = (args[0], args[1:]) if isinstance(args[0], dict) else ({}, args)

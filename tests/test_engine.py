@@ -405,9 +405,9 @@ def test_bigraded_tables_and_support_windows(prime):
         if any(s == "b" and e == ell for (s, e, _) in table.bigraded):
             assert marg == table.b[ell - 1]
     for (strand, ell, ab), val in table.bigraded.items():
-        window = (support_window(poly, ell, 1, twisted=False)
+        window = (support_window(poly, ell, twisted=False)
                   if strand == "b" else
-                  support_window(poly, ell - 1, 1, twisted=True))
+                  support_window(poly, ell - 1, twisted=True))
         assert val and ab in window
 
 
@@ -850,6 +850,28 @@ def test_polygon_key_is_class_invariant():
     moved = mapped(poly, ((1, 1), (0, 1)), (-2, 5))
     assert polygon_key(poly) == polygon_key(moved)
     assert polygon_key(poly) != polygon_key(named_polygon("2*Sigma"))
+
+
+def test_polygon_keys_are_frozen():
+    """Every checkpoint and campaign log is headed by a polygon_key, so
+    the representative canonical_form picks must not move.
+    tests/data/polygon_keys.json holds [vertices, key] for the reference
+    models, 8*Sigma, Upsilon_5 and Upsilon_6, every kp1_corpus() and
+    removal_corpus() polygon, and build_corpus(2501, 40, n_min=3,
+    n_max=20, box=6, max_vertices=7) with a unimodular image and an
+    x -> x + 50y shear of each."""
+    frozen = json.loads((Path(__file__).parent / "data" /
+                         "polygon_keys.json").read_text())
+    models = list(REFERENCE_TABLES) + ["8*Sigma", "Upsilon_5", "Upsilon_6"]
+    polys = ([named_polygon(name) for name in models]
+             + kp1_corpus() + removal_corpus())
+    assert [verts for verts, _ in frozen[:len(polys)]] == [
+        [list(v) for v in poly.vertices] for poly in polys]
+    assert len(frozen) == len(polys) + 3 * 40
+    with call_scope():
+        for verts, key in frozen:
+            assert polygon_key(from_vertices([tuple(v) for v in verts])) \
+                == key, verts
 
 
 def test_options_validation():

@@ -431,10 +431,10 @@ def test_support_window_contains_all_nonzero_bidegrees():
     prime = PrimeModulus(40009)
     poly = named_polygon("Upsilon_2")
     out = compute_b(poly, 2, prime)
-    window = support_window(poly, 2, 1, twisted=False)
+    window = support_window(poly, 2, twisted=False)
     assert all(ab in window for ab, v in out.bigraded.items() if v)
     out = compute_c(poly, 2, prime)
-    window = support_window(poly, 1, 1, twisted=True)
+    window = support_window(poly, 1, twisted=True)
     assert all(ab in window for ab, v in out.bigraded.items() if v)
 
 

@@ -95,7 +95,7 @@ def test_vertices_strictly_convex(poly):
                 - (a[1] - o[1]) * (b[0] - o[0])) > 0
 
 
-@given(random_polygons, st.integers(0, 5))
+@given(random_polygons, st.integers(1, 5))
 def test_ehrhart_agreement(poly, q):
     """Pick's theorem on the q-fold dilation: (area2 q^2 + boundary q + 2)/2
     points."""
@@ -236,10 +236,11 @@ def test_named_families_scale():
 
 def test_ehrhart_is_quadratic(models):
     """Point counts of the dilations start 1, n and have constant second
-    difference area2."""
+    difference area2; the count 1 of 0Δ, a single point and no polygon,
+    is given."""
     for poly in models.values():
-        counts = [len(dilate(poly, q).points) for q in range(4)]
-        assert counts[:2] == [1, poly.n_points]
+        counts = [1] + [len(dilate(poly, q).points) for q in range(1, 4)]
+        assert counts[1] == poly.n_points
         assert {counts[q + 1] - 2 * counts[q] + counts[q - 1]
                 for q in (1, 2)} == {poly.area2}
 
@@ -266,6 +267,12 @@ def test_area_scaling():
     for d in (1, 2, 3):
         assert dilate(base, d).area2 == d * d * base.area2
         assert math.isqrt(dilate(base, d).area2 // 3) == d
+
+
+@pytest.mark.parametrize("q", [0, -1])
+def test_dilate_refuses_a_factor_below_one(q):
+    with pytest.raises(ValueError, match="must be positive"):
+        dilate(named_polygon("Upsilon"), q)
 
 
 def scanned_points(poly) -> list:
