@@ -205,9 +205,10 @@ class BlockTask:
 
     def build(self) -> SparseMatrixFp:
         # looked up in this module at call time, so a wrapper set on
-        # engine.coboundary_matrix (perfbench's tracer) reaches workers
+        # engine.coboundary_matrix (perfbench's tracer) reaches workers;
+        # the forced pivots are taken as it is built
         m = coboundary_matrix(self.spec, self.bidegree, self.prime,
-                              self.which)
+                              self.which, presolve=True)
         if (m.n_rows, m.n_cols) != (self.n_rows, self.n_cols):
             raise InvariantViolation(
                 f"block at {self.bidegree} is {m.n_rows}x{m.n_cols}, "

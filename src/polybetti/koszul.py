@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 
 from .linalg import PrimeModulus, SparseMatrixFp, require
 from .polygon import (LatticePolygon, Point, PointSet, cross, dilate,
@@ -353,21 +354,29 @@ def wedge_basis(support: PointSet, coeffs: PointSet, p: int,
 
 
 @scoped_cache(maxsize=16)
-def _reach(wedge: PointSet, source: PointSet,
-           target: PointSet) -> dict[Point, int]:
-    """For each cofactor c in source, the mask of the wedge points x
-    with c + x in target: the omissions of a column with cofactor c
-    that land on a row.
+def _reach(wedge: PointSet, source: PointSet, target: PointSet
+           ) -> tuple[dict[Point, int], dict[Point, int]]:
+    """Two masks over the wedge points, both read off the supports.
+    For each cofactor c in source, the points x with c + x in target:
+    the omissions of a column with cofactor c that land on a row.  For
+    each cofactor d in target, the points x with d - x in source: the
+    insertions that take a row with cofactor d to a column.
 
     Bounded because a pool worker may serve many polygons in one
     scope; one call uses fewer."""
-    return {c: sum(1 << i for i, (x, y) in enumerate(wedge)
-                   if (c[0] + x, c[1] + y) in target)
-            for c in source}
+    pts = list(enumerate(wedge))
+    reach = {c: sum(1 << i for i, (x, y) in pts
+                    if (c[0] + x, c[1] + y) in target)
+             for c in source}
+    coreach = {d: sum(1 << i for i, (x, y) in pts
+                      if (d[0] - x, d[1] - y) in source)
+               for d in target}
+    return reach, coreach
 
 
 def coboundary_matrix(spec: ComplexSpec, ab: Point, prime: PrimeModulus,
-                      which: str = "right") -> SparseMatrixFp:
+                      which: str = "right", *,
+                      presolve: bool = False) -> SparseMatrixFp:
     """Matrix of the outgoing (or incoming) coboundary at one bidegree.
 
     The s-th omission carries sign (-1)^s, s counted from 1 along the
@@ -377,16 +386,33 @@ def coboundary_matrix(spec: ComplexSpec, ab: Point, prime: PrimeModulus,
     it.  Columns have at most p entries.  One pass over each column's
     omissions fills the row maps and the column sets that
     ``linalg.rank`` eliminates on.
+
+    With presolve, the pivots that singleton rows force are taken
+    before any entry is built.  A row w' with cofactor d meets the
+    columns w' | x for x in coreach[d] & ~w'; when that is one point,
+    the row's one entry is a pivot in its column.  Each such column has
+    a singleton row of its own, so all of them are pivots at once:
+    they count in ``taken`` and in ``n_cols`` and are left empty, and
+    no other entry of theirs is built.  The rank is unchanged.
     """
     triple = spec.right if which == "right" else spec.left
     a, p = triple.wedge_support, triple.wedge_degree
     cols = _buckets(a, triple.source_support, p, ab)
-    row_masks = wedge_basis(a, triple.target_support, p - 1, ab)
-    if not row_masks:
+    row_buckets = list(_buckets(a, triple.target_support, p - 1, ab))
+    if not row_buckets:
         return SparseMatrixFp(0, sum(len(bucket) for _, bucket in cols), {},
                               {}, prime)
-    row_of = dict(zip(row_masks, range(len(row_masks))))
-    reach = _reach(a, triple.source_support, triple.target_support)
+    reach, coreach = _reach(a, triple.source_support, triple.target_support)
+    row_of: dict[int, int] = {}
+    forced: set[int] = set()
+    for d, bucket in row_buckets:
+        row_of.update(zip(bucket, count(len(row_of))))
+        if presolve:
+            free_mask = coreach[d]
+            for w in bucket:
+                free = free_mask & ~w
+                if free and not free & (free - 1):
+                    forced.add(w | free)
     rows: dict[int, dict[int, int]] = {}
     col_rows: dict[int, set[int]] = {}
     minus = prime.p - 1
@@ -394,6 +420,9 @@ def coboundary_matrix(spec: ComplexSpec, ab: Point, prime: PrimeModulus,
     for c, bucket in cols:
         hit_mask = reach[c]
         for w in bucket:
+            if w in forced:
+                j += 1
+                continue
             rest, hits = w & hit_mask, []
             while rest:
                 low = rest & -rest
@@ -410,7 +439,8 @@ def coboundary_matrix(spec: ComplexSpec, ab: Point, prime: PrimeModulus,
             if hits:
                 col_rows[j] = set(hits)
             j += 1
-    return SparseMatrixFp(len(row_masks), j, rows, col_rows, prime)
+    return SparseMatrixFp(len(row_of), j, rows, col_rows, prime,
+                          len(forced))
 
 
 def _deflate(low: list[dict], v: Point) -> list[dict]:

@@ -3,7 +3,8 @@
 Only ranks are ever needed downstream; kernels are sized as
 ``n_cols - rank`` and never materialized.  Every block goes through one
 kernel, ``rank``, on the row maps and column sets that
-``SparseMatrixFp`` holds: singleton rows and columns are taken as
+``SparseMatrixFp`` holds, counted from the pivots the block took before
+it was built (``taken``): singleton rows and columns are taken as
 pivots that only delete (structured Gaussian elimination), Markowitz
 pivots follow, and the remainder goes to dense row reduction with
 delayed reduction mod p once it is more than DENSE_FILL_CUTOFF full,
@@ -115,7 +116,10 @@ class SparseMatrixFp:
     """Sparse matrix over the field with ``modulus.p`` elements, held as
     the rank kernel consumes it: ``rows`` maps each row that has a
     nonzero to ``{column: nonzero residue}``, and ``col_rows`` maps each
-    column that has a nonzero to the set of its rows.
+    column that has a nonzero to the set of its rows.  ``taken`` counts
+    pivots already taken out of it: their rows and columns are counted
+    in ``n_rows`` and ``n_cols`` but hold no entry, and the rank of the
+    matrix is ``taken`` plus the rank of what the maps hold.
     """
 
     n_rows: int
@@ -123,6 +127,7 @@ class SparseMatrixFp:
     rows: dict[int, dict[int, int]]
     col_rows: dict[int, set[int]]
     modulus: PrimeModulus
+    taken: int = 0
 
     @property
     def nnz(self) -> int:
@@ -171,7 +176,8 @@ def dense_rank_mod(a: np.ndarray, p: int) -> int:
 
 
 class _Eliminator:
-    """Destructive elimination of one block, in the block's own maps.
+    """Destructive elimination of one block, in the block's own maps,
+    its rank counted from the pivots the block has already taken.
 
     Singleton columns and rows are pivots that cost no arithmetic and
     make no fill: taking one only deletes its row or its column.  They
@@ -187,7 +193,7 @@ class _Eliminator:
         # column): their insertion order fixes the pivot sequence
         self.rows, self.col_rows = m.rows, m.col_rows
         self.nnz = m.nnz
-        self.rank = 0
+        self.rank = m.taken
         self.single_cols = [c for c, rs in m.col_rows.items() if len(rs) == 1]
         self.single_rows = [r for r, row in m.rows.items() if len(row) == 1]
         # (count, column), built after the first structural pass and kept
@@ -195,48 +201,48 @@ class _Eliminator:
         # true count; one that overcounts only makes the choice approximate
         self.heap: list[tuple[int, int]] = []
 
-    def _drop_row(self, r: int) -> None:
-        row = self.rows.pop(r)
-        self.nnz -= len(row)
-        for c in row:
-            rs = self.col_rows[c]
-            rs.discard(r)
-            if len(rs) == 1:
-                self.single_cols.append(c)
-            elif not rs:
-                del self.col_rows[c]
-
-    def _drop_col(self, c: int) -> None:
-        rs = self.col_rows.pop(c)
-        self.nnz -= len(rs)
-        for r in rs:
-            row = self.rows[r]
-            del row[c]
-            if len(row) == 1:
-                self.single_rows.append(r)
-            elif not row:
-                del self.rows[r]
-
     def _structural(self) -> None:
-        """Take every singleton pivot, including those it uncovers."""
-        while self.single_cols or self.single_rows:
-            if self.single_cols:
-                c = self.single_cols.pop()
-                rs = self.col_rows.get(c)
+        """Take every singleton pivot, including those it uncovers: a
+        singleton column deletes its row, a singleton row its column."""
+        rows, col_rows = self.rows, self.col_rows
+        single_cols, single_rows = self.single_cols, self.single_rows
+        nnz, rank = self.nnz, self.rank
+        while single_cols or single_rows:
+            if single_cols:
+                rs = col_rows.get(single_cols.pop())
                 if rs is None or len(rs) != 1:
                     continue
-                self._drop_row(next(iter(rs)))
+                (r,) = rs
+                row = rows.pop(r)
+                nnz -= len(row)
+                for c in row:
+                    rs = col_rows[c]
+                    rs.discard(r)
+                    if len(rs) == 1:
+                        single_cols.append(c)
+                    elif not rs:
+                        del col_rows[c]
             else:
-                r = self.single_rows.pop()
-                row = self.rows.get(r)
+                row = rows.get(single_rows.pop())
                 if row is None or len(row) != 1:
                     continue
-                self._drop_col(next(iter(row)))
-            self.rank += 1
+                (c,) = row
+                rs = col_rows.pop(c)
+                nnz -= len(rs)
+                for r in rs:
+                    row = rows[r]
+                    del row[c]
+                    if len(row) == 1:
+                        single_rows.append(r)
+                    elif not row:
+                        del rows[r]
+            rank += 1
+        self.nnz, self.rank = nnz, rank
 
     def _pick_pivot(self) -> tuple[int, int]:
         """Markowitz on the lightest column: its entry in the lightest
-        row.  Searching more columns did not reduce the work."""
+        row, the first such in the column's order.  Searching more
+        columns did not reduce the work."""
         heap, col_rows, rows = self.heap, self.col_rows, self.rows
         while True:
             cnt, c = heapq.heappop(heap)
@@ -246,22 +252,30 @@ class _Eliminator:
             if len(rs) > cnt:
                 heapq.heappush(heap, (len(rs), c))
                 continue
-            return min(rs, key=lambda r: len(rows[r])), c
+            it = iter(rs)
+            pr = next(it)
+            least = len(rows[pr])
+            for r in it:
+                n = len(rows[r])
+                if n < least:
+                    pr, least = r, n
+            return pr, c
 
     def _eliminate(self, pr: int, pc: int) -> None:
         p, rows, col_rows = self.p, self.rows, self.col_rows
         single_rows = self.single_rows
         piv_row = rows.pop(pr)
         nnz = self.nnz - len(piv_row)
-        for c in piv_row:
-            col_rows[c].discard(pr)
-        inv = pow(piv_row.pop(pc), p - 2, p)
-        piv = list(piv_row.items())
-        for r in col_rows.pop(pc):
+        pv = piv_row.pop(pc)
+        # 1 and -1 are their own inverses, and most pivots are one of them
+        inv = pv if pv == 1 or pv == p - 1 else pow(pv, p - 2, p)
+        targets = col_rows.pop(pc)
+        targets.discard(pr)
+        for r in targets:
             row = rows[r]
             factor = row.pop(pc) * inv % p
             nnz -= 1
-            for c, v in piv:
+            for c, v in piv_row.items():
                 old = row.get(c)
                 if old is None:
                     row[c] = -factor * v % p
@@ -279,8 +293,12 @@ class _Eliminator:
                 single_rows.append(r)
             elif not row:
                 del rows[r]
+        # the pivot row leaves its columns only now, in the same pass
+        # that finds the columns the elimination left singleton or empty
         for c in piv_row:
-            n = len(col_rows[c])
+            rs = col_rows[c]
+            rs.discard(pr)
+            n = len(rs)
             if n == 1:
                 self.single_cols.append(c)
             elif not n:
@@ -305,7 +323,8 @@ class _Eliminator:
 
     def run(self) -> int:
         while True:
-            self._structural()
+            if self.single_cols or self.single_rows:
+                self._structural()
             nr, nc = len(self.rows), len(self.col_rows)
             if not nc:
                 return self.rank

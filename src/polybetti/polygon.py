@@ -269,18 +269,60 @@ def negate_hull(hull: tuple[Point, ...]) -> tuple[Point, ...]:
     return tuple(convex_hull([(-x, -y) for x, y in hull]))
 
 
+def _width(verts, u: Point) -> int:
+    """Strip height of the vertices along direction u."""
+    vals = [u[0] * x + u[1] * y for x, y in verts]
+    return max(vals) - min(vals)
+
+
+def _reduced_basis(verts) -> tuple[Point, Point]:
+    """A basis (b1, b2) of the integer directions, Gauss-reduced for the
+    width, which is a norm on the directions of a two-dimensional
+    polygon: width(b1) <= width(b2) <= width(b2 - k b1) for every
+    integer k.  The steps are Euclid's, so their number grows with the
+    logarithm of the coordinates."""
+    b1, b2 = (1, 0), (0, 1)
+    w1, w2 = _width(verts, b1), _width(verts, b2)
+    if w1 > w2:
+        b1, b2, w1, w2 = b2, b1, w2, w1
+    while True:
+        def along(k: int) -> int:
+            return _width(verts, (b2[0] - k * b1[0], b2[1] - k * b1[1]))
+
+        # along(k) is convex in k and at least |k| w1 - w2, so its least
+        # value, at most along(0) = w2, lies at some |k| <= 2 w2 // w1;
+        # find the first k whose step to k + 1 does not descend
+        lo, hi = -(2 * w2 // w1), 2 * w2 // w1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if along(mid + 1) >= along(mid):
+                hi = mid
+            else:
+                lo = mid + 1
+        b2, w2 = (b2[0] - lo * b1[0], b2[1] - lo * b1[1]), along(lo)
+        if w2 >= w1:
+            return b1, b2
+        b1, b2, w1, w2 = b2, b1, w2, w1
+
+
 @scoped_cache()
 def lattice_width_data(poly: LatticePolygon) -> tuple[int, tuple[Point, ...]]:
     """Lattice width plus all primitive directions attaining it.
 
     Directions are normalized up to sign: first coordinate positive, or
-    zero with positive second coordinate.  The search window is derived
-    from two independent edge vectors, which bounds every direction whose
-    strip height could be minimal.
+    zero with positive second coordinate.  The search runs on the
+    vertices written in a reduced basis (b1, b2) of directions: there a
+    direction u stands for u1 b1 + u2 b2, with the same width, and the
+    extent along each axis is the width of b1 or b2, so the search
+    window depends on the polygon's shape, not on how it is embedded.
+    The window is derived from two independent edge vectors, which
+    bounds every direction whose strip height could be minimal.
     """
-    x0, y0, x1, y1 = poly.bbox
-    cap = min(x1 - x0, y1 - y0)
-    v0, v1, v2 = poly.vertices[0], poly.vertices[1], poly.vertices[2]
+    b1, b2 = _reduced_basis(poly.vertices)
+    verts = [(b1[0] * x + b1[1] * y, b2[0] * x + b2[1] * y)
+             for x, y in poly.vertices]
+    cap = min(_width(verts, (1, 0)), _width(verts, (0, 1)))
+    v0, v1, v2 = verts[0], verts[1], verts[2]
     e1 = (v1[0] - v0[0], v1[1] - v0[1])
     e2 = (v2[0] - v0[0], v2[1] - v0[1])
     det = abs(e1[0] * e2[1] - e1[1] * e2[0])
@@ -294,15 +336,19 @@ def lattice_width_data(poly: LatticePolygon) -> tuple[int, tuple[Point, ...]]:
                 continue
             if math.gcd(u1, abs(u2)) != 1:
                 continue
-            vals = [u1 * x + u2 * y for x, y in poly.vertices]
-            w = max(vals) - min(vals)
+            w = _width(verts, (u1, u2))
             if best is None or w < best:
                 best, dirs = w, [(u1, u2)]
             elif w == best:
                 dirs.append((u1, u2))
     require(best is not None and best <= cap,
             "no direction within the width bound")
-    return best, tuple(sorted(dirs))
+    out = []
+    for u1, u2 in dirs:
+        d = (u1 * b1[0] + u2 * b2[0], u1 * b1[1] + u2 * b2[1])
+        out.append(d if d[0] > 0 or (d[0] == 0 and d[1] > 0)
+                   else (-d[0], -d[1]))
+    return best, tuple(sorted(out))
 
 
 def lattice_width(poly: LatticePolygon) -> int:

@@ -85,8 +85,8 @@ def built_blocks(monkeypatch, tmp_path):
     log = tmp_path / "built.jsonl"
     real = engine.coboundary_matrix
 
-    def recording(spec, ab, prime, which="right"):
-        m = real(spec, ab, prime, which)
+    def recording(spec, ab, prime, which="right", **kwargs):
+        m = real(spec, ab, prime, which, **kwargs)
         with open(log, "a") as fh:
             fh.write(json.dumps([os.getpid(), spec.strand, spec.ell, list(ab),
                                  which, m.n_rows, m.n_cols]) + "\n")

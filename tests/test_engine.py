@@ -212,9 +212,9 @@ def test_auto_ranks_a_quadrilateral_on_reduced_supports(prime, monkeypatch):
     supports = []
     real = engine.coboundary_matrix
 
-    def recording(spec, ab, prime, which="right"):
+    def recording(spec, ab, prime, which="right", **kwargs):
         supports.append(spec.wedge_support)
-        return real(spec, ab, prime, which)
+        return real(spec, ab, prime, which, **kwargs)
 
     monkeypatch.setattr(engine, "coboundary_matrix", recording)
     serial = ComputeBudget(max_workers=1)

@@ -28,7 +28,7 @@ from polybetti.koszul import (ComplexSpec, InvalidPlan, NotInPolygon,
                               twisted_quadratic_spec, verify_plan,
                               wedge_basis)
 from polybetti.linalg import (ComputeBudget, PrimeModulus, dense_rank_mod,
-                              rank_batch)
+                              rank, rank_batch)
 from polybetti.polygon import (PointSet, from_vertices, lawrence_prism,
                                named_polygon, order_key, parse_polygon)
 
@@ -259,6 +259,70 @@ def test_blocks_match_an_independent_construction(seed):
                 for (r, c), v in want.items():
                     expected[r, c] = v % p
                 assert np.array_equal(to_dense(m), expected)
+
+
+def _presolve_specs():
+    """Every strand spec of Upsilon_3 and 2*Upsilon, the REDUCED_CASES
+    specs and twelve random complexes."""
+    for name in ("Upsilon_3", "2*Upsilon"):
+        poly = named_polygon(name)
+        for strand in ("b", "c"):
+            for ell in range(1, poly.n_points - 2):
+                yield strand_spec(poly, strand, ell)
+    for name, strand, ell, _ in REDUCED_CASES:
+        poly = (named_polygon(name) if "*" in name else parse_polygon(name))
+        yield strand_spec(poly, strand, ell, choose_removal(poly, strand))
+    for seed in range(12):
+        yield _random_spec(random.Random(seed))
+
+
+def _presolve_blocks():
+    """(spec, bidegree, map) for every block of _presolve_specs that has
+    a row and a column."""
+    for spec in _presolve_specs():
+        for which, triple in (("left", spec.left), ("right", spec.right)):
+            bidegrees = (_reachable_bidegrees(triple)
+                         if spec.strand == "custom"
+                         else enumerate_bidegrees(spec))
+            for ab in bidegrees:
+                m = coboundary_matrix(spec, ab, P40009, which)
+                if m.rows:
+                    yield spec, ab, which
+
+
+@pytest.mark.parametrize("p", [2, 3, 40009])
+def test_forced_pivots_and_elimination_rank_the_full_map(p):
+    """The pivots a presolved block took, plus the rank its elimination
+    adds, equal the dense rank of the full map, on every block."""
+    prime = PrimeModulus(p)
+    taken = 0
+    for spec, ab, which in _presolve_blocks():
+        full = coboundary_matrix(spec, ab, prime, which)
+        want = dense_rank_mod(to_dense(full), p)
+        block = BlockTask(spec, ab, prime, which, full.n_rows, full.n_cols)
+        taken += block.build().taken
+        assert rank(block) == want, (spec.strand, spec.ell, ab, which)
+    assert taken > 1000
+
+
+def test_taken_columns_are_those_of_the_singleton_rows():
+    """A presolved block leaves out exactly the columns that the full
+    map's singleton rows hit, counts them as taken, and holds every
+    other entry of the full map."""
+    for spec, ab, which in _presolve_blocks():
+        full = coboundary_matrix(spec, ab, P40009, which)
+        pre = coboundary_matrix(spec, ab, P40009, which, presolve=True)
+        forced = {c for row in full.rows.values() if len(row) == 1
+                  for c in row}
+        assert set(full.col_rows) - set(pre.col_rows) == forced
+        assert pre.taken == len(forced)
+        assert (pre.n_rows, pre.n_cols) == (full.n_rows, full.n_cols)
+        kept = {(r, c): v for r, row in full.rows.items()
+                for c, v in row.items() if c not in forced}
+        assert {(r, c): v for r, row in pre.rows.items()
+                for c, v in row.items()} == kept
+        assert {c: rs for c, rs in pre.col_rows.items()} == {
+            c: rs for c, rs in full.col_rows.items() if c not in forced}
 
 
 def test_wedge_support_over_64_points_matches_the_definition():

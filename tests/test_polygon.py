@@ -1,9 +1,11 @@
 """Lattice-polygon geometry: hulls, counts, width, symmetries, models."""
 from __future__ import annotations
 
+import json
 import math
 import pickle
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given
@@ -13,7 +15,8 @@ from polybetti.linalg import InvariantViolation
 from polybetti.polygon import (AffineUnimodularMap, DimensionError,
                                LatticePolygon, PointSet, canonical_form, classify,
                                convex_hull, dilate, from_vertices,
-                               interior_hull, lattice_width, lawrence_prism,
+                               interior_hull, lattice_width,
+                               lattice_width_data, lawrence_prism,
                                named_polygon, parse_polygon, prune_vertex,
                                sigma_point, standard_triangle,
                                symmetry_group, upsilon_indexed,
@@ -131,6 +134,45 @@ def test_lattice_width_models():
 def test_lattice_width_is_invariant(poly, phi):
     image = from_vertices([phi(v) for v in poly.vertices])
     assert lattice_width(poly) == lattice_width(image)
+
+
+def test_lattice_width_data_is_frozen():
+    """tests/data/lattice_widths.json holds [vertices, width, directions]
+    for build_corpus(7000, 40, n_min=3, n_max=20, box=6, max_vertices=7)
+    and a product of four seeded shears of each, as the whole-window
+    search gave them."""
+    frozen = json.loads((Path(__file__).parent / "data" /
+                         "lattice_widths.json").read_text())
+    assert len(frozen) == 80
+    for verts, w, dirs in frozen:
+        poly = from_vertices([tuple(v) for v in verts])
+        assert lattice_width_data(poly) == (w, tuple(map(tuple, dirs))), verts
+
+
+def test_lattice_width_data_on_a_far_sheared_image():
+    """A polygon and its image under a matrix with entries near 10^4:
+    the same width, and the directions of the image are those of the
+    polygon under the inverse transpose."""
+    poly = parse_polygon("0,0 3,0 4,2 2,4 0,3")
+    m = ((89, 144), (55, 89))           # determinant 1
+    image = from_vertices([(m[0][0] * x + m[0][1] * y,
+                            m[1][0] * x + m[1][1] * y) for x, y in poly.vertices])
+    shear = ((1, 0), (97, 1))
+    far = from_vertices([(x, shear[1][0] * x + y) for x, y in image.vertices])
+    assert max(abs(c) for v in far.vertices for c in v) > 10_000
+    w, dirs = lattice_width_data(poly)
+
+    def normal(d):
+        return d if d[0] > 0 or (d[0] == 0 and d[1] > 0) else (-d[0], -d[1])
+
+    # u . v = (M^-T u) . (M v), M = shear @ m, M^-T = [[a, b], [c, d]]
+    mm = ((m[0][0], m[0][1]),
+          (shear[1][0] * m[0][0] + m[1][0], shear[1][0] * m[0][1] + m[1][1]))
+    inv_t = ((mm[1][1], -mm[1][0]), (-mm[0][1], mm[0][0]))
+    moved = tuple(sorted(normal((inv_t[0][0] * a + inv_t[0][1] * b,
+                                 inv_t[1][0] * a + inv_t[1][1] * b))
+                         for a, b in dirs))
+    assert lattice_width_data(far) == (w, moved)
 
 
 def test_lattice_width_recursion(small_corpus):
