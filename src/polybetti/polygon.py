@@ -275,34 +275,45 @@ def _width(verts, u: Point) -> int:
     return max(vals) - min(vals)
 
 
+def _least_shears(verts, b1: Point, b2: Point) -> list[int]:
+    """Every integer k, in increasing order, at which width(b2 - k b1)
+    is least.  The width is convex in k, so the minimizers form one run,
+    and it is at least |k| width(b1) - width(b2), so the run lies in
+    |k| <= 2 width(b2) // width(b1).  Bisection finds the first k whose
+    step to k + 1 does not descend; the run is walked from there."""
+    def along(k: int) -> int:
+        return _width(verts, (b2[0] - k * b1[0], b2[1] - k * b1[1]))
+
+    lo = -(2 * _width(verts, b2) // _width(verts, b1))
+    hi = -lo
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if along(mid + 1) >= along(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    least, shears = along(lo), [lo]
+    while along(shears[-1] + 1) == least:
+        shears.append(shears[-1] + 1)
+    return shears
+
+
 def _reduced_basis(verts) -> tuple[Point, Point]:
     """A basis (b1, b2) of the integer directions, Gauss-reduced for the
-    width, which is a norm on the directions of a two-dimensional
-    polygon: width(b1) <= width(b2) <= width(b2 - k b1) for every
-    integer k.  The steps are Euclid's, so their number grows with the
-    logarithm of the coordinates."""
+    width, a norm on the directions of a two-dimensional polygon:
+    width(b1) <= width(b2) <= width(b2 - k b1) for every integer k
+    (Kaib and Schnorr, J. Algorithms 21, 1996).  Each step shears b2 by
+    its first least shear against b1, and swaps the two while b2 is the
+    narrower; the steps are Euclid's, logarithmic in the coordinates."""
     b1, b2 = (1, 0), (0, 1)
-    w1, w2 = _width(verts, b1), _width(verts, b2)
-    if w1 > w2:
-        b1, b2, w1, w2 = b2, b1, w2, w1
+    if _width(verts, b1) > _width(verts, b2):
+        b1, b2 = b2, b1
     while True:
-        def along(k: int) -> int:
-            return _width(verts, (b2[0] - k * b1[0], b2[1] - k * b1[1]))
-
-        # along(k) is convex in k and at least |k| w1 - w2, so its least
-        # value, at most along(0) = w2, lies at some |k| <= 2 w2 // w1;
-        # find the first k whose step to k + 1 does not descend
-        lo, hi = -(2 * w2 // w1), 2 * w2 // w1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if along(mid + 1) >= along(mid):
-                hi = mid
-            else:
-                lo = mid + 1
-        b2, w2 = (b2[0] - lo * b1[0], b2[1] - lo * b1[1]), along(lo)
-        if w2 >= w1:
+        k = _least_shears(verts, b1, b2)[0]
+        b2 = (b2[0] - k * b1[0], b2[1] - k * b1[1])
+        if _width(verts, b2) >= _width(verts, b1):
             return b1, b2
-        b1, b2, w1, w2 = b2, b1, w2, w1
+        b1, b2 = b2, b1
 
 
 @scoped_cache()
@@ -310,45 +321,36 @@ def lattice_width_data(poly: LatticePolygon) -> tuple[int, tuple[Point, ...]]:
     """Lattice width plus all primitive directions attaining it.
 
     Directions are normalized up to sign: first coordinate positive, or
-    zero with positive second coordinate.  The search runs on the
-    vertices written in a reduced basis (b1, b2) of directions: there a
-    direction u stands for u1 b1 + u2 b2, with the same width, and the
-    extent along each axis is the width of b1 or b2, so the search
-    window depends on the polygon's shape, not on how it is embedded.
-    The window is derived from two independent edge vectors, which
-    bounds every direction whose strip height could be minimal.
+    zero with positive second coordinate.  Let N be the width and
+    (b1, b2) the reduced basis: N(b1) <= N(b2) <= N(b2 + k b1) for
+    every integer k.  The width is λ = N(b1), and its directions are the
+    primitive u1 b1 + u2 b2 of width λ with 0 <= u1 <= 2 and |u2| <= 2,
+    a window that does not grow with the embedding.
+
+    Proof.  N is a norm on real directions.  Take u2 != 0 and k the
+    integer nearest u1/u2: N(u) = |u2| N(b2 + (u1/u2) b1) >=
+    |u2| (N(b2 + k b1) - N(b1)/2) >= |u2| (N(b2) - N(b1)/2).  For
+    |u2| = 1, u1/u2 = k and N(u) = N(b2 + k b1) >= N(b2); for |u2| >= 2,
+    N(u) >= 2 N(b2) - N(b1) >= N(b2).  A primitive u with u2 = 0 is
+    +-b1, so the width is λ.  A width direction with u2 != 0 forces
+    N(b2) = λ, and then λ >= |u2| λ/2, so |u2| <= 2.  Exchanging b1 and
+    b2, as N(b1 + j b2) >= λ for every j, gives |u1| <= 2.  The bound is
+    reached: 0,1 6,4 6,7 0,4 has the standard basis as its reduced
+    basis and (1, -2) among its four width directions.
     """
-    b1, b2 = _reduced_basis(poly.vertices)
-    verts = [(b1[0] * x + b1[1] * y, b2[0] * x + b2[1] * y)
-             for x, y in poly.vertices]
-    cap = min(_width(verts, (1, 0)), _width(verts, (0, 1)))
-    v0, v1, v2 = verts[0], verts[1], verts[2]
-    e1 = (v1[0] - v0[0], v1[1] - v0[1])
-    e2 = (v2[0] - v0[0], v2[1] - v0[1])
-    det = abs(e1[0] * e2[1] - e1[1] * e2[0])
-    bound_1 = ((abs(e1[1]) + abs(e2[1])) * cap) // det + 1
-    bound_2 = ((abs(e1[0]) + abs(e2[0])) * cap) // det + 1
-    best: int | None = None
+    verts = poly.vertices
+    b1, b2 = _reduced_basis(verts)
+    width = _width(verts, b1)
     dirs: list[Point] = []
-    for u1 in range(bound_1 + 1):
-        for u2 in range(-bound_2, bound_2 + 1):
-            if u1 == 0 and u2 <= 0:
+    for u1 in range(3):
+        for u2 in range(-2, 3):
+            if (u1 == 0 and u2 <= 0) or math.gcd(u1, u2) != 1:
                 continue
-            if math.gcd(u1, abs(u2)) != 1:
-                continue
-            w = _width(verts, (u1, u2))
-            if best is None or w < best:
-                best, dirs = w, [(u1, u2)]
-            elif w == best:
-                dirs.append((u1, u2))
-    require(best is not None and best <= cap,
-            "no direction within the width bound")
-    out = []
-    for u1, u2 in dirs:
-        d = (u1 * b1[0] + u2 * b2[0], u1 * b1[1] + u2 * b2[1])
-        out.append(d if d[0] > 0 or (d[0] == 0 and d[1] > 0)
-                   else (-d[0], -d[1]))
-    return best, tuple(sorted(out))
+            d = (u1 * b1[0] + u2 * b2[0], u1 * b1[1] + u2 * b2[1])
+            if _width(verts, d) == width:
+                dirs.append(d if d[0] > 0 or (d[0] == 0 and d[1] > 0)
+                            else (-d[0], -d[1]))
+    return width, tuple(sorted(dirs))
 
 
 def lattice_width(poly: LatticePolygon) -> int:
@@ -428,14 +430,16 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 def strip_placements(poly: LatticePolygon) -> tuple[tuple[Point, ...], ...]:
     """Point tuples of every normalized placement used for canonicalization.
 
-    For each width direction (both signs), each x-axis sign, and each
-    shear attaining the minimal horizontal extent, the polygon is mapped
-    into the strip RR x [0, lw] and translated so minima sit at zero.
-    Each placement is checked to be a unimodular image of the point set.
+    For each width direction u (both signs), each x-axis sign s, and
+    each shear k attaining the minimal horizontal extent, the polygon
+    is mapped into the strip RR x [0, lw] and translated so minima sit
+    at zero.  Each placement is checked to be a unimodular image of the
+    point set.
 
-    The shears scanned are |k| <= 2 extent(0) // lw: the lowest and the
-    highest point alone give extent(k) >= |k| lw - extent(0), so beyond
-    that no shear can reach extent(0), let alone the minimum.
+    The horizontal extent after shear k is the width of s row1 + k u,
+    row1 completing u to a unimodular basis, so `_least_shears` finds
+    every least k on the vertices alone, at a cost logarithmic in how
+    skewed the embedding is.
     """
     w, dirs = lattice_width_data(poly)
     base_pts = list(poly.points)
@@ -451,15 +455,7 @@ def strip_placements(poly: LatticePolygon) -> tuple[tuple[Point, ...], ...]:
             coords = [(lin[0][0] * px + lin[0][1] * py,
                        lin[1][0] * px + lin[1][1] * py)
                       for px, py in base_pts]
-
-            def extent(k: int) -> int:
-                xs = [cx + k * cy for cx, cy in coords]
-                return max(xs) - min(xs)
-
-            bound = 2 * extent(0) // w
-            spans = {k: extent(k) for k in range(-bound, bound + 1)}
-            least = min(spans.values())
-            for k in [k for k, span in spans.items() if span == least]:
+            for k in _least_shears(poly.vertices, (-u1, -u2), lin[0]):
                 mat = ((lin[0][0] + k * u1, lin[0][1] + k * u2), (u1, u2))
                 moved = [(cx + k * cy, cy) for cx, cy in coords]
                 min_x = min(p[0] for p in moved)

@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import math
 import pickle
+import random
 from itertools import combinations
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from polybetti.corpus import build_corpus
 from polybetti.linalg import InvariantViolation
 from polybetti.polygon import (AffineUnimodularMap, DimensionError,
                                LatticePolygon, PointSet, canonical_form, classify,
@@ -20,7 +22,7 @@ from polybetti.polygon import (AffineUnimodularMap, DimensionError,
                                named_polygon, parse_polygon, prune_vertex,
                                sigma_point, standard_triangle,
                                symmetry_group, upsilon_indexed,
-                               upsilon_triangle)
+                               upsilon_triangle, _reduced_basis, _width)
 
 points = st.tuples(st.integers(-5, 5), st.integers(-5, 5))
 
@@ -173,6 +175,85 @@ def test_lattice_width_data_on_a_far_sheared_image():
                                  inv_t[1][0] * a + inv_t[1][1] * b))
                          for a, b in dirs))
     assert lattice_width_data(far) == (w, moved)
+    # the canonical form too, and of the polygon under x -> x + 5000y
+    sheared = from_vertices([(x + 5000 * y, y) for x, y in poly.vertices])
+    assert lattice_width(sheared) == w
+    for placed in (far, sheared):
+        assert canonical_form(placed) == canonical_form(poly)
+
+
+def _edge_window_width_data(poly):
+    """The width and its directions by the edge-vector window search
+    that the 5x5 window replaced, kept as a reference.  It is valid in
+    any basis of directions, and runs in the reduced one, where its
+    window is small: two independent edge vectors bound every direction
+    whose strip height could be least."""
+    b1, b2 = _reduced_basis(poly.vertices)
+    assert abs(b1[0] * b2[1] - b1[1] * b2[0]) == 1
+    verts = [(b1[0] * x + b1[1] * y, b2[0] * x + b2[1] * y)
+             for x, y in poly.vertices]
+    cap = min(_width(verts, (1, 0)), _width(verts, (0, 1)))
+    v0, v1, v2 = verts[0], verts[1], verts[2]
+    e1 = (v1[0] - v0[0], v1[1] - v0[1])
+    e2 = (v2[0] - v0[0], v2[1] - v0[1])
+    det = abs(e1[0] * e2[1] - e1[1] * e2[0])
+    bound_1 = ((abs(e1[1]) + abs(e2[1])) * cap) // det + 1
+    bound_2 = ((abs(e1[0]) + abs(e2[0])) * cap) // det + 1
+    best = None
+    dirs = []
+    for u1 in range(bound_1 + 1):
+        for u2 in range(-bound_2, bound_2 + 1):
+            if u1 == 0 and u2 <= 0:
+                continue
+            if math.gcd(u1, abs(u2)) != 1:
+                continue
+            w = _width(verts, (u1, u2))
+            if best is None or w < best:
+                best, dirs = w, [(u1, u2)]
+            elif w == best:
+                dirs.append((u1, u2))
+    assert best is not None and best <= cap
+    out = []
+    for u1, u2 in dirs:
+        d = (u1 * b1[0] + u2 * b2[0], u1 * b1[1] + u2 * b2[1])
+        out.append(d if d[0] > 0 or (d[0] == 0 and d[1] > 0)
+                   else (-d[0], -d[1]))
+    return best, tuple(sorted(out))
+
+
+def _unimodular_image(poly, rng):
+    """poly under a seeded product of up to six elementary unimodular
+    matrices and a shift."""
+    gens = (((1, 1), (0, 1)), ((1, -1), (0, 1)), ((1, 0), (1, 1)),
+            ((1, 0), (-1, 1)), ((0, -1), (1, 0)))
+    m = ((1, 0), (0, 1))
+    for _ in range(rng.randint(1, 6)):
+        (a, b), (c, d) = rng.choice(gens)
+        m = ((a * m[0][0] + b * m[1][0], a * m[0][1] + b * m[1][1]),
+             (c * m[0][0] + d * m[1][0], c * m[0][1] + d * m[1][1]))
+    phi = AffineUnimodularMap(m, (rng.randint(-20, 20), rng.randint(-20, 20)))
+    return from_vertices(map(phi, poly.vertices))
+
+
+def test_lattice_width_data_matches_the_edge_window_search():
+    """The 5x5 window agrees with the edge-vector window on a seeded
+    corpus slice and an image of each, and on the parallelogram
+    0,1 6,4 6,7 0,4, whose reduced basis is the standard one and whose
+    four width directions include (1, -2), outside a 3x3 window."""
+    rng = random.Random(27)
+    polys = build_corpus(1, 200, n_min=3, n_max=30, box=8, max_vertices=8)
+    polys += [_unimodular_image(p, rng) for p in polys]
+    parallelogram = parse_polygon("0,1 6,4 6,7 0,4")
+    assert _reduced_basis(parallelogram.vertices) == ((1, 0), (0, 1))
+    assert lattice_width_data(parallelogram) == (
+        6, ((0, 1), (1, -2), (1, -1), (1, 0)))
+    polys.append(parallelogram)
+    for m in (((1, 3), (0, 1)), ((5, 2), (2, 1))):
+        phi = AffineUnimodularMap(m, (0, 0))
+        polys.append(from_vertices(map(phi, parallelogram.vertices)))
+    for poly in polys:
+        assert lattice_width_data(poly) == _edge_window_width_data(poly), \
+            poly.vertices
 
 
 def test_lattice_width_recursion(small_corpus):
