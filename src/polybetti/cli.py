@@ -73,15 +73,21 @@ def _parse_primes(prime: int, primes: str | None) -> list[PrimeModulus]:
     return moduli
 
 
-def _options(removal: str, no_symmetry: bool, bigraded: bool,
-             checkpoint: str | None, workers: int | None,
-             memory_cap: int | None) -> EngineOptions:
+def _options(removal: str = "auto", no_symmetry: bool = False,
+             bigraded: bool = False, checkpoint: str | None = None,
+             workers: int | None = None,
+             memory_cap: int | None = None) -> EngineOptions:
+    """The engine options of the flags; a bad worker count or memory cap,
+    also from BETTI_WORKERS, exits 2."""
     # no --workers leaves ComputeBudget's own default
     workers_kw = {} if workers is None else {"max_workers": workers}
-    return EngineOptions(removal=removal, use_symmetry=not no_symmetry,
-                         keep_bigraded=bigraded, checkpoint=checkpoint,
-                         budget=ComputeBudget(memory_cap=memory_cap,
-                                              **workers_kw))
+    try:
+        return EngineOptions(removal=removal, use_symmetry=not no_symmetry,
+                             keep_bigraded=bigraded, checkpoint=checkpoint,
+                             budget=ComputeBudget(memory_cap=memory_cap,
+                                                  **workers_kw))
+    except ValueError as exc:
+        _fail(EXIT_INPUT, str(exc))
 
 
 _polygon_options = [
@@ -96,9 +102,10 @@ _removal_option = click.option(
     "--removal", type=click.Choice(["auto", "on", "off"]), default="auto",
     show_default=True,
     help="Quotient out the exact subcomplex from removed points.  auto: "
-         "route as before (reduced peak-block sizes on triangles only) and "
-         "compute every polygon reduced; on: route and compute reduced; "
-         "off: remove nothing.")
+         "compute every polygon reduced, and route each antidiagonal by "
+         "the reduced peak-block sizes on triangles and by the unreduced "
+         "ones on other polygons, as off does; on: route and compute "
+         "reduced; off: remove nothing.")
 
 _compute_options = [
     _removal_option,
@@ -168,11 +175,8 @@ def table(model, vertices, file, prime, primes, removal, no_symmetry,
     if checkpoint and len(moduli) > 1:
         _fail(EXIT_INPUT, "--checkpoint records one prime's blocks; "
                           "give a single prime")
-    try:
-        opts = _options(removal, no_symmetry, bigraded, checkpoint,
-                        workers, memory_cap)
-    except ValueError as exc:
-        _fail(EXIT_INPUT, str(exc))
+    opts = _options(removal, no_symmetry, bigraded, checkpoint, workers,
+                    memory_cap)
     tables = []
     for modulus in moduli:
         try:
@@ -328,11 +332,8 @@ def verify_kp1_cmd(corpus_dir, prime, removal, no_symmetry, workers,
     campaign continues.
     """
     moduli = _parse_primes(prime, None)
-    try:
-        opts = _options(removal, no_symmetry, False, None, workers,
-                        memory_cap)
-    except ValueError as exc:
-        _fail(EXIT_INPUT, str(exc))
+    opts = _options(removal, no_symmetry, workers=workers,
+                    memory_cap=memory_cap)
     header = {"campaign": "kp1", "prime": moduli[0].p,
               "removal": removal, "symmetry": not no_symmetry}
     store = None
@@ -454,10 +455,7 @@ def oracle_check(model, vertices, file, primes):
 
     poly = _load_polygon(model, vertices, file)
     moduli = _parse_primes(DEFAULT_PRIME, primes)
-    try:
-        opts = EngineOptions()      # reads BETTI_WORKERS
-    except ValueError as exc:
-        _fail(EXIT_INPUT, str(exc))
+    opts = _options()      # reads BETTI_WORKERS
     failed = False
     for modulus in moduli:
         try:

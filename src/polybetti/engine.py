@@ -138,50 +138,34 @@ def _block_key(rec: dict) -> tuple[str, int, Point]:
     return rec["strand"], rec["ell"], tuple(rec["bidegree"])
 
 
-def _bidegree_actions(poly: LatticePolygon, removed: tuple[Point, ...],
-                      translate_degree: int):
-    """Bidegree maps induced by the polygon symmetries that permute the
-    removed points: the linear part acts directly, the shift acts once
-    per tensor factor."""
-    gone = set(removed)
-    actions = []
-    for psi in symmetry_group(poly):
-        if gone and {psi(p) for p in gone} != gone:
+def _orbits(poly: LatticePolygon, spec: ComplexSpec, bidegrees,
+            use_symmetry: bool) -> list[tuple[Point, tuple]]:
+    """Orbits of the bidegrees under the symmetries of poly that permute
+    the points spec removes (none when use_symmetry is off), each as
+    (order_key-least representative, members).
+
+    A symmetry x -> M·x + t acts on a bidegree as ab -> M·ab + d·t:
+    the linear part directly, the shift once per tensor factor (d is
+    spec.translate_degree).  These maps, kept as (M, t) pairs, form a
+    group, so an orbit is its least member together with that member's
+    images, and none of them may leave the bidegrees."""
+    gone, d = set(spec.removed), spec.translate_degree
+    maps = [(psi.matrix, psi.shift) for psi in symmetry_group(poly)
+            if {psi(p) for p in gone} == gone] if use_symmetry else []
+    out, seen = [], set()
+    for rep in sorted(bidegrees, key=order_key):
+        if rep in seen:
             continue
-        (m00, m01), (m10, m11) = psi.matrix
-        tx, ty = psi.shift
-
-        def act(ab, m00=m00, m01=m01, m10=m10, m11=m11,
-                dx=translate_degree * tx, dy=translate_degree * ty):
-            return (m00 * ab[0] + m01 * ab[1] + dx,
-                    m10 * ab[0] + m11 * ab[1] + dy)
-
-        actions.append(act)
-    return actions
-
-
-def _orbit_partition(bidegrees, actions) -> list[tuple[Point, tuple]]:
-    """Orbits of the action, each as (lex-min representative, members)."""
-    universe = set(bidegrees)
-    remaining = set(universe)
-    out = []
-    for ab in sorted(bidegrees, key=order_key):
-        if ab not in remaining:
-            continue
-        orbit = {ab}
-        frontier = [ab]
-        while frontier:
-            cur = frontier.pop()
-            for act in actions:
-                img = act(cur)
-                if img not in universe:
-                    raise InvariantViolation(
-                        f"symmetry moved bidegree {cur} outside the region")
-                if img not in orbit:
-                    orbit.add(img)
-                    frontier.append(img)
-        out.append((ab, tuple(sorted(orbit, key=order_key))))
-        remaining -= orbit
+        orbit = {rep}
+        for ((m00, m01), (m10, m11)), (tx, ty) in maps:
+            img = (m00 * rep[0] + m01 * rep[1] + d * tx,
+                   m10 * rep[0] + m11 * rep[1] + d * ty)
+            if img not in bidegrees:
+                raise InvariantViolation(
+                    f"symmetry moved bidegree {rep} outside the region")
+            orbit.add(img)
+        seen |= orbit
+        out.append((rep, tuple(sorted(orbit, key=order_key))))
     return out
 
 
@@ -232,8 +216,8 @@ def _orbit_cohomology(poly: LatticePolygon, spec: ComplexSpec,
                       store: AppendLog | None = None) -> EntryOutcome:
     """Middle cohomology of spec as a sum of per-bidegree kernel
     dimensions, ranked in one batch, one block per symmetry orbit of
-    the nonzero middle bidegrees (one orbit each when symmetry is off),
-    under the symmetries that permute the points spec removes.
+    the nonzero middle bidegrees (_orbits; each its own orbit when
+    symmetry is off).
 
     The outgoing coboundary is always reduced.  The incoming map is
     ranked only when rank_left, as the audit's mirror complexes need;
@@ -246,11 +230,8 @@ def _orbit_cohomology(poly: LatticePolygon, spec: ComplexSpec,
     before the first failure is raised.
     """
     strand, ell = spec.strand, spec.ell
-    profile = middle_profile(spec)
-    bidegs = [ab for ab in sorted(profile, key=order_key) if profile[ab] > 0]
-    parts = (_orbit_partition(bidegs, _bidegree_actions(
-        poly, spec.removed, spec.translate_degree)) if use_symmetry
-        else [(ab, (ab,)) for ab in bidegs])
+    profile = middle_profile(spec)      # holds no zero counts
+    parts = _orbits(poly, spec, profile, use_symmetry)
     rows, left = target_profile(spec.right), side_profile(spec.left)
     require(strand != "c" or not left, "twisted degree-0 term not empty")
     ranks: dict[Point, tuple[int, ...]] = {}
@@ -337,23 +318,6 @@ def compute_c(poly: LatticePolygon, ell: int, prime: PrimeModulus, *,
     return strand_value(poly, "c", ell, prime, budget=budget)
 
 
-@dataclass
-class Strategy:
-    """Resolution route for every antidiagonal of one table."""
-
-    n: int
-    eagon_northcott: bool
-    choices: dict[int, str]        # antidiagonal -> compute_b/compute_c/shortcut
-    b_preset: dict[int, str]       # position -> zero tag
-    c_preset: dict[int, str]
-
-    def __post_init__(self):
-        require(set(self.choices) == set(range(1, self.n - 1)),
-                "every antidiagonal needs a route")
-        require(all(ch in ("compute_b", "compute_c", "shortcut")
-                    for ch in self.choices.values()), "unknown route")
-
-
 def effective_plans(poly: LatticePolygon, options: EngineOptions
                     ) -> tuple[tuple[Point, ...], tuple[Point, ...]]:
     """Removed points on which routing sizes the two strands' peak blocks:
@@ -413,24 +377,22 @@ def _choose_side(poly: LatticePolygon, a: int, b_preset: dict,
 
 
 @call_scope()
-def plan_strategy(poly: LatticePolygon, prime: PrimeModulus,
-                  options: EngineOptions | None = None) -> Strategy:
-    """Pick the route for every antidiagonal before any matrix exists.
+def plan_strategy(poly: LatticePolygon, options: EngineOptions | None = None
+                  ) -> dict[int, str]:
+    """Pick the route for every antidiagonal before any matrix exists:
+    "compute_b", "compute_c" or "shortcut".
 
-    Tables of interior-free polygons are pure closed form.  Otherwise
-    preset zeros make their antidiagonals shortcuts, and each remaining
-    antidiagonal computes the side _choose_side picks.
+    Tables of interior-free polygons are pure closed form, all
+    shortcuts.  Otherwise preset zeros make their antidiagonals
+    shortcuts, and each remaining antidiagonal computes the side
+    _choose_side picks.
     """
-    options = options or EngineOptions()
-    n = poly.n_points
-    anti = range(1, n - 1)
+    anti = range(1, poly.n_points - 1)
     if not interior_hull(poly).points:
-        return Strategy(n, True, {a: "shortcut" for a in anti}, {}, {})
-    plans = effective_plans(poly, options)
-    b_preset, c_preset = _presets(poly)
-    choices = {a: _choose_side(poly, a, b_preset, c_preset, plans)
-               for a in anti}
-    return Strategy(n, False, choices, b_preset, c_preset)
+        return dict.fromkeys(anti, "shortcut")
+    plans = effective_plans(poly, options or EngineOptions())
+    presets = _presets(poly)
+    return {a: _choose_side(poly, a, *presets, plans) for a in anti}
 
 
 def _validate_table(poly: LatticePolygon, table: BettiTable) -> None:
@@ -505,9 +467,10 @@ def betti_table(poly: LatticePolygon,
     if isinstance(prime, int):
         prime = PrimeModulus(prime)
     options = options or EngineOptions()
-    strategy = plan_strategy(poly, prime, options)
-    if strategy.eagon_northcott:
+    if not interior_hull(poly).points:
         return eagon_northcott_table(poly, prime)
+    routes = plan_strategy(poly, options)
+    presets = _presets(poly)
 
     # (strand, position) -> (value, provenance tag, rigorous)
     cells: dict[tuple[str, int], tuple[int, str, bool]] = {}
@@ -521,10 +484,9 @@ def betti_table(poly: LatticePolygon,
             "removed": {s: [list(pt) for pt in compute_plan(poly, s, options)]
                         for s in "bc"}}, _block_key)
     try:
-        for a, choice in sorted(strategy.choices.items()):
+        for a, choice in routes.items():
             entries, breakdown = _resolve_antidiagonal(
-                poly, a, choice, prime,
-                (strategy.b_preset, strategy.c_preset), options, store)
+                poly, a, choice, prime, presets, options, store)
             cells.update(entries)
             if options.keep_bigraded:
                 bigraded.update(breakdown)

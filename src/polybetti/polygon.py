@@ -624,8 +624,12 @@ def parse_polygon(text: str) -> LatticePolygon:
     else:
         pts = []
         for chunk in text.replace(";", " ").split():
-            x, y = chunk.split(",")
-            pts.append((int(x), int(y)))
+            try:
+                x, y = map(int, chunk.split(","))
+            except ValueError:
+                raise ValueError(f"vertex {chunk!r} is not an x,y pair of "
+                                 f"integers") from None
+            pts.append((x, y))
     if not pts:
         raise ValueError("no vertices given")
     return from_vertices(pts)

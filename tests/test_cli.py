@@ -95,6 +95,17 @@ def test_table_accepts_vertices_and_files(runner, tmp_path):
         == named.stdout
 
 
+# malformed inline vertices, and the one line each must print
+INLINE_VERTEX_ERRORS = {
+    ("predict", "--vertices", "0,0_1,0_0,1"):
+        "error: vertex '0,0_1,0_0,1' is not an x,y pair of integers\n",
+    ("predict", "--vertices", "a,b"):
+        "error: vertex 'a,b' is not an x,y pair of integers\n",
+    ("table", "--vertices", "0,0 2,0 0,2,1"):
+        "error: vertex '0,2,1' is not an x,y pair of integers\n",
+}
+
+
 @pytest.mark.parametrize("args", [
     ("table",),
     ("table", "--model", "2*Sigma", "--vertices", "0,0 1,0 0,1"),
@@ -125,12 +136,15 @@ def test_table_accepts_vertices_and_files(runner, tmp_path):
     # --prime and --primes together: neither is silently dropped
     ("table", "--model", "Upsilon_2", "--prime", "4", "--primes", "2,5"),
     ("table", "--model", "Upsilon_2", "--prime", "3", "--primes", "2,3"),
+    *INLINE_VERTEX_ERRORS,
 ])
 def test_invalid_input_exits_2(runner, args):
     env, cmd = (args[0], args[1:]) if isinstance(args[0], dict) else ({}, args)
     r = runner.invoke(main, list(cmd), env=env, catch_exceptions=False)
     assert r.exit_code == 2
     assert "error" in r.stderr.lower() or "Error" in r.stderr
+    if cmd in INLINE_VERTEX_ERRORS:
+        assert r.stderr == INLINE_VERTEX_ERRORS[cmd]
 
 
 def test_table_multi_prime_agreement(runner):

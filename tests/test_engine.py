@@ -15,8 +15,7 @@ from conftest import REFERENCE_TABLES
 from polybetti import engine, koszul, linalg
 from polybetti.corpus import build_corpus, kp1_corpus, removal_corpus
 from polybetti.engine import (BlockFailed, EngineOptions, EntryOutcome,
-                              Kp1Report, _bidegree_actions,
-                              _orbit_partition, betti_table, block_dimensions,
+                              Kp1Report, betti_table, block_dimensions,
                               compute_b, compute_c, compute_plan,
                               effective_plans, options_key, plan_strategy,
                               polygon_key, run_audits, strand_value,
@@ -28,7 +27,7 @@ from polybetti.koszul import (InvalidPlan, SupportTriple, choose_removal,
 from polybetti.linalg import ComputeBudget, PrimeModulus
 from polybetti.polygon import (AffineUnimodularMap, from_vertices,
                                interior_hull, named_polygon, order_key,
-                               parse_polygon)
+                               parse_polygon, symmetry_group)
 from polybetti.scope import call_scope
 from polybetti.table import to_json_dict
 
@@ -128,35 +127,36 @@ def test_modular_entries_frozen(prime, serial_options):
     assert stars("3*Sigma") == (set(), set())
 
 
-def test_plan_strategy_shapes(prime):
-    st = plan_strategy(named_polygon("2*Sigma"), prime)
-    assert st.eagon_northcott
-    assert set(st.choices.values()) == {"shortcut"}
+def test_plan_strategy_shapes():
+    routes = plan_strategy(named_polygon("2*Sigma"))
+    assert set(routes) == set(range(1, 5))
+    assert set(routes.values()) == {"shortcut"}
 
-    st = plan_strategy(named_polygon("3*Sigma"), prime)
-    assert not st.eagon_northcott
-    assert st.b_preset == {7: "zero_by_interior"}
-    assert st.c_preset == {j: "zero_by_boundary_count" for j in range(2, 8)}
-    assert set(st.choices) == set(range(1, 9))
+    poly = named_polygon("3*Sigma")
+    routes = plan_strategy(poly)
+    assert engine._presets(poly) == (
+        {7: "zero_by_interior"},
+        {j: "zero_by_boundary_count" for j in range(2, 8)})
+    assert set(routes) == set(range(1, 9))
     # every antidiagonal of 3*Sigma has a preset side
-    assert set(st.choices.values()) == {"shortcut"}
+    assert set(routes.values()) == {"shortcut"}
 
     # the side with the smaller peak block is computed, ties to row two,
     # on a triangle (reduced plans) and on a quadrilateral (unreduced)
-    routes = []
+    chosen = []
     for poly in (named_polygon("Upsilon_3"),
                  parse_polygon("1,0 2,0 3,4 0,3")):
-        st = plan_strategy(poly, prime)
         plan_b, plan_c = effective_plans(poly, EngineOptions())
-        for a, choice in st.choices.items():
+        for a, choice in plan_strategy(poly).items():
             if choice == "shortcut":
                 continue
             peak_b = peak_block(strand_spec(poly, "b", a, plan_b))
-            peak_c = peak_block(strand_spec(poly, "c", st.n - 1 - a, plan_c))
+            peak_c = peak_block(strand_spec(poly, "c", poly.n_points - 1 - a,
+                                            plan_c))
             assert choice == ("compute_c" if peak_c <= peak_b
                               else "compute_b")
-            routes.append(choice)
-    assert set(routes) == {"compute_b", "compute_c"}
+            chosen.append(choice)
+    assert set(chosen) == {"compute_b", "compute_c"}
 
 
 def test_effective_plans_modes():
@@ -196,14 +196,14 @@ def test_auto_tables_identical_to_the_mode_routing_alike(p):
         assert auto == other, poly.vertices
 
 
-def test_auto_routes_non_triangles_unreduced(prime):
+def test_auto_routes_non_triangles_unreduced():
     """Routing sizes the unreduced peak blocks, so routes, provenance
     tags and rigor flags are those of removal off."""
     for poly in shape_corpus():
-        auto = plan_strategy(poly, prime, EngineOptions())
-        off = plan_strategy(poly, prime, EngineOptions(removal="off"))
+        auto = plan_strategy(poly, EngineOptions())
+        off = plan_strategy(poly, EngineOptions(removal="off"))
         assert effective_plans(poly, EngineOptions()) == ((), ())
-        assert auto.choices == off.choices
+        assert auto == off
 
 
 def test_auto_ranks_a_quadrilateral_on_reduced_supports(prime, monkeypatch):
@@ -234,16 +234,14 @@ def test_plans_are_made_once_and_only_for_computed_strands(prime):
         # every antidiagonal a shortcut: presets and the table edge
         for text in ("-1,0 0,-1 1,0 0,1", "-1,0 0,-1 1,-1 1,0 0,1 -1,1"):
             poly = parse_polygon(text)
-            assert set(plan_strategy(poly, prime).choices.values()) \
-                == {"shortcut"}
+            assert set(plan_strategy(poly).values()) == {"shortcut"}
             betti_table(poly, prime, EngineOptions(budget=serial))
             assert choose_removal.cache_info().misses == 0
         # a computed strand plans once per table, however many entries
         poly = parse_polygon("1,0 2,0 3,4 0,3")
-        strategy = plan_strategy(poly, prime)
-        computed = {ch[-1] for ch in strategy.choices.values()
-                    if ch != "shortcut"}
-        assert list(strategy.choices.values()).count("compute_c") > 1
+        routes = plan_strategy(poly)
+        computed = {ch[-1] for ch in routes.values() if ch != "shortcut"}
+        assert list(routes.values()).count("compute_c") > 1
         choose_removal.cache_clear()
         betti_table(poly, prime, EngineOptions(budget=serial))
         assert choose_removal.cache_info().misses == len(computed)
@@ -274,8 +272,7 @@ def test_a_table_verifies_each_plan_once_and_builds_each_support_once(
     support built once, however many positions share them."""
     poly = parse_polygon(text)
     options = EngineOptions(budget=ComputeBudget(max_workers=1))
-    strategy = plan_strategy(poly, prime, options)
-    computed = {ch[-1] for ch in strategy.choices.values()
+    computed = {ch[-1] for ch in plan_strategy(poly, options).values()
                 if ch != "shortcut"}
     assert computed
     routed = dict(zip("bc", effective_plans(poly, options)))
@@ -353,32 +350,99 @@ def test_removal_does_not_change_values(name, prime):
     assert (on.b, on.c) == (off.b, off.c)
 
 
-def test_symmetry_orbit_counts_frozen():
+def bfs_orbits(symmetries, removed, degree, bidegrees):
+    """Reference orbit partition, (order_key-least representative,
+    members) per orbit: a breadth-first closure over one closure per
+    symmetry that permutes the removed points, which needs no group."""
+    gone = set(removed)
+    actions = []
+    for psi in symmetries:
+        if gone and {psi(p) for p in gone} != gone:
+            continue
+        (m00, m01), (m10, m11) = psi.matrix
+        tx, ty = psi.shift
+
+        def act(ab, m00=m00, m01=m01, m10=m10, m11=m11,
+                dx=degree * tx, dy=degree * ty):
+            return (m00 * ab[0] + m01 * ab[1] + dx,
+                    m10 * ab[0] + m11 * ab[1] + dy)
+
+        actions.append(act)
+    universe = set(bidegrees)
+    remaining = set(universe)
+    out = []
+    for ab in sorted(bidegrees, key=order_key):
+        if ab not in remaining:
+            continue
+        orbit = {ab}
+        frontier = [ab]
+        while frontier:
+            cur = frontier.pop()
+            for act in actions:
+                img = act(cur)
+                assert img in universe
+                if img not in orbit:
+                    orbit.add(img)
+                    frontier.append(img)
+        out.append((ab, tuple(sorted(orbit, key=order_key))))
+        remaining -= orbit
+    return out
+
+
+def test_symmetry_orbit_counts_frozen(monkeypatch):
     poly = named_polygon("2*Sigma")
     spec = strand_spec(poly, "b", 1)
     prof = middle_profile(spec)
-    bidegs = [ab for ab, v in prof.items() if v > 0]
-    assert len(bidegs) == 15
-    actions = _bidegree_actions(poly, (), spec.translate_degree)
-    assert len(actions) == 6
-    orbits = _orbit_partition(bidegs, actions)
+    assert len(prof) == 15 and all(prof.values())
+    group = symmetry_group(poly)
+    assert len(group) == 6
+    orbits = engine._orbits(poly, spec, prof, True)
     assert sorted(len(members) for _, members in orbits) == [3, 3, 3, 6]
+    assert len(engine._orbits(poly, spec, prof, False)) == 15
     # orientation-preserving half only: five orbits of three
-    from polybetti.polygon import symmetry_group
-    rot = []
-    for psi in symmetry_group(poly):
-        (m00, m01), (m10, m11) = psi.matrix
-        if m00 * m11 - m01 * m10 != 1:
-            continue
-        tx, ty = psi.shift
-        td = spec.translate_degree
-        rot.append(lambda ab, m00=m00, m01=m01, m10=m10, m11=m11,
-                   dx=td * tx, dy=td * ty: (m00 * ab[0] + m01 * ab[1] + dx,
-                                            m10 * ab[0] + m11 * ab[1] + dy))
+    rot = tuple(psi for psi in group
+                if psi.matrix[0][0] * psi.matrix[1][1]
+                - psi.matrix[0][1] * psi.matrix[1][0] == 1)
     assert len(rot) == 3
-    rot_orbits = _orbit_partition(bidegs, rot)
+    monkeypatch.setattr(engine, "symmetry_group", lambda p: rot)
+    rot_orbits = engine._orbits(poly, spec, prof, True)
     assert sorted(len(members) for _, members in rot_orbits) == [3] * 5
-    assert len(_orbit_partition(bidegs, [])) == 15
+    assert rot_orbits == bfs_orbits(rot, (), spec.translate_degree, prof)
+
+
+ORBIT_POLYGONS = ["0,0 2,0 2,2 0,2", "0,0 3,0 3,3 0,3",
+                  "-2,0 0,-2 2,0 0,2", "-1,0 0,-1 1,-1 1,0 0,1 -1,1",
+                  "-2,0 0,-2 2,-2 2,0 0,2 -2,2"]
+
+
+def test_orbits_match_the_breadth_first_reference():
+    """The image sets of each least member give the representatives,
+    members and order of the breadth-first closure, on every strand,
+    position and plan (none, choose_removal's, each single vertex)."""
+    polys = (build_corpus(1, 300, n_min=4, n_max=14, box=6,
+                          max_vertices=7)
+             + [named_polygon(m) for m in ("2*Sigma", "3*Sigma", "4*Sigma",
+                                           "5*Sigma", "Upsilon_2",
+                                           "Upsilon_3", "2*Upsilon")]
+             + [parse_polygon(t) for t in ORBIT_POLYGONS])
+    specs = 0
+    for poly in polys:
+        with call_scope():
+            # under the identity alone both give singletons
+            if len(symmetry_group(poly)) == 1:
+                continue
+            for strand in "bc":
+                plans = {(), choose_removal(poly, strand)} | {
+                    (v,) for v in poly.vertices}
+                for ell in range(1, poly.n_points - 2):
+                    for plan in plans:
+                        spec = strand_spec(poly, strand, ell, plan)
+                        prof = middle_profile(spec)
+                        assert engine._orbits(poly, spec, prof, True) \
+                            == bfs_orbits(symmetry_group(poly), plan,
+                                          spec.translate_degree, prof)
+                        specs += 1
+    assert specs > 6000
 
 
 def test_symmetry_on_off_same_entries(prime):

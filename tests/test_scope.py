@@ -64,7 +64,7 @@ def _audits():
 
 
 def _plan():
-    engine.plan_strategy(parse_polygon(QUAD), PrimeModulus(40009), SERIAL)
+    engine.plan_strategy(parse_polygon(QUAD), SERIAL)
 
 
 def _strand():
