@@ -21,7 +21,7 @@ from dataclasses import asdict
 import click
 from click.core import ParameterSource
 
-from .closed_forms import (EmptyInterior, PathologicalPolygon, cg_lower_bound,
+from .closed_forms import (PathologicalPolygon, cg_lower_bound,
                            eagon_northcott_table, entry_bN4,
                            hering_schenck_zero_region,
                            kp1_predicted_first_zero, minimal_degree_predicate,
@@ -271,12 +271,8 @@ def predict(model, vertices, file, prime):
     if zeros:
         click.echo(f"c[{zeros[0]}..{zeros[-1]}] = 0    theorem "
                    "(boundary_count_vanishing)")
-    try:
-        bound = cg_lower_bound(poly)
-        click.echo(f"c[{len(inner.points)}] >= {bound}    theorem "
-                   "(interior_translate_lower_bound)")
-    except EmptyInterior:  # pragma: no cover - minimal degree returned above
-        pass
+    click.echo(f"c[{len(inner.points)}] >= {cg_lower_bound(poly)}    "
+               "theorem (interior_translate_lower_bound)")
     kind = classify(poly)
     if kind.tag == "Sigma_multiple" and kind.params[0] >= 2:
         for pr in veronese_prediction_entries(kind.params[0]):

@@ -25,14 +25,14 @@ the dense path alone, and numpy and the pool machinery
 (``ProcessPoolExecutor``, ``BrokenProcessPool``) are loaded just before a
 pool forks, so a process whose remainders all stay sparse never loads
 numpy, and one whose batches all rank in-process never loads
-``concurrent.futures``.  The executor is still read, and may be
-patched, as this module's ``ProcessPoolExecutor``.
+``concurrent.futures``.  The executor is read, and may be patched, as
+``concurrent.futures.ProcessPoolExecutor``.
 """
 from __future__ import annotations
 
 import heapq
+import math
 import os
-import sys
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import TYPE_CHECKING
@@ -71,28 +71,8 @@ def require(condition: bool, message: str) -> None:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin to the bases 2, 3, 5 and 7, exact for
-    n < 3,215,031,751 and so for every modulus below 2^31."""
-    bases = (2, 3, 5, 7)
-    if n < 2:
-        return False
-    for q in bases:
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in bases:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Trial division: at most 46,341 divisors for a modulus below 2^31."""
+    return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
 
 
 @dataclass(frozen=True)
@@ -148,12 +128,9 @@ def dense_rank_mod(a: np.ndarray, p: int) -> int:
     view = a.T if a.shape[0] < a.shape[1] else a
     a = np.empty(view.shape, dtype=np.int64)
     np.remainder(view, p, out=a)
-    n_rows, n_cols = a.shape
     period = (2 ** 63 - 1 - p) // (p - 1) ** 2 - 1
     r = pending = 0
-    for c in range(n_cols):
-        if r == n_rows:
-            break
+    for c in range(a.shape[1]):
         col = a[r:, c] % p
         nz = np.flatnonzero(col)
         if nz.size == 0:
@@ -409,17 +386,6 @@ def _rank_chunk(chunk: list) -> list[tuple[int | None, str | None]]:
 # raised its peak RSS 1.4%.
 POOL_MIN_CELLS = 500_000
 
-def __getattr__(name: str):
-    # ProcessPoolExecutor is imported on first access, which _dispatch
-    # makes just before a pool forks, and then kept as a module global
-    if name != "ProcessPoolExecutor":
-        raise AttributeError(f"module {__name__!r} has no attribute "
-                             f"{name!r}")
-    from concurrent.futures import ProcessPoolExecutor
-    globals()[name] = ProcessPoolExecutor
-    return ProcessPoolExecutor
-
-
 def _chunks(costs: list[int], n_chunks: int) -> list[list[int]]:
     """Task indices dealt largest first, each to the chunk with the least
     work so far (LPT scheduling); chunk k holds the k-th largest task."""
@@ -444,6 +410,7 @@ def _dispatch(args, costs: list[int], workers: int) -> list | None:
     # so that forked workers inherit numpy for their dense remainders
     # instead of each loading it, and a process whose batches all rank
     # in-process loads neither
+    import concurrent.futures
     from concurrent.futures.process import BrokenProcessPool
     pool = scope.pool
     results: list = [(None, "worker process died")] * len(args)
@@ -452,8 +419,7 @@ def _dispatch(args, costs: list[int], workers: int) -> list | None:
     try:
         if pool is None:
             import numpy  # noqa: F401
-            # read through the module, where a test may have patched it
-            pool = scope.pool = sys.modules[__name__].ProcessPoolExecutor(
+            pool = scope.pool = concurrent.futures.ProcessPoolExecutor(
                 max_workers=workers)
         for chunk in _chunks(costs, min(len(args), 4 * workers)):
             futures.append((chunk, pool.submit(

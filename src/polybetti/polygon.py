@@ -22,14 +22,6 @@ class DimensionError(ValueError):
     """A construction that needs a two-dimensional polygon got less."""
 
 
-class NotAVertex(ValueError):
-    """A point expected to be a polygon vertex is not one."""
-
-
-class EmptyInner(ValueError):
-    """An operation got an empty inner point set."""
-
-
 def order_key(pt: Point) -> tuple[int, int]:
     """Sort key realizing the (y, x)-lexicographic order."""
     return (pt[1], pt[0])
@@ -58,10 +50,7 @@ def convex_hull(points) -> list[Point]:
 
     lower = chain(pts)
     upper = chain(reversed(pts))
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 2:
-        return [pts[0], pts[-1]]
-    return hull
+    return lower[:-1] + upper[:-1]
 
 
 @dataclass(frozen=True)
@@ -377,15 +366,14 @@ class AffineUnimodularMap:
 
 
 def _affine_from_triples(src, dst) -> AffineUnimodularMap | None:
-    """Integer affine map sending the three src points to dst, if one exists."""
+    """Integer affine map sending the three src points, which span a
+    triangle, to dst, if one exists."""
     (s0, s1, s2), (t0, t1, t2) = src, dst
     e1 = (s1[0] - s0[0], s1[1] - s0[1])
     e2 = (s2[0] - s0[0], s2[1] - s0[1])
     f1 = (t1[0] - t0[0], t1[1] - t0[1])
     f2 = (t2[0] - t0[0], t2[1] - t0[1])
     det = e1[0] * e2[1] - e1[1] * e2[0]
-    if det == 0:
-        return None
     # matrix @ (e1 | e2) = (f1 | f2), solved through the adjugate
     a_num = f1[0] * e2[1] - f2[0] * e1[1]
     b_num = f2[0] * e1[0] - f1[0] * e2[0]
@@ -537,18 +525,15 @@ def classify(poly: LatticePolygon) -> PolygonClass:
             return PolygonClass("TwoUpsilon", (2,))
     if lattice_width(poly) == 1:
         for b in range((n - 2) // 2 + 1):
-            a = n - 2 - b
-            if a < max(b, 1):
-                continue
+            a = n - 2 - b      # a >= max(b, 1), as n >= 3
             if canonical_form(poly) == canonical_form(lawrence_prism(a, b)):
                 return PolygonClass("LawrencePrism", (a, b))
     return PolygonClass("Other", ())
 
 
 def translate_count(inner: PointSet, outer: LatticePolygon) -> int:
-    """Number of nonzero shifts v with inner + v inside outer."""
-    if not inner:
-        raise EmptyInner("inner point set is empty")
+    """Number of nonzero shifts v with inner + v inside outer; inner is
+    not empty."""
     in_xs = [p[0] for p in inner]
     in_ys = [p[1] for p in inner]
     x0, y0, x1, y1 = outer.bbox
@@ -566,7 +551,7 @@ def translate_count(inner: PointSet, outer: LatticePolygon) -> int:
 def prune_vertex(poly: LatticePolygon, pt: Point) -> LatticePolygon:
     """Hull of the point set with one vertex dropped."""
     if pt not in poly.vertices:
-        raise NotAVertex(f"{pt} is not a vertex of the polygon")
+        raise ValueError(f"{pt} is not a vertex of the polygon")
     return from_vertices([p for p in poly.points if p != pt])
 
 
@@ -600,10 +585,13 @@ def named_polygon(name: str) -> LatticePolygon:
 
 
 def _coordinate(value) -> int:
-    """A JSON coordinate as an int: integers, integral floats and integer
-    strings pass; bools, nulls and fractions are refused, not coerced."""
+    """A coordinate as an int: integers, integral floats and strings of
+    ASCII digits with an optional sign pass; bools, nulls, fractions and
+    other strings are refused, not coerced."""
     if (isinstance(value, bool) or not isinstance(value, (int, float, str))
-            or isinstance(value, float) and not value.is_integer()):
+            or isinstance(value, float) and not value.is_integer()
+            or isinstance(value, str)
+            and not re.fullmatch(r"[+-]?[0-9]+", value)):
         raise ValueError(f"coordinate {value!r} is not an integer")
     return int(value)
 
@@ -625,7 +613,7 @@ def parse_polygon(text: str) -> LatticePolygon:
         pts = []
         for chunk in text.replace(";", " ").split():
             try:
-                x, y = map(int, chunk.split(","))
+                x, y = map(_coordinate, chunk.split(","))
             except ValueError:
                 raise ValueError(f"vertex {chunk!r} is not an x,y pair of "
                                  f"integers") from None

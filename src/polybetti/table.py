@@ -68,13 +68,9 @@ def render_ascii(table: BettiTable) -> str:
     row0 = ["1"] + ["0"] * (width - 1)
     row1 = ["0"] + [_star(table.b[p - 1], table.b_rigorous[p - 1])
                     for p in range(1, width)]
-    row2 = ["0"]
-    for p in range(1, width):
-        ell = n - 2 - p
-        if 1 <= ell <= n - 3:
-            row2.append(_star(table.c[ell - 1], table.c_rigorous[ell - 1]))
-        else:
-            row2.append("0")
+    # printed column p = 1..n-3 holds c at ell = n-2-p, from n-3 down to 1
+    row2 = ["0"] + [_star(table.c[ell - 1], table.c_rigorous[ell - 1])
+                    for ell in range(n - 3, 0, -1)]
     header = [str(p) for p in range(width)]
     cols = [header, row0, row1, row2]
     widths = [max(len(cols[r][p]) for r in range(4)) for p in range(width)]

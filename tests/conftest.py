@@ -1,6 +1,7 @@
 """Shared fixtures: model polygons, frozen reference tables, corpora."""
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import os
 
@@ -60,12 +61,12 @@ def opened_pools(monkeypatch):
     """Every ProcessPoolExecutor that linalg constructs during the test."""
     opened = []
 
-    class Counting(linalg.ProcessPoolExecutor):
+    class Counting(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             opened.append(self)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(linalg, "ProcessPoolExecutor", Counting)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counting)
     return opened
 
 

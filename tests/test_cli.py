@@ -95,14 +95,26 @@ def test_table_accepts_vertices_and_files(runner, tmp_path):
         == named.stdout
 
 
-# malformed inline vertices, and the one line each must print
-INLINE_VERTEX_ERRORS = {
+# malformed vertices, and the one line each must print
+VERTEX_ERRORS = {
     ("predict", "--vertices", "0,0_1,0_0,1"):
         "error: vertex '0,0_1,0_0,1' is not an x,y pair of integers\n",
     ("predict", "--vertices", "a,b"):
         "error: vertex 'a,b' is not an x,y pair of integers\n",
     ("table", "--vertices", "0,0 2,0 0,2,1"):
         "error: vertex '0,2,1' is not an x,y pair of integers\n",
+    # a coordinate is an optional sign and ASCII digits, not whatever
+    # int() reads: no digit separators, no full-width digits
+    ("table", "--vertices", "0,0 1_0,0 0,1"):
+        "error: vertex '1_0,0' is not an x,y pair of integers\n",
+    ("table", "--vertices", "0,0 \uff12,0 0,2"):
+        "error: vertex '\uff12,0' is not an x,y pair of integers\n",
+    ("table", "--vertices", '{"vertices": [[0, 0], ["1_0", 0], [0, 1]]}'):
+        "error: coordinate '1_0' is not an integer\n",
+    ("table", "--vertices", '{"vertices": [[0, 0], ["\uff12", 0], [0, 2]]}'):
+        "error: coordinate '\uff12' is not an integer\n",
+    ("table", "--vertices", '{"vertices": [[0, 0], [" 2", 0], [0, 2]]}'):
+        "error: coordinate ' 2' is not an integer\n",
 }
 
 
@@ -136,15 +148,15 @@ INLINE_VERTEX_ERRORS = {
     # --prime and --primes together: neither is silently dropped
     ("table", "--model", "Upsilon_2", "--prime", "4", "--primes", "2,5"),
     ("table", "--model", "Upsilon_2", "--prime", "3", "--primes", "2,3"),
-    *INLINE_VERTEX_ERRORS,
+    *VERTEX_ERRORS,
 ])
 def test_invalid_input_exits_2(runner, args):
     env, cmd = (args[0], args[1:]) if isinstance(args[0], dict) else ({}, args)
     r = runner.invoke(main, list(cmd), env=env, catch_exceptions=False)
     assert r.exit_code == 2
     assert "error" in r.stderr.lower() or "Error" in r.stderr
-    if cmd in INLINE_VERTEX_ERRORS:
-        assert r.stderr == INLINE_VERTEX_ERRORS[cmd]
+    if cmd in VERTEX_ERRORS:
+        assert r.stderr == VERTEX_ERRORS[cmd]
 
 
 def test_table_multi_prime_agreement(runner):
@@ -166,6 +178,29 @@ def test_table_multi_prime_json(runner):
     assert data["primes"] == [2, 40009]
     assert data["primes_agree"] is True
     assert "prime_mismatches" not in data    # only present on disagreement
+
+
+def test_table_reports_primes_that_disagree(runner, monkeypatch):
+    real = cli.betti_table
+
+    def at_two_b1_is_one_more(poly, modulus, *args, **kwargs):
+        table = real(poly, modulus, *args, **kwargs)
+        if modulus.p == 2:
+            table.b[0] += 1
+        return table
+
+    monkeypatch.setattr(cli, "betti_table", at_two_b1_is_one_more)
+    r = invoke(runner, "table", "--model", "Upsilon_2", "--primes",
+               "2,40009", "--format", "json")
+    data = json.loads(r.stdout)
+    assert data["primes_agree"] is False
+    assert data["prime_mismatches"] == [
+        {"strand": "b", "position": 1, "values": {"2": 8, "40009": 7}}]
+    r = invoke(runner, "table", "--model", "Upsilon_2", "--primes",
+               "2,40009")
+    assert r.exit_code == 0
+    assert r.stderr == ("primes 2,40009 disagree on 1 entries:\n"
+                        "  b[1] = {2: 8, 40009: 7}\n")
 
 
 def test_table_audit_flag(runner):
@@ -554,6 +589,22 @@ def test_verify_kp1_logs_a_malformed_file_and_continues(runner, tmp_path):
     assert lines[1] == ("b.json: error: ValueError: coordinate 2.7 is not "
                         "an integer")
     assert lines[3] == "polygons: 3  error=1  holds=2"
+
+
+def test_verify_kp1_logs_the_basic_triangle_and_skips_directories(
+        runner, tmp_path):
+    corpus = tmp_path / "corpus"
+    (corpus / "sub").mkdir(parents=True)
+    (corpus / "a.txt").write_text("0,0 1,0 0,1")
+    (corpus / "b.txt").write_text("0,0 2,0 0,2")
+    (corpus / "sub" / "c.txt").write_text("0,0 3,0 0,3")
+    r = invoke(runner, "verify-kp1", str(corpus), "--workers", "1")
+    assert r.exit_code == 0
+    lines = r.stdout.splitlines()
+    assert lines[0] == ("a.txt: error: PathologicalPolygon: the basic "
+                        "triangle has no linear strand")
+    assert lines[1].startswith("b.txt: ")
+    assert lines[2:] == ["polygons: 2  error=1  holds=1"]
 
 
 def test_verify_kp1_resume_is_byte_identical(runner, tmp_path):

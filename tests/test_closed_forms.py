@@ -17,6 +17,7 @@ from polybetti.closed_forms import (EmptyInterior, EntryPrediction,
                                     scroll_strand_lower_bound,
                                     six_easy_entries, veronese_predictions,
                                     veronese_prediction_entries)
+from polybetti.engine import betti_table
 from polybetti.polygon import (interior_hull, lawrence_prism, named_polygon,
                                parse_polygon)
 
@@ -68,6 +69,21 @@ def test_six_easy_entries_match_frozen_tables(name):
         assert {"first_linear_entry", "last_linear_entry", "interior_count",
                 "second_quadratic_entry", "last_quadratic_entry",
                 "second_linear_entry"} <= by_source
+
+
+def test_six_easy_entries_with_three_boundary_points(prime, serial_options):
+    """A two-dimensional interior and three boundary points: the last
+    quadratic entry is 1."""
+    poly = parse_polygon("0,0 4,1 1,3")
+    assert (poly.n_points, poly.boundary_count) == (8, 3)
+    assert interior_hull(poly).dim == 2
+    table = betti_table(poly, prime, serial_options)
+    assert (table.c[4], table.c_provenance[4]) == (1, "computed")
+    preds = six_easy_entries(poly)
+    assert ("c", 5, 1) in {(p.strand, p.index, p.value) for p in preds}
+    for p in preds:
+        assert p.value == getattr(table, f"{p.strand}_entry")(p.index), \
+            (p.strand, p.index, p.source)
 
 
 @pytest.mark.parametrize("name", [n for n in sorted(REFERENCE_TABLES)

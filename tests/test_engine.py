@@ -14,12 +14,12 @@ import pytest
 from conftest import REFERENCE_TABLES
 from polybetti import engine, koszul, linalg
 from polybetti.corpus import build_corpus, kp1_corpus, removal_corpus
-from polybetti.engine import (BlockFailed, EngineOptions, EntryOutcome,
-                              Kp1Report, betti_table, block_dimensions,
-                              compute_b, compute_c, compute_plan,
-                              effective_plans, options_key, plan_strategy,
-                              polygon_key, run_audits, strand_value,
-                              verify_kp1)
+from polybetti.engine import (AppendLog, BlockFailed, EngineOptions,
+                              EntryOutcome, Kp1Report, betti_table,
+                              block_dimensions, compute_b, compute_c,
+                              compute_plan, effective_plans, options_key,
+                              plan_strategy, polygon_key, run_audits,
+                              strand_value, verify_kp1)
 from polybetti.koszul import (InvalidPlan, SupportTriple, choose_removal,
                               coboundary_matrix, middle_profile, peak_block,
                               reduced_supports, strand_spec, support_window,
@@ -491,6 +491,14 @@ def test_block_dimensions_match_enumeration():
                                         triple.wedge_degree, ab))
 
 
+def test_block_dimensions_over_a_segment_interior():
+    # the 3x2 rectangle's interior is the segment from (1, 1) to (2, 1)
+    poly = parse_polygon("0,0 3,0 3,2 0,2")
+    assert interior_hull(poly).dim == 1
+    assert block_dimensions(poly, "c", 1) == [((1, 1), 0, 1),
+                                              ((2, 1), 0, 1)]
+
+
 def test_checkpoint_resume_and_refusal(tmp_path, prime):
     path = str(tmp_path / "run.jsonl")
     poly = named_polygon("Upsilon_2")
@@ -596,6 +604,22 @@ def test_resume_after_torn_final_line(tmp_path, prime):
     path.write_bytes(b"".join(lines[:2] + [b"{\n"] + lines[2:]))
     with pytest.raises(ValueError):
         betti_table(poly, prime, opts)
+
+
+def test_log_cuts_an_unparsable_final_line(tmp_path):
+    """A last line that ends in a newline but is not JSON is ignored like
+    an unfinished one, and cut before the next append."""
+    path = tmp_path / "log.jsonl"
+    log = AppendLog(str(path), {"run": 1}, lambda rec: rec["k"])
+    log.append({"k": 1})
+    log.close()
+    whole = path.read_bytes()
+    path.write_bytes(whole + b'{"k": 2\n')
+    log = AppendLog(str(path), {"run": 1}, lambda rec: rec["k"])
+    assert log.records == {1: {"k": 1}}
+    log.append({"k": 3})
+    log.close()
+    assert path.read_bytes() == whole + b'{"k": 3}\n'
 
 
 _BUMPED_TABLE_CHECK = """
@@ -805,6 +829,23 @@ def test_verify_kp1_accepts_int_prime(serial_options):
     assert report.verdict == "holds"
 
 
+@pytest.mark.parametrize("found, verdict, notes", [
+    ((0, True), "fails", ("guaranteed nonzero entry 5 computed as zero",
+                          "guaranteed nonzero entry 6 computed as zero")),
+    ((5, False), "modular-only-nonzero", (
+        "entry 7 is 5 mod 40009; a zero in characteristic zero is not "
+        "excluded",)),
+])
+def test_verify_kp1_reports_a_vanished_or_a_modular_entry(
+        found, verdict, notes, serial_options, monkeypatch):
+    """3*Sigma guarantees b5 and b6 nonzero and predicts b7 = 0; every
+    entry its planner resolves is replaced by found."""
+    monkeypatch.setattr(engine, "_resolve_entry_b", lambda *args: found)
+    report = verify_kp1(named_polygon("3*Sigma"), 40009, serial_options)
+    assert report.entries == {5: found, 6: found, 7: found}
+    assert (report.verdict, report.notes) == (verdict, notes)
+
+
 @pytest.mark.parametrize("name", ["Upsilon", "2*Sigma", "Upsilon_2"])
 def test_run_audits_pass_on_models(name, prime, serial_options):
     assert run_audits(named_polygon(name), prime, serial_options) == []
@@ -850,6 +891,42 @@ def test_duality_audit_reuses_the_direct_entries(prime, serial_options,
                                     out.bigraded)
     assert engine.audit_duality(poly, prime, direct, serial_options.budget) \
         == [f"row-one entry 2: direct {out.value + 1} vs mirror {out.value}"]
+
+
+def test_quotient_and_prune_audits_report_a_planted_entry(prime,
+                                                         serial_options):
+    poly = named_polygon("Upsilon_2")
+    table = betti_table(poly, prime, serial_options)
+    assert (table.b, table.c) == ([7, 8, 3, 0], [3, 8, 6, 0])
+    bumped = replace(table, c=[4, 8, 6, 0])
+    assert engine.audit_quotient(poly, prime, bumped, serial_options) == [
+        "row two differs: [4, 8, 6, 0] vs [3, 8, 6, 0]"]
+    # pruning (2, 0) or (0, 2) leaves row one [4, 2, 0]
+    bumped = replace(table, b=[7, 8, 3, 1])
+    assert engine.audit_prune(poly, prime, bumped, serial_options) == [
+        "pruning (2, 0) zeroes row one at 3 but b_4 = 1",
+        "pruning (0, 2) zeroes row one at 3 but b_4 = 1"]
+
+
+def test_symmetry_audit_reports_a_planted_entry(prime, serial_options):
+    poly = named_polygon("Upsilon_2")
+    direct = engine._direct_entries(poly, prime, serial_options.budget)
+    out = direct[("b", 2)]
+    direct[("b", 2)] = EntryOutcome(out.value + 1, out.rigorous,
+                                    out.bigraded)
+    # removing no points, the audit takes its orbit-reduced entries from
+    # direct
+    plain = replace(serial_options, removal="off")
+    assert engine.audit_symmetry(poly, prime, direct, plain) == [
+        f"strand b entry 2: reduced {out.value + 1} vs full {out.value}"]
+
+
+@pytest.mark.parametrize("text", [
+    "0,0 2,0 0,1",          # pruning (0, 1) leaves a segment: skipped
+    "0,0 3,0 3,2 0,2",      # the interior is a segment
+])
+def test_run_audits_pass_on_segment_cases(text, prime, serial_options):
+    assert run_audits(parse_polygon(text), prime, serial_options) == []
 
 
 def test_audits_rank_each_entry_once(prime, serial_options, monkeypatch):

@@ -97,8 +97,7 @@ def test_small_runs_never_load_the_pool_machinery(prime, tmp_path):
 
 
 _POOL_INHERITS_NUMPY = """
-import json, sys
-from polybetti import linalg
+import concurrent.futures, json, sys
 from polybetti.engine import EngineOptions, betti_table
 from polybetti.linalg import ComputeBudget, PrimeModulus
 from polybetti.polygon import named_polygon
@@ -108,13 +107,13 @@ assert "numpy" not in sys.modules
 loaded = []
 
 
-class Recording(linalg.ProcessPoolExecutor):
+class Recording(concurrent.futures.ProcessPoolExecutor):
     def __init__(self, *args, **kwargs):
         loaded.append("numpy" in sys.modules)
         super().__init__(*args, **kwargs)
 
 
-linalg.ProcessPoolExecutor = Recording
+concurrent.futures.ProcessPoolExecutor = Recording
 tables = [to_json_dict(betti_table(
     named_polygon("5*Sigma"), PrimeModulus(40009),
     EngineOptions(budget=ComputeBudget(max_workers=w)))) for w in (2, 1)]

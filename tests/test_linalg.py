@@ -1,6 +1,7 @@
 """Sparse rank computation over prime fields."""
 from __future__ import annotations
 
+import concurrent.futures
 import math
 import multiprocessing
 import os
@@ -71,21 +72,22 @@ def build(entries, p=40009, n_rows=8, n_cols=8):
     return EntryBlock(n_rows, n_cols, entries, PrimeModulus(p)), entries
 
 
-def _trial_division(n):
-    return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
-
-
-def test_is_prime_matches_trial_division():
-    assert [n for n in range(10 ** 5) if is_prime(n)] == \
-        [n for n in range(10 ** 5) if _trial_division(n)]
+def test_is_prime_matches_a_sieve():
+    limit = 10 ** 5
+    sieve = [False, False] + [True] * (limit - 2)
+    for q in range(2, math.isqrt(limit) + 1):
+        if sieve[q]:
+            sieve[q * q::q] = [False] * len(range(q * q, limit, q))
+    assert [n for n in range(limit) if is_prime(n)] == \
+        [n for n in range(limit) if sieve[n]]
 
 
 def test_is_prime_near_modulus_cap():
-    """The primes from 2147483549 to 2^31 - 1 and their odd neighbours."""
-    odd = range(2147483547, 2 ** 31 + 2, 2)
-    assert [n for n in odd if is_prime(n)] == \
-        [n for n in odd if _trial_division(n)]
-    assert is_prime(2147483549) and is_prime(2 ** 31 - 1)
+    """The primes from 2147483547 to 2^31 + 1, as Miller-Rabin to the
+    bases 2, 3, 5 and 7 found them."""
+    assert [n for n in range(2147483547, 2 ** 31 + 2) if is_prime(n)] == [
+        2147483549, 2147483563, 2147483579, 2147483587, 2147483629,
+        2147483647]
     assert PrimeModulus(2 ** 31 - 1).p == 2147483647
 
 
@@ -377,7 +379,8 @@ def test_only_batches_worth_a_pool_start_one(monkeypatch):
             attempts.append(kwargs)
             raise OSError("no process spawning here")
 
-    monkeypatch.setattr(linalg, "ProcessPoolExecutor", Unavailable)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        Unavailable)
     budget = ComputeBudget(max_workers=2)
     side = math.isqrt(linalg.POOL_MIN_CELLS // 2 - 1)
     small = [_diagonal(side), _diagonal(side)]
