@@ -29,7 +29,7 @@ from .closed_forms import (PathologicalPolygon, cg_lower_bound,
 from .engine import (AppendLog, EngineOptions, betti_table, block_dimensions,
                      polygon_key, run_audits, verify_kp1)
 from .linalg import (DEFAULT_PRIME, ComputeBudget, PrimeModulus,
-                     ResourceExceeded, require)
+                     ResourceExceeded, parse_int, require)
 from .polygon import (LatticePolygon, classify, interior_hull, lattice_width,
                       named_polygon, parse_polygon)
 from .scope import call_scope, clear
@@ -62,10 +62,23 @@ def _load_polygon(model: str | None, vertices: str | None,
         _fail(EXIT_INPUT, str(exc))
 
 
+class _Integer(click.ParamType):
+    """click's integer type, reading text by parse_int."""
+
+    name = "integer"
+
+    def convert(self, value, param, ctx):
+        try:
+            return value if isinstance(value, int) else parse_int(value)
+        except ValueError:
+            self.fail(f"{value!r} is not a valid integer.", param, ctx)
+
+
 def _parse_primes(prime: int, primes: str | None) -> list[PrimeModulus]:
-    tokens = [prime] if primes is None else primes.replace(",", " ").split()
+    tokens = ([str(prime)] if primes is None
+              else primes.replace(",", " ").split())
     try:
-        moduli = [PrimeModulus(int(tok)) for tok in tokens]
+        moduli = [PrimeModulus(parse_int(tok)) for tok in tokens]
     except ValueError as exc:
         _fail(EXIT_INPUT, str(exc))
     if not moduli:
@@ -111,12 +124,12 @@ _compute_options = [
     _removal_option,
     click.option("--no-symmetry", is_flag=True,
                  help="Do not fold bidegrees into symmetry orbits."),
-    click.option("--workers", type=int, default=None,
+    click.option("--workers", type=_Integer(), default=None,
                  help="Parallel rank workers (default: BETTI_WORKERS "
                       "environment variable, else the CPUs this process "
                       "may run on).  A batch of blocks too small to pay "
                       "for starting worker processes ranks in-process."),
-    click.option("--memory-cap", type=int, default=None,
+    click.option("--memory-cap", type=_Integer(), default=None,
                  help="Refuse any block whose dense form exceeds this "
                       "many bytes."),
 ]
@@ -138,7 +151,7 @@ def main():
 
 @main.command()
 @_with(_polygon_options)
-@click.option("--prime", type=int, default=DEFAULT_PRIME,
+@click.option("--prime", type=_Integer(), default=DEFAULT_PRIME,
               show_default=True,
               help="Working prime for all rank computations.")
 @click.option("--primes", default=None,
@@ -230,7 +243,7 @@ def table(model, vertices, file, prime, primes, removal, no_symmetry,
 
 @main.command()
 @_with(_polygon_options)
-@click.option("--prime", type=int, default=DEFAULT_PRIME,
+@click.option("--prime", type=_Integer(), default=DEFAULT_PRIME,
               show_default=True,
               help="Prime used when printing the forced full table.")
 def predict(model, vertices, file, prime):
@@ -308,7 +321,7 @@ def _kp1_line(name: str, record: dict) -> str:
 
 @main.command("verify-kp1")
 @click.argument("corpus_dir", type=click.Path(exists=True, file_okay=False))
-@click.option("--prime", type=int, default=DEFAULT_PRIME,
+@click.option("--prime", type=_Integer(), default=DEFAULT_PRIME,
               show_default=True)
 @_with(_compute_options)
 @click.option("--checkpoint", type=click.Path(), default=None,
@@ -401,7 +414,7 @@ def verify_kp1_cmd(corpus_dir, prime, removal, no_symmetry, workers,
 @_with(_polygon_options)
 @click.option("--strand", type=click.Choice(["b", "c"]), required=True,
               help="Row one (b) or row two (c) of the table.")
-@click.option("--position", type=int, required=True,
+@click.option("--position", type=_Integer(), required=True,
               help="Entry position within the strand.")
 @_removal_option
 def dims(model, vertices, file, strand, position, removal):

@@ -20,18 +20,6 @@ from .polygon import (LatticePolygon, Point, PointSet, PolygonClass,
 from .table import BettiTable
 
 
-class RangeError(ValueError):
-    """An index or parameter outside the formula's domain."""
-
-
-class EmptyInterior(ValueError):
-    """The polygon has no interior lattice points but the formula needs some."""
-
-
-class NonEmptyInterior(ValueError):
-    """The formula applies only to polygons without interior points."""
-
-
 class PathologicalPolygon(ValueError):
     """The two smallest polygons, whose linear strands vanish entirely."""
 
@@ -67,7 +55,7 @@ def antidiagonal_difference(poly: LatticePolygon, ell: int) -> int:
     the strand; out-of-range partners read as zero."""
     n = poly.n_points
     if not (1 <= ell <= n - 2):
-        raise RangeError(f"position {ell} outside 1..{n - 2}")
+        raise ValueError(f"position {ell} outside 1..{n - 2}")
     return ell * comb(n - 1, ell + 1) - comb(n - 3, ell - 1) * poly.area2
 
 
@@ -77,7 +65,7 @@ def antidiagonal_difference_bigraded(poly: LatticePolygon,
     alternating sums of wedge-tensor dimensions, keyed by (a, b)."""
     n = poly.n_points
     if not (1 <= ell <= n - 2):
-        raise RangeError(f"position {ell} outside 1..{n - 2}")
+        raise ValueError(f"position {ell} outside 1..{n - 2}")
     pts = poly.points
     out: dict[Point, int] = {}
     for j in range(0, ell + 2):
@@ -92,7 +80,7 @@ def antidiagonal_difference_bigraded(poly: LatticePolygon,
 def hering_schenck_zero_region(poly: LatticePolygon) -> frozenset[int]:
     """Quadratic-strand positions forced to zero by the boundary count."""
     if _n_interior(poly) == 0:
-        raise EmptyInterior("empty interior: the whole quadratic row is zero")
+        raise ValueError("empty interior: the whole quadratic row is zero")
     n = poly.n_points
     lo = n + 1 - poly.boundary_count
     return frozenset(range(max(lo, 1), n - 2))
@@ -151,13 +139,13 @@ def entry_bN4(poly: LatticePolygon) -> tuple[EntryPrediction, EntryPrediction]:
     entry, from the same case split."""
     n = poly.n_points
     if n < 4:
-        raise RangeError(f"needs at least 4 lattice points, got {n}")
+        raise ValueError(f"needs at least 4 lattice points, got {n}")
     coef = _b_coefficient(poly)
     b_val = (n - 4) * coef
     c_val = (n - 4) * (Fraction((n - 3) * poly.area2, 2)
                        - Fraction((n - 1) * (n - 2), 2) + coef)
     if b_val.denominator != 1 or c_val.denominator != 1:
-        raise RangeError(
+        raise ValueError(
             f"non-integral entry from coefficient {coef}; N = {n}")
     b_pred = EntryPrediction(n - 4, "b", int(b_val), "penultimate_linear_entry")
     c_pred = EntryPrediction(3, "c", int(c_val), "third_quadratic_entry")
@@ -169,7 +157,7 @@ def eagon_northcott_table(poly: LatticePolygon,
     """Full table of a polygon without interior points: the resolution
     is forced and both strands are closed-form."""
     if _n_interior(poly):
-        raise NonEmptyInterior("polygon has interior lattice points")
+        raise ValueError("polygon has interior lattice points")
     n = poly.n_points
     width = n - 3
     b = [p * comb(n - 2, p + 1) for p in range(1, width + 1)]
@@ -224,7 +212,7 @@ def veronese_predictions(d: int) -> tuple[int, int | None]:
     last nonzero linear entry, and the first nonzero quadratic entry
     when the interior is nonempty.  Conjectural."""
     if d < 2:
-        raise RangeError("needs d >= 2")
+        raise ValueError("needs d >= 2")
     b_num = d ** 3 * (d * d - 1)
     require(b_num % 8 == 0, "d^3 (d^2 - 1) is not divisible by 8")
     b_last = b_num // 8
@@ -250,7 +238,7 @@ def cg_lower_bound(poly: LatticePolygon) -> int:
     translates of the interior hull inside the polygon."""
     inner = interior_hull(poly)
     if not inner.points:
-        raise EmptyInterior("no interior lattice points")
+        raise ValueError("no interior lattice points")
     k = len(inner.points) - 1
     t = translate_count(inner.points, poly)
     return comb(k + t, k)

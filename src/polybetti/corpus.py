@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 
-from .polygon import (DimensionError, LatticePolygon, classify, from_vertices)
+from .polygon import LatticePolygon, classify, from_vertices
 
 
 def random_lattice_polygon(rng: random.Random, box: int = 4,
@@ -18,7 +18,7 @@ def random_lattice_polygon(rng: random.Random, box: int = 4,
     pts = {(rng.randint(0, box), rng.randint(0, box)) for _ in range(k)}
     try:
         return from_vertices(sorted(pts))
-    except (DimensionError, ValueError):
+    except ValueError:
         return None
 
 

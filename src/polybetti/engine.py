@@ -23,8 +23,8 @@ from .closed_forms import (antidiagonal_difference,
                            scroll_strand_lower_bound)
 from .koszul import (ComplexSpec, choose_removal, coboundary_matrix,
                      enumerate_bidegrees, middle_profile, peak_block,
-                     side_profile, strand_spec, support_window,
-                     target_profile, twisted_quadratic_spec)
+                     strand_spec, support_window, term_profile,
+                     twisted_quadratic_spec)
 from .linalg import (DEFAULT_PRIME, ComputeBudget, InvariantViolation,
                      PrimeModulus, ResourceExceeded, SparseMatrixFp,
                      rank_batch, require)
@@ -189,10 +189,9 @@ class BlockTask:
 
     def build(self) -> SparseMatrixFp:
         # looked up in this module at call time, so a wrapper set on
-        # engine.coboundary_matrix (perfbench's tracer) reaches workers;
-        # the forced pivots are taken as it is built
+        # engine.coboundary_matrix (perfbench's tracer) reaches workers
         m = coboundary_matrix(self.spec, self.bidegree, self.prime,
-                              self.which, presolve=True)
+                              self.which)
         if (m.n_rows, m.n_cols) != (self.n_rows, self.n_cols):
             raise InvariantViolation(
                 f"block at {self.bidegree} is {m.n_rows}x{m.n_cols}, "
@@ -232,7 +231,7 @@ def _orbit_cohomology(poly: LatticePolygon, spec: ComplexSpec,
     strand, ell = spec.strand, spec.ell
     profile = middle_profile(spec)      # holds no zero counts
     parts = _orbits(poly, spec, profile, use_symmetry)
-    rows, left = target_profile(spec.right), side_profile(spec.left)
+    rows, left = term_profile(spec, 2), term_profile(spec, 0)
     require(strand != "c" or not left, "twisted degree-0 term not empty")
     ranks: dict[Point, tuple[int, ...]] = {}
     todo: list[tuple[Point, dict]] = []
@@ -518,9 +517,9 @@ def block_dimensions(poly: LatticePolygon, strand: str, ell: int,
     options = options or EngineOptions()
     spec = strand_spec(poly, strand, ell, compute_plan(poly, strand, options))
     cols_prof = middle_profile(spec)
-    rows_prof = target_profile(spec.right)
+    rows_prof = term_profile(spec, 2)
     return [(ab, rows_prof.get(ab, 0), cols_prof.get(ab, 0))
-            for ab in enumerate_bidegrees(spec)]
+            for ab in enumerate_bidegrees(poly, spec)]
 
 
 def _resolve_entry_b(poly: LatticePolygon, ell: int, prime: PrimeModulus,

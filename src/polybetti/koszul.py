@@ -19,79 +19,44 @@ from .polygon import (LatticePolygon, Point, PointSet, cross, dilate,
 from .scope import scoped_cache
 
 
-class NotInPolygon(ValueError):
-    """A removal candidate is not a lattice point of the polygon."""
-
-
-class InvalidPlan(ValueError):
-    """Removing a plan's points is not provably exact for the polygon."""
-
-
 @dataclass(frozen=True)
-class SupportTriple:
-    """One coboundary map: p-wedges over A with coefficients in B,
-    landing on (p-1)-wedges with coefficients in C.
+class ComplexSpec:
+    """Three-term complex around one homological position: term i
+    (i = 0, 1, 2) is the (top - i)-wedges over wedge_support with
+    coefficients in supports[i].  The left map runs from term 0 into
+    the middle term, the right map from it to term 2; the strand value
+    at a bidegree is the middle cohomology there.
 
     A wedge degree beyond the support size is allowed and denotes the
     zero space; point removal shrinks the support, so top positions
     land there.  ``removed`` lists the polygon points left out of the
-    wedge support, whose layer counts deflate from the full support's."""
+    wedge support, whose layer counts deflate from the full support's.
+    ``translate_degree`` is the middle term's total degree, its wedge
+    degree plus its coefficient degree: symmetries of the polygon act on
+    bidegrees through their linear part plus that many times their
+    shift.
+    """
 
+    strand: str                 # "b", "c", or "mirror" for the audit
+    ell: int
     wedge_support: PointSet
-    source_support: PointSet
-    target_support: PointSet
-    wedge_degree: int
+    supports: tuple[PointSet, PointSet, PointSet]
+    top: int
+    translate_degree: int
     removed: tuple[Point, ...] = ()
 
     def __post_init__(self):
-        if self.wedge_degree < 0:
-            raise ValueError(
-                f"wedge degree {self.wedge_degree} must be nonnegative")
+        if self.top < 1:
+            raise ValueError(f"top wedge degree {self.top} must be at least 1")
         # deflation divides out one factor per removed point, so a point
         # also in the support would be merged into it, not divided out
         require(not any(p in self.wedge_support for p in self.removed),
                 "removed points overlap the wedge support")
 
 
-@dataclass(frozen=True)
-class ComplexSpec:
-    """Three-term complex around one homological position.
-
-    ``left`` maps into the middle term, ``right`` maps out of it; the
-    strand value at a bidegree is the middle cohomology there.
-    ``region`` is the hull of all bidegrees the middle term can meet,
-    and symmetries of the polygon act on bidegrees through its linear
-    part plus ``translate_degree`` times its shift.
-    """
-
-    strand: str                 # "b", "c", or "mirror" for the audit
-    ell: int
-    left: SupportTriple
-    right: SupportTriple
-    region: tuple[Point, ...]
-    translate_degree: int
-
-    def __post_init__(self):
-        require((self.left.wedge_support, self.left.removed)
-                == (self.right.wedge_support, self.right.removed),
-                "the two maps use different wedge supports")
-        require(self.left.target_support == self.right.source_support,
-                "the left map does not land in the middle term")
-        require(self.left.wedge_degree == self.right.wedge_degree + 1,
-                "wedge degrees do not step down by one")
-
-    @property
-    def wedge_support(self) -> PointSet:
-        return self.left.wedge_support
-
-    @property
-    def removed(self) -> tuple[Point, ...]:
-        return self.left.removed
-
-
 @scoped_cache()
 def verify_plan(poly: LatticePolygon, removed: tuple[Point, ...]) -> None:
-    """Raise InvalidPlan unless quotienting out the removed points is
+    """Raise ValueError unless quotienting out the removed points is
     exact for poly: each is a lattice point of it, two are a regular
     pair and three a regular triple.  One point needs nothing more,
     every variable being a nonzerodivisor on the toric ring.  Cached
@@ -100,13 +65,13 @@ def verify_plan(poly: LatticePolygon, removed: tuple[Point, ...]) -> None:
     pts = poly.points
     for p in removed:
         if p not in pts:
-            raise InvalidPlan(f"{p} is not a lattice point of the polygon")
+            raise ValueError(f"{p} is not a lattice point of the polygon")
     if len(removed) > 3:
-        raise InvalidPlan(f"{removed} removes more than three points")
+        raise ValueError(f"{removed} removes more than three points")
     if len(removed) == 2 and not regular_pair(poly, *removed):
-        raise InvalidPlan(f"{removed} is not a regular pair")
+        raise ValueError(f"{removed} is not a regular pair")
     if len(removed) == 3 and not regular_triple(poly, *removed):
-        raise InvalidPlan(f"{removed} is not a regular triple")
+        raise ValueError(f"{removed} is not a regular triple")
 
 
 def regular_pair(poly: LatticePolygon, p: Point, q: Point) -> bool:
@@ -116,7 +81,7 @@ def regular_pair(poly: LatticePolygon, p: Point, q: Point) -> bool:
         raise ValueError("the two points must be distinct")
     pts = poly.points
     if p not in pts or q not in pts:
-        raise NotInPolygon(f"{p} or {q} outside the polygon")
+        raise ValueError(f"{p} or {q} outside the polygon")
     d = (q[0] - p[0], q[1] - p[1])
     t_lo, t_hi = None, None
     verts = poly.vertices
@@ -147,7 +112,7 @@ def regular_triple(poly: LatticePolygon, p: Point, q: Point, r: Point) -> bool:
     pts = poly.points
     for x in (p, q, r):
         if x not in pts:
-            raise NotInPolygon(f"{x} outside the polygon")
+            raise ValueError(f"{x} outside the polygon")
     return len(poly.vertices) == 3 and set(poly.vertices) == {p, q, r}
 
 
@@ -250,15 +215,10 @@ def strand_spec(poly: LatticePolygon, strand: str, ell: int,
         raise ValueError(f"position must be at least 1, got {ell}")
     twisted = strand == "c"
     a = poly.points.difference(removed) if removed else poly.points
-    s0, s1, s2 = (reduced_supports(poly, removed, twisted, q)
-                  for q in range(3))
     top = ell if twisted else ell + 1       # the incoming map's wedge degree
-    return ComplexSpec(
-        strand=strand, ell=ell,
-        left=SupportTriple(a, s0, s1, top, removed),
-        right=SupportTriple(a, s1, s2, top - 1, removed),
-        region=bidegree_hull(poly, top - 1, 1, twisted),
-        translate_degree=top)
+    return ComplexSpec(strand, ell, a, tuple(
+        reduced_supports(poly, removed, twisted, q) for q in range(3)),
+        top, top, removed)
 
 
 def twisted_quadratic_spec(poly: LatticePolygon, ell: int) -> ComplexSpec:
@@ -267,20 +227,20 @@ def twisted_quadratic_spec(poly: LatticePolygon, ell: int) -> ComplexSpec:
     n = poly.n_points
     if not (1 <= ell <= n - 3):
         raise ValueError(f"position {ell} outside 1..{n - 3}")
-    a = poly.points
     p_mid = n - 3 - ell
-    s1, s2, s3 = (_region(poly, True, q) for q in (1, 2, 3))
-    return ComplexSpec(
-        strand="mirror", ell=ell,
-        left=SupportTriple(a, s1, s2, p_mid + 1),
-        right=SupportTriple(a, s2, s3, p_mid),
-        region=bidegree_hull(poly, p_mid, 2, True),
-        translate_degree=p_mid + 2)
+    return ComplexSpec("mirror", ell, poly.points, tuple(
+        _region(poly, True, q) for q in (1, 2, 3)), p_mid + 1, p_mid + 2)
 
 
-def enumerate_bidegrees(spec: ComplexSpec) -> list[Point]:
-    """All lattice points of the middle term's bidegree region."""
-    return sorted(hull_points(spec.region), key=order_key)
+def enumerate_bidegrees(poly: LatticePolygon,
+                        spec: ComplexSpec) -> list[Point]:
+    """All lattice points of the hull of the bidegrees the middle term
+    can meet: its wedge degree top - 1 over poly, its coefficient degree
+    the rest of translate_degree, interior-twisted off row one."""
+    p = spec.top - 1
+    hull = bidegree_hull(poly, p, spec.translate_degree - p,
+                         spec.strand != "b")
+    return sorted(hull_points(hull), key=order_key)
 
 
 @scoped_cache(maxsize=4)
@@ -375,9 +335,10 @@ def _reach(wedge: PointSet, source: PointSet, target: PointSet
 
 
 def coboundary_matrix(spec: ComplexSpec, ab: Point, prime: PrimeModulus,
-                      which: str = "right", *,
-                      presolve: bool = False) -> SparseMatrixFp:
-    """Matrix of the outgoing (or incoming) coboundary at one bidegree.
+                      which: str = "right") -> SparseMatrixFp:
+    """Matrix of the outgoing (or incoming) coboundary at one bidegree,
+    with the pivots that singleton rows force taken before any entry is
+    built.
 
     The s-th omission carries sign (-1)^s, s counted from 1 along the
     increasing wedge order.  A term whose shifted cofactor leaves the
@@ -387,32 +348,31 @@ def coboundary_matrix(spec: ComplexSpec, ab: Point, prime: PrimeModulus,
     omissions fills the row maps and the column sets that
     ``linalg.rank`` eliminates on.
 
-    With presolve, the pivots that singleton rows force are taken
-    before any entry is built.  A row w' with cofactor d meets the
-    columns w' | x for x in coreach[d] & ~w'; when that is one point,
-    the row's one entry is a pivot in its column.  Each such column has
-    a singleton row of its own, so all of them are pivots at once:
-    they count in ``taken`` and in ``n_cols`` and are left empty, and
-    no other entry of theirs is built.  The rank is unchanged.
+    A row w' with cofactor d meets the columns w' | x for x in
+    coreach[d] & ~w'; when that is one point, the row's one entry is a
+    pivot in its column.  Each such column has a singleton row of its
+    own, so all of them are pivots at once: they count in ``taken`` and
+    in ``n_cols`` and are left empty, and no other entry of theirs is
+    built.  The rank is unchanged.
     """
-    triple = spec.right if which == "right" else spec.left
-    a, p = triple.wedge_support, triple.wedge_degree
-    cols = _buckets(a, triple.source_support, p, ab)
-    row_buckets = list(_buckets(a, triple.target_support, p - 1, ab))
+    i = 1 if which == "right" else 0
+    a, p = spec.wedge_support, spec.top - i
+    source, target = spec.supports[i], spec.supports[i + 1]
+    cols = _buckets(a, source, p, ab)
+    row_buckets = list(_buckets(a, target, p - 1, ab))
     if not row_buckets:
         return SparseMatrixFp(0, sum(len(bucket) for _, bucket in cols), {},
                               {}, prime)
-    reach, coreach = _reach(a, triple.source_support, triple.target_support)
+    reach, coreach = _reach(a, source, target)
     row_of: dict[int, int] = {}
     forced: set[int] = set()
     for d, bucket in row_buckets:
         row_of.update(zip(bucket, count(len(row_of))))
-        if presolve:
-            free_mask = coreach[d]
-            for w in bucket:
-                free = free_mask & ~w
-                if free and not free & (free - 1):
-                    forced.add(w | free)
+        free_mask = coreach[d]
+        for w in bucket:
+            free = free_mask & ~w
+            if free and not free & (free - 1):
+                forced.add(w | free)
     rows: dict[int, dict[int, int]] = {}
     col_rows: dict[int, set[int]] = {}
     minus = prime.p - 1
@@ -528,23 +488,16 @@ def basis_dimension_polynomial(a: PointSet, b: PointSet, p: int,
             for key, cnt in conv.items()}
 
 
-def side_profile(triple: SupportTriple) -> dict[Point, int]:
-    """Per-bidegree column count of one map: the dimension of its source."""
-    return basis_dimension_polynomial(triple.wedge_support,
-                                      triple.source_support,
-                                      triple.wedge_degree, triple.removed)
-
-
-def target_profile(triple: SupportTriple) -> dict[Point, int]:
-    """Per-bidegree row count of one map: the dimension of its target."""
-    return basis_dimension_polynomial(triple.wedge_support,
-                                      triple.target_support,
-                                      triple.wedge_degree - 1, triple.removed)
+def term_profile(spec: ComplexSpec, i: int) -> dict[Point, int]:
+    """Per-bidegree dimension of term i, by generating function: the
+    column count of the map out of it, the row count of the one in."""
+    return basis_dimension_polynomial(spec.wedge_support, spec.supports[i],
+                                      spec.top - i, spec.removed)
 
 
 def middle_profile(spec: ComplexSpec) -> dict[Point, int]:
     """Per-bidegree dimension of the middle term, by generating function."""
-    return side_profile(spec.right)
+    return term_profile(spec, 1)
 
 
 def peak_block(spec: ComplexSpec) -> int:

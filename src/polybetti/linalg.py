@@ -33,6 +33,7 @@ from __future__ import annotations
 import heapq
 import math
 import os
+import re
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import TYPE_CHECKING
@@ -68,6 +69,21 @@ def require(condition: bool, message: str) -> None:
     loops raise it directly so the message is built only on failure."""
     if not condition:
         raise InvariantViolation(message)
+
+
+def is_integer_text(text: str) -> bool:
+    """An optional sign, then ASCII digits; int() also reads underscores,
+    surrounding blanks and the digits of other scripts."""
+    return re.fullmatch(r"[+-]?[0-9]+", text) is not None
+
+
+def parse_int(text: str) -> int:
+    """int(text), refused unless is_integer_text(text); text that int()
+    refuses keeps int()'s error."""
+    value = int(text)
+    if not is_integer_text(text):
+        raise ValueError(f"{text!r} is not an integer")
+    return value
 
 
 def is_prime(n: int) -> bool:
@@ -345,7 +361,7 @@ class ComputeBudget:
     """Worker and memory limits for batched rank jobs; BETTI_WORKERS=0,
     like no value, means one worker per usable CPU."""
 
-    max_workers: int = field(default_factory=lambda: int(
+    max_workers: int = field(default_factory=lambda: parse_int(
         os.environ.get("BETTI_WORKERS", "0")) or _usable_cpus())
     memory_cap: int | None = None
 

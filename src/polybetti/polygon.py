@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
-from .linalg import require
+from .linalg import is_integer_text, require
 from .scope import scoped_cache
 
 Point = tuple[int, int]
@@ -586,12 +586,11 @@ def named_polygon(name: str) -> LatticePolygon:
 
 def _coordinate(value) -> int:
     """A coordinate as an int: integers, integral floats and strings of
-    ASCII digits with an optional sign pass; bools, nulls, fractions and
-    other strings are refused, not coerced."""
+    ASCII digits with an optional sign (is_integer_text) pass; bools,
+    nulls, fractions and other strings are refused, not coerced."""
     if (isinstance(value, bool) or not isinstance(value, (int, float, str))
             or isinstance(value, float) and not value.is_integer()
-            or isinstance(value, str)
-            and not re.fullmatch(r"[+-]?[0-9]+", value)):
+            or isinstance(value, str) and not is_integer_text(value)):
         raise ValueError(f"coordinate {value!r} is not an integer")
     return int(value)
 

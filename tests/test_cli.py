@@ -149,6 +149,14 @@ VERTEX_ERRORS = {
     ("table", "--model", "Upsilon_2", "--prime", "4", "--primes", "2,5"),
     ("table", "--model", "Upsilon_2", "--prime", "3", "--primes", "2,3"),
     *VERTEX_ERRORS,
+    # integers are an optional sign, then ASCII digits, as coordinates
+    # are: no underscores and no full-width digits
+    ("table", "--model", "Sigma", "--prime", "4_0009"),
+    ("table", "--model", "Sigma", "--prime", "\uff140009"),
+    ("table", "--model", "Sigma", "--primes", "4_0009,3"),
+    ("table", "--model", "Sigma", "--workers", "1_0"),
+    ("dims", "--model", "Sigma", "--strand", "b", "--position", "0_1"),
+    ({"BETTI_WORKERS": "1_0"}, "oracle-check", "--model", "Upsilon"),
 ])
 def test_invalid_input_exits_2(runner, args):
     env, cmd = (args[0], args[1:]) if isinstance(args[0], dict) else ({}, args)

@@ -20,10 +20,10 @@ from polybetti.engine import (AppendLog, BlockFailed, EngineOptions,
                               compute_plan, effective_plans, options_key,
                               plan_strategy, polygon_key, run_audits,
                               strand_value, verify_kp1)
-from polybetti.koszul import (InvalidPlan, SupportTriple, choose_removal,
-                              coboundary_matrix, middle_profile, peak_block,
-                              reduced_supports, strand_spec, support_window,
-                              verify_plan, wedge_basis)
+from polybetti.koszul import (choose_removal, coboundary_matrix,
+                              middle_profile, peak_block, reduced_supports,
+                              strand_spec, support_window, verify_plan,
+                              wedge_basis)
 from polybetti.linalg import ComputeBudget, PrimeModulus
 from polybetti.polygon import (AffineUnimodularMap, from_vertices,
                                interior_hull, named_polygon, order_key,
@@ -331,11 +331,11 @@ def test_an_invalid_plan_fails_every_time():
     square = parse_polygon("0,0 1,0 1,1 0,1")
     bad = ((0, 0), (1, 0))
     for _ in range(2):
-        with pytest.raises(InvalidPlan):
+        with pytest.raises(ValueError, match="is not a regular pair"):
             verify_plan(square, bad)
-        with pytest.raises(InvalidPlan):
+        with pytest.raises(ValueError, match="is not a regular pair"):
             reduced_supports(square, bad, False, 1)
-        with pytest.raises(InvalidPlan):
+        with pytest.raises(ValueError, match="is not a regular pair"):
             strand_spec(square, "b", 1, bad)
 
 
@@ -481,14 +481,11 @@ def test_block_dimensions_match_enumeration():
     blocks = block_dimensions(poly, "b", 2, EngineOptions(removal="off"))
     assert sum(cols for _, _, cols in blocks) == sum(
         middle_profile(spec).values())
-    below = SupportTriple(spec.wedge_support, spec.right.target_support,
-                          spec.right.target_support,
-                          spec.right.wedge_degree - 1)
     for ab, rows, cols in blocks:
-        for n, triple in ((cols, spec.right), (rows, below)):
-            assert n == len(wedge_basis(triple.wedge_support,
-                                        triple.source_support,
-                                        triple.wedge_degree, ab))
+        # the middle term's wedges and those of the term below it
+        for n, i in ((cols, 1), (rows, 2)):
+            assert n == len(wedge_basis(spec.wedge_support, spec.supports[i],
+                                        spec.top - i, ab))
 
 
 def test_block_dimensions_over_a_segment_interior():
@@ -497,6 +494,13 @@ def test_block_dimensions_over_a_segment_interior():
     assert interior_hull(poly).dim == 1
     assert block_dimensions(poly, "c", 1) == [((1, 1), 0, 1),
                                               ((2, 1), 0, 1)]
+
+
+def test_block_dimensions_over_a_one_point_interior():
+    # Upsilon's interior is the origin alone, so the bidegree hull of
+    # its one twisted block is a single point
+    assert block_dimensions(named_polygon("Upsilon"), "c", 1) == [
+        ((0, 0), 0, 1)]
 
 
 def test_checkpoint_resume_and_refusal(tmp_path, prime):
@@ -660,49 +664,25 @@ def test_invariant_checks_survive_python_O():
         "raised: antidiagonal difference violated at 1"]
 
 
-_BAD_SPEC_CHECK = """
-import dataclasses
-from polybetti import linalg
-from polybetti.engine import InvariantViolation
-from polybetti.koszul import strand_spec
-from polybetti.polygon import named_polygon
-
-spec = strand_spec(named_polygon("2*Sigma"), "b", 1)
-right = dataclasses.replace(spec.right,
-                            wedge_degree=spec.right.wedge_degree + 1)
-print("optimized:", not __debug__, InvariantViolation is
-      linalg.InvariantViolation)
-try:
-    dataclasses.replace(spec, right=right)
-except InvariantViolation as exc:
-    print("raised:", exc)
-"""
-
-
-def test_complex_spec_check_survives_python_O():
-    assert run_optimized(_BAD_SPEC_CHECK) == [
-        "optimized: True True",
-        "raised: wedge degrees do not step down by one"]
-
-
 _OVERLAP_CHECK = """
-from polybetti.koszul import SupportTriple
+from polybetti.koszul import ComplexSpec
 from polybetti.linalg import InvariantViolation
 from polybetti.polygon import named_polygon
 
 pts = named_polygon("2*Sigma").points
 reduced = pts.difference([(0, 0)])
+supports = (pts, pts, pts)
 print("optimized:", not __debug__)
-SupportTriple(reduced, pts, pts, 2, ((0, 0),))
+ComplexSpec("b", 1, reduced, supports, 2, 2, ((0, 0),))
 try:
-    SupportTriple(reduced, pts, pts, 2, ((0, 0), (1, 0)))
+    ComplexSpec("b", 1, reduced, supports, 2, 2, ((0, 0), (1, 0)))
 except InvariantViolation as exc:
     print("raised:", exc)
 """
 
 
 def test_removal_overlap_check_survives_python_O():
-    """Deflation divides out each removed point, so a triple whose
+    """Deflation divides out each removed point, so a complex whose
     removed points are still in its wedge support is refused."""
     assert run_optimized(_OVERLAP_CHECK) == [
         "optimized: True",

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import random
+from functools import cache
 from itertools import combinations, permutations
 from pathlib import Path
 
@@ -15,16 +16,14 @@ from conftest import REFERENCE_TABLES
 from entry_blocks import to_dense
 from polybetti.corpus import build_corpus, removal_corpus
 from polybetti.engine import BlockTask
-from polybetti.koszul import (ComplexSpec, InvalidPlan, NotInPolygon,
-                              SupportTriple,
-                              _deflate, _mask_layer, _wedge_layers,
-                              basis_dimension_polynomial,
+from polybetti.koszul import (ComplexSpec, _deflate, _mask_layer,
+                              _wedge_layers, basis_dimension_polynomial,
                               choose_removal, coboundary_matrix,
                               enumerate_bidegrees, middle_profile,
                               pair_criterion_by_enumeration, peak_block,
                               reduced_supports, regular_pair, regular_triple,
-                              side_profile, strand_spec, support_window,
-                              target_profile, triple_criterion_by_enumeration,
+                              strand_spec, support_window, term_profile,
+                              triple_criterion_by_enumeration,
                               twisted_quadratic_spec, verify_plan,
                               wedge_basis)
 from polybetti.linalg import (ComputeBudget, PrimeModulus, dense_rank_mod,
@@ -45,47 +44,91 @@ P40009 = PrimeModulus(40009)
 
 
 def signed_map(spec, ab, which):
-    """The coboundary at ab as an integer array, its entries lifted from
-    the field with 40009 elements to -1, 0 and 1."""
+    """The built coboundary at ab as an integer array, its entries
+    lifted from the field with 40009 elements to -1, 0 and 1."""
     a = to_dense(coboundary_matrix(spec, ab, P40009, which))
     return np.where(a > P40009.p // 2, a - P40009.p, a)
 
 
-def source_basis(triple, ab):
-    return wedge_basis(triple.wedge_support, triple.source_support,
-                       triple.wedge_degree, ab)
+def source_basis(spec, which, ab):
+    """The column basis of the map at ab: wedges of the source term."""
+    i = 1 if which == "right" else 0
+    return wedge_basis(spec.wedge_support, spec.supports[i], spec.top - i,
+                       ab)
 
 
-def reference_map(triple, ab):
+@cache
+def _subsets(pts, q):
+    """Every q-subset of range(len(pts)) by itertools.combinations, with
+    the coordinate sum of its points."""
+    return [(w, (sum(pts[k][0] for k in w), sum(pts[k][1] for k in w)))
+            for w in combinations(range(len(pts)), q)] if q >= 0 else []
+
+
+@cache
+def reference_map(spec, which, ab):
     """The coboundary at ab straight from its definition: p-subsets by
     itertools.combinations whose cofactor lies in the source support,
     ordered by coordinate sum (order_key) and then as generated; the
     s-th omission, s from 1, has sign (-1)^s and is kept when its
-    shifted cofactor lies in the target support."""
-    pts = triple.wedge_support.points
-    p = triple.wedge_degree
-
-    def wsum(w):
-        return (sum(pts[i][0] for i in w), sum(pts[i][1] for i in w))
+    shifted cofactor lies in the target support.  The right map has
+    p = top - 1 and runs from supports[1] to supports[2], the left map
+    p = top and from supports[0] to supports[1].  Cached, as several
+    tests check the same blocks; treat the result as read-only."""
+    i = 1 if which == "right" else 0
+    pts = spec.wedge_support.points
+    p = spec.top - i
+    source, target = spec.supports[i], spec.supports[i + 1]
 
     def basis(coeffs, q):
-        if q < 0:
-            return []
-        out = [w for w in combinations(range(len(pts)), q)
-               if (ab[0] - wsum(w)[0], ab[1] - wsum(w)[1]) in coeffs]
-        return sorted(out, key=lambda w: order_key(wsum(w)))
+        out = [(w, t) for w, t in _subsets(pts, q)
+               if (ab[0] - t[0], ab[1] - t[1]) in coeffs]
+        return [w for w, t in sorted(out, key=lambda wt: order_key(wt[1]))]
 
-    cols = basis(triple.source_support, p)
-    rows = basis(triple.target_support, p - 1)
-    row_of = {w: i for i, w in enumerate(rows)}
+    cols = basis(source, p)
+    rows = basis(target, p - 1)
+    row_of = {w: r for r, w in enumerate(rows)}
     entries = {}
     for j, w in enumerate(cols):
+        x = ab[0] - sum(pts[k][0] for k in w)
+        y = ab[1] - sum(pts[k][1] for k in w)
         for s in range(1, p + 1):
-            rest = w[:s - 1] + w[s:]
-            cof = (ab[0] - wsum(rest)[0], ab[1] - wsum(rest)[1])
-            if cof in triple.target_support:
-                entries[(row_of[rest], j)] = (-1) ** s
+            # omitting the s-th point adds it back to the cofactor
+            cof = (x + pts[w[s - 1]][0], y + pts[w[s - 1]][1])
+            if cof in target:
+                entries[(row_of[w[:s - 1] + w[s:]], j)] = (-1) ** s
     return len(rows), len(cols), entries
+
+
+def reference_array(spec, which, ab):
+    """reference_map at ab as an integer array of -1, 0 and 1."""
+    n_rows, n_cols, entries = reference_map(spec, which, ab)
+    a = np.zeros((n_rows, n_cols), dtype=np.int64)
+    for rc, v in entries.items():
+        a[rc] = v
+    return a
+
+
+def forced_columns(a):
+    """The columns that a's singleton rows hit: the pivots
+    coboundary_matrix takes before it builds an entry."""
+    return {int(np.flatnonzero(row)[0]) for row in a
+            if np.count_nonzero(row) == 1}
+
+
+def assert_built_as_defined(m, spec, which, ab):
+    """m, built at ab, is reference_map there modulo m's prime with the
+    forced columns emptied, and counts those columns as taken; its
+    column sets index the same nonzeros as its rows."""
+    want = reference_array(spec, which, ab) % m.modulus.p
+    forced = forced_columns(want)
+    want[:, sorted(forced)] = 0
+    assert (m.n_rows, m.n_cols) == want.shape
+    assert np.array_equal(to_dense(m), want)
+    assert m.taken == len(forced)
+    assert {(r, c) for c, rs in m.col_rows.items() for r in rs} == {
+        (r, c) for r, row in m.rows.items() for c in row}
+    assert m.nnz == np.count_nonzero(want)
 
 
 SPEC_CASES = [
@@ -98,23 +141,25 @@ SPEC_CASES = [
 
 @pytest.mark.parametrize("name,kind,ell", SPEC_CASES)
 def test_composition_is_zero_over_the_integers(name, kind, ell):
-    spec = spec_for(named_polygon(name), kind, ell)
-    for ab in enumerate_bidegrees(spec):
-        left = signed_map(spec, ab, "left")
-        right = signed_map(spec, ab, "right")
+    poly = named_polygon(name)
+    spec = spec_for(poly, kind, ell)
+    for ab in enumerate_bidegrees(poly, spec):
+        left = reference_array(spec, "left", ab)
+        right = reference_array(spec, "right", ab)
         assert left.shape[0] == right.shape[1]
         assert not (right @ left).any()
 
 
 @pytest.mark.parametrize("name,kind,ell", SPEC_CASES)
 def test_basis_count_matches_generating_function(name, kind, ell):
-    spec = spec_for(named_polygon(name), kind, ell)
+    poly = named_polygon(name)
+    spec = spec_for(poly, kind, ell)
     middle = middle_profile(spec)
-    left_cols = side_profile(spec.left)
-    below = target_profile(spec.right)
-    for ab in enumerate_bidegrees(spec):
-        assert len(source_basis(spec.right, ab)) == middle.get(ab, 0)
-        assert len(source_basis(spec.left, ab)) == left_cols.get(ab, 0)
+    left_cols = term_profile(spec, 0)
+    below = term_profile(spec, 2)
+    for ab in enumerate_bidegrees(poly, spec):
+        assert len(source_basis(spec, "right", ab)) == middle.get(ab, 0)
+        assert len(source_basis(spec, "left", ab)) == left_cols.get(ab, 0)
         # the sizes block tasks carry for the memory cap check
         right = coboundary_matrix(spec, ab, P40009, "right")
         assert (right.n_rows, right.n_cols) == (below.get(ab, 0),
@@ -127,27 +172,28 @@ def test_basis_count_matches_generating_function(name, kind, ell):
 
 @pytest.mark.parametrize("name,kind,ell", SPEC_CASES[:3])
 def test_columns_are_sparse_sign_vectors(name, kind, ell):
-    spec = spec_for(named_polygon(name), kind, ell)
-    for ab in enumerate_bidegrees(spec):
-        for which, triple in (("left", spec.left), ("right", spec.right)):
+    poly = named_polygon(name)
+    spec = spec_for(poly, kind, ell)
+    for ab in enumerate_bidegrees(poly, spec):
+        for which, p in (("left", spec.top), ("right", spec.top - 1)):
             a = signed_map(spec, ab, which)
             assert set(np.unique(a)) <= {-1, 0, 1}
-            assert (np.count_nonzero(a, axis=0) <= triple.wedge_degree).all()
+            assert (np.count_nonzero(a, axis=0) <= p).all()
 
 
 def test_basis_elements_are_increasing_wedges():
-    spec = spec_for(named_polygon("Upsilon_2"), "primal_b", 2)
+    poly = named_polygon("Upsilon_2")
+    spec = spec_for(poly, "primal_b", 2)
     pts = spec.wedge_support.points
-    for ab in enumerate_bidegrees(spec):
-        masks = source_basis(spec.right, ab)
+    for ab in enumerate_bidegrees(poly, spec):
+        masks = source_basis(spec, "right", ab)
         assert len(set(masks)) == len(masks)
         keys = []
         for mask in masks:
             wedge = [pt for i, pt in enumerate(pts) if mask >> i & 1]
-            assert len(wedge) == spec.right.wedge_degree
+            assert len(wedge) == spec.top - 1
             wsum = (sum(w[0] for w in wedge), sum(w[1] for w in wedge))
-            assert (ab[0] - wsum[0], ab[1] - wsum[1]) in \
-                spec.right.source_support
+            assert (ab[0] - wsum[0], ab[1] - wsum[1]) in spec.supports[1]
             keys.append(order_key(wsum))
         # grouped by wedge sum, in point order
         assert keys == sorted(keys)
@@ -190,32 +236,26 @@ REDUCED_CASES = [
 
 
 def _assembly_specs():
+    """(polygon, spec) for every SPEC_CASES and REDUCED_CASES complex."""
     for name, kind, ell in SPEC_CASES:
-        yield spec_for(named_polygon(name), kind, ell)
+        poly = named_polygon(name)
+        yield poly, spec_for(poly, kind, ell)
     for name, strand, ell, n_removed in REDUCED_CASES:
         poly = (named_polygon(name) if "*" in name else parse_polygon(name))
         removed = choose_removal(poly, strand)
         assert len(removed) == n_removed
-        yield strand_spec(poly, strand, ell, removed)
+        yield poly, strand_spec(poly, strand, ell, removed)
 
 
-@pytest.mark.parametrize("spec", list(_assembly_specs()),
+@pytest.mark.parametrize("poly,spec", list(_assembly_specs()),
                          ids=["-".join(map(str, c)) for c in SPEC_CASES]
                          + [PLAN_NAMES[c[3]] for c in REDUCED_CASES])
-def test_assembly_matches_the_definition(spec):
+def test_assembly_matches_the_definition(poly, spec):
     prime = PrimeModulus(40009)
-    for ab in enumerate_bidegrees(spec):
-        for which, triple in (("left", spec.left), ("right", spec.right)):
-            n_rows, n_cols, want = reference_map(triple, ab)
+    for ab in enumerate_bidegrees(poly, spec):
+        for which in ("left", "right"):
             m = coboundary_matrix(spec, ab, prime, which)
-            assert (m.n_rows, m.n_cols) == (n_rows, n_cols)
-            got = {(r, c): v for r, row in m.rows.items()
-                   for c, v in row.items()}
-            assert got == {rc: v % prime.p for rc, v in want.items()}
-            # the column sets index the same nonzeros
-            assert {(r, c) for c, rs in m.col_rows.items() for r in rs} \
-                == set(got)
-            assert m.nnz == len(got)
+            assert_built_as_defined(m, spec, which, ab)
 
 
 def _random_spec(rng):
@@ -227,20 +267,18 @@ def _random_spec(rng):
     b, c, d = (PointSet.of(rng.sample(box, rng.randint(1, 12)))
                for _ in range(3))
     p = rng.randint(0, len(wedge) + 1)
-    return ComplexSpec(strand="custom", ell=1,
-                       left=SupportTriple(wedge, d, b, p + 1),
-                       right=SupportTriple(wedge, b, c, p),
-                       region=((0, 0),), translate_degree=0)
+    return ComplexSpec("custom", 1, wedge, (d, b, c), p + 1, 0)
 
 
-def _reachable_bidegrees(triple):
+def _reachable_bidegrees(spec, which):
     """Every bidegree where the map has a column, and one where it has
     none."""
-    pts = triple.wedge_support.points
-    sums = {(sum(pts[i][0] for i in w), sum(pts[i][1] for i in w))
-            for w in combinations(range(len(pts)), triple.wedge_degree)}
+    i = 1 if which == "right" else 0
+    pts = spec.wedge_support.points
+    sums = {(sum(pts[k][0] for k in w), sum(pts[k][1] for k in w))
+            for w in combinations(range(len(pts)), spec.top - i)}
     return sorted({(x + bx, y + by) for x, y in sums
-                   for bx, by in triple.source_support} | {(-9, -9)})
+                   for bx, by in spec.supports[i]} | {(-9, -9)})
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -250,79 +288,66 @@ def test_blocks_match_an_independent_construction(seed):
     and at p = 40009."""
     rng = random.Random(seed)
     spec = _random_spec(rng)
-    for which, triple in (("left", spec.left), ("right", spec.right)):
-        for ab in _reachable_bidegrees(triple):
-            n_rows, n_cols, want = reference_map(triple, ab)
+    for which in ("left", "right"):
+        for ab in _reachable_bidegrees(spec, which):
             for p in (3, 40009):
                 m = coboundary_matrix(spec, ab, PrimeModulus(p), which)
-                expected = np.zeros((n_rows, n_cols), dtype=np.int64)
-                for (r, c), v in want.items():
-                    expected[r, c] = v % p
-                assert np.array_equal(to_dense(m), expected)
+                assert_built_as_defined(m, spec, which, ab)
 
 
-def _presolve_specs():
+def _forced_pivot_specs():
     """Every strand spec of Upsilon_3 and 2*Upsilon, the REDUCED_CASES
-    specs and twelve random complexes."""
+    specs and twelve random complexes, each with its bidegrees; None for
+    a random complex, whose bidegrees are each map's own
+    (_reachable_bidegrees)."""
     for name in ("Upsilon_3", "2*Upsilon"):
         poly = named_polygon(name)
         for strand in ("b", "c"):
             for ell in range(1, poly.n_points - 2):
-                yield strand_spec(poly, strand, ell)
+                spec = strand_spec(poly, strand, ell)
+                yield spec, enumerate_bidegrees(poly, spec)
     for name, strand, ell, _ in REDUCED_CASES:
         poly = (named_polygon(name) if "*" in name else parse_polygon(name))
-        yield strand_spec(poly, strand, ell, choose_removal(poly, strand))
+        spec = strand_spec(poly, strand, ell, choose_removal(poly, strand))
+        yield spec, enumerate_bidegrees(poly, spec)
     for seed in range(12):
-        yield _random_spec(random.Random(seed))
+        yield _random_spec(random.Random(seed)), None
 
 
-def _presolve_blocks():
-    """(spec, bidegree, map) for every block of _presolve_specs that has
-    a row and a column."""
-    for spec in _presolve_specs():
-        for which, triple in (("left", spec.left), ("right", spec.right)):
-            bidegrees = (_reachable_bidegrees(triple)
-                         if spec.strand == "custom"
-                         else enumerate_bidegrees(spec))
-            for ab in bidegrees:
-                m = coboundary_matrix(spec, ab, P40009, which)
-                if m.rows:
+def _forced_pivot_blocks():
+    """(spec, bidegree, map) for every block of _forced_pivot_specs whose
+    map, as defined, has a nonzero."""
+    for spec, bidegrees in _forced_pivot_specs():
+        for which in ("left", "right"):
+            for ab in (_reachable_bidegrees(spec, which) if bidegrees is None
+                       else bidegrees):
+                if reference_map(spec, which, ab)[2]:
                     yield spec, ab, which
 
 
 @pytest.mark.parametrize("p", [2, 3, 40009])
 def test_forced_pivots_and_elimination_rank_the_full_map(p):
-    """The pivots a presolved block took, plus the rank its elimination
-    adds, equal the dense rank of the full map, on every block."""
+    """The pivots a block took before it was built, plus the rank its
+    elimination adds, equal the dense rank of the map as defined, on
+    every block."""
     prime = PrimeModulus(p)
     taken = 0
-    for spec, ab, which in _presolve_blocks():
-        full = coboundary_matrix(spec, ab, prime, which)
-        want = dense_rank_mod(to_dense(full), p)
-        block = BlockTask(spec, ab, prime, which, full.n_rows, full.n_cols)
+    for spec, ab, which in _forced_pivot_blocks():
+        full = reference_array(spec, which, ab)
+        want = dense_rank_mod(full, p)
+        block = BlockTask(spec, ab, prime, which, *full.shape)
         taken += block.build().taken
         assert rank(block) == want, (spec.strand, spec.ell, ab, which)
     assert taken > 1000
 
 
 def test_taken_columns_are_those_of_the_singleton_rows():
-    """A presolved block leaves out exactly the columns that the full
-    map's singleton rows hit, counts them as taken, and holds every
-    other entry of the full map."""
-    for spec, ab, which in _presolve_blocks():
-        full = coboundary_matrix(spec, ab, P40009, which)
-        pre = coboundary_matrix(spec, ab, P40009, which, presolve=True)
-        forced = {c for row in full.rows.values() if len(row) == 1
-                  for c in row}
-        assert set(full.col_rows) - set(pre.col_rows) == forced
-        assert pre.taken == len(forced)
-        assert (pre.n_rows, pre.n_cols) == (full.n_rows, full.n_cols)
-        kept = {(r, c): v for r, row in full.rows.items()
-                for c, v in row.items() if c not in forced}
-        assert {(r, c): v for r, row in pre.rows.items()
-                for c, v in row.items()} == kept
-        assert {c: rs for c, rs in pre.col_rows.items()} == {
-            c: rs for c, rs in full.col_rows.items() if c not in forced}
+    """A block leaves out exactly the columns that the defined map's
+    singleton rows hit, counts them as taken, and holds every other
+    entry of the defined map."""
+    for spec, ab, which in _forced_pivot_blocks():
+        m = coboundary_matrix(spec, ab, P40009, which)
+        assert_built_as_defined(m, spec, which, ab)
 
 
 def test_wedge_support_over_64_points_matches_the_definition():
@@ -336,20 +361,18 @@ def test_wedge_support_over_64_points_matches_the_definition():
     spec = strand_spec(poly, "b", 2)
     cases = []
     for ab in ((5, 1), (64, 1), (100, 1)):
-        for which, triple in (("left", spec.left), ("right", spec.right)):
-            assert any(w >> 64 for w in source_basis(triple, ab))
-            cases.append((ab, which, reference_map(triple, ab)))
+        for which in ("left", "right"):
+            assert any(w >> 64 for w in source_basis(spec, which, ab))
+            cases.append((ab, which))
     for p in (3, 40009):
         prime = PrimeModulus(p)
         tasks, want_ranks = [], []
-        for ab, which, (n_rows, n_cols, want) in cases:
-            expected = np.zeros((n_rows, n_cols), dtype=np.int64)
-            for (r, c), v in want.items():
-                expected[r, c] = v % p
+        for ab, which in cases:
+            full = reference_array(spec, which, ab)
             m = coboundary_matrix(spec, ab, prime, which)
-            assert np.array_equal(to_dense(m), expected)
-            tasks.append(BlockTask(spec, ab, prime, which, n_rows, n_cols))
-            want_ranks.append(dense_rank_mod(expected, p))
+            assert_built_as_defined(m, spec, which, ab)
+            tasks.append(BlockTask(spec, ab, prime, which, *full.shape))
+            want_ranks.append(dense_rank_mod(full, p))
         assert rank_batch(tasks, ComputeBudget(max_workers=1)) == [
             (rk, None) for rk in want_ranks]
 
@@ -384,7 +407,7 @@ def test_regularity_rejects_bad_inputs():
     poly = named_polygon("2*Sigma")
     with pytest.raises(ValueError):
         regular_pair(poly, (0, 0), (0, 0))
-    with pytest.raises(NotInPolygon):
+    with pytest.raises(ValueError, match="outside the polygon"):
         regular_pair(poly, (0, 0), (9, 9))
     with pytest.raises(ValueError):
         regular_triple(poly, (0, 0), (2, 0), (2, 0))
@@ -432,35 +455,34 @@ def test_choose_removal_certificates_by_shape():
 
 def test_verify_plan_rejects_invalid_plans():
     square = parse_polygon("0,0 1,0 1,1 0,1")
-    with pytest.raises(InvalidPlan):
+    with pytest.raises(ValueError, match="is not a regular pair"):
         verify_plan(square, ((0, 0), (1, 0)))
-    with pytest.raises(InvalidPlan):
+    with pytest.raises(ValueError, match="is not a lattice point"):
         verify_plan(square, ((5, 5),))
-    with pytest.raises(InvalidPlan):
+    with pytest.raises(ValueError, match="is not a regular triple"):
         verify_plan(square, ((0, 0), (1, 0), (1, 1)))
-    with pytest.raises(InvalidPlan):
+    with pytest.raises(ValueError, match="removes more than three points"):
         verify_plan(square, ((0, 0), (1, 0), (0, 1), (1, 1)))
 
 
 def test_oversized_wedge_degree_is_the_zero_space():
     pts = PointSet.of([(0, 0), (1, 0), (0, 1)])
-    triple = SupportTriple(pts, pts, pts, wedge_degree=5)
-    assert len(source_basis(triple, (1, 1))) == 0
-    spec = ComplexSpec(strand="custom", ell=1,
-                       left=SupportTriple(pts, pts, pts, 6), right=triple,
-                       region=((0, 0),), translate_degree=0)
+    spec = ComplexSpec("custom", 1, pts, (pts, pts, pts), 6, 0)
+    assert len(source_basis(spec, "right", (1, 1))) == 0
     m = coboundary_matrix(spec, (1, 1), P40009, "right")
     assert m.n_cols == 0 and m.nnz == 0
-    with pytest.raises(ValueError):
-        SupportTriple(pts, pts, pts, wedge_degree=-1)
+    # the right map of top 1 lands on the zero space of (-1)-wedges
+    assert ComplexSpec("custom", 1, pts, (pts, pts, pts), 1, 0)
+    with pytest.raises(ValueError, match="must be at least 1"):
+        ComplexSpec("custom", 1, pts, (pts, pts, pts), 0, 0)
 
 
 def test_positions_past_the_last_column_still_build():
     poly = named_polygon("Sigma")
     spec = strand_spec(poly, "b", 1)
-    assert enumerate_bidegrees(spec)
+    assert enumerate_bidegrees(poly, spec)
     far = strand_spec(poly, "b", 5)
-    assert far.right.wedge_degree == 5
+    assert far.top - 1 == 5
     with pytest.raises(ValueError):
         strand_spec(poly, "b", 0)
 
@@ -474,9 +496,9 @@ def test_quotient_gives_the_same_profile_totals():
     red = strand_spec(poly, "b", 2, plan)
 
     def euler(spec):
-        left = side_profile(spec.left)
+        left = term_profile(spec, 0)
         mid = middle_profile(spec)
-        right = side_profile(spec.right)
+        right = term_profile(spec, 1)
         keys = set(left) | set(mid) | set(right)
         # alternating sum over the three displayed terms only; this is
         # not an invariant by itself, so compare map ranks instead
