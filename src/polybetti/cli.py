@@ -75,12 +75,15 @@ class _Integer(click.ParamType):
 
 
 def _parse_primes(prime: int, primes: str | None) -> list[PrimeModulus]:
+    """The moduli of --primes, else of --prime; a bad token exits 2 with
+    a message that names its option."""
+    option = "--prime" if primes is None else "--primes"
     tokens = ([str(prime)] if primes is None
               else primes.replace(",", " ").split())
     try:
         moduli = [PrimeModulus(parse_int(tok)) for tok in tokens]
     except ValueError as exc:
-        _fail(EXIT_INPUT, str(exc))
+        _fail(EXIT_INPUT, f"{option}: {exc}")
     if not moduli:
         _fail(EXIT_INPUT, f"no prime in --primes {primes!r}")
     return moduli

@@ -290,27 +290,16 @@ def _mask_layer(support: PointSet, p: int) -> dict[Point, list[int]]:
             for v in sorted(layer)}
 
 
-def _buckets(support: PointSet, coeffs: PointSet, p: int, ab: Point):
-    """(cofactor, bucket) for every nonempty bucket of p-wedges at
-    bidegree ab whose cofactor ab - sum lies in coeffs, in order_key
-    order of the sums: coeffs walked backwards."""
-    if not 0 <= p <= len(support):
-        return
-    layer = _mask_layer(support, p)
-    x, y = ab
-    for c in reversed(coeffs.points):
-        bucket = layer.get((x - c[0], y - c[1]))
-        if bucket:
-            yield c, bucket
-
-
 def wedge_basis(support: PointSet, coeffs: PointSet, p: int,
                 ab: Point) -> list[int]:
     """Masks of the p-wedges at bidegree ab whose cofactor ab - sum lies
-    in coeffs: the buckets in order, so the basis order is the
-    layer's."""
-    return [w for _, bucket in _buckets(support, coeffs, p, ab)
-            for w in bucket]
+    in coeffs: the nonempty buckets in order_key order of the sums,
+    coeffs walked backwards, so the basis order is the layer's."""
+    if not 0 <= p <= len(support):
+        return []
+    get, (x, y) = _mask_layer(support, p).get, ab
+    return [w for c in reversed(coeffs.points)
+            for w in get((x - c[0], y - c[1]), ())]
 
 
 @scoped_cache(maxsize=16)
@@ -334,6 +323,29 @@ def _reach(wedge: PointSet, source: PointSet, target: PointSet
     return reach, coreach
 
 
+@scoped_cache(maxsize=2)
+def _block_frame(spec: ComplexSpec, which: str):
+    """What every block of one map shares, whatever its bidegree: the
+    ``get`` of the column layer and of the row layer (of an empty dict
+    where the wedge degree leaves 0..len), and the source and target
+    cofactors as (x, y, mask) triples, each support walked backwards as
+    wedge_basis walks it, the mask being the cofactor's reach or
+    coreach.
+
+    Bounded at the two maps of one spec, those its batch ranks.  The
+    engine reaches _mask_layer only through a frame, so the layers the
+    frames hold are the last four that _mask_layer served."""
+    i = 1 if which == "right" else 0
+    a, p = spec.wedge_support, spec.top - i
+    source, target = spec.supports[i], spec.supports[i + 1]
+    reach, coreach = _reach(a, source, target)
+    col_get, row_get = (_mask_layer(a, q).get if 0 <= q <= len(a) else {}.get
+                        for q in (p, p - 1))
+    return (col_get, row_get,
+            [(*c, reach[c]) for c in reversed(source.points)],
+            [(*d, coreach[d]) for d in reversed(target.points)])
+
+
 def coboundary_matrix(spec: ComplexSpec, ab: Point, prime: PrimeModulus,
                       which: str = "right") -> SparseMatrixFp:
     """Matrix of the outgoing (or incoming) coboundary at one bidegree,
@@ -354,32 +366,34 @@ def coboundary_matrix(spec: ComplexSpec, ab: Point, prime: PrimeModulus,
     own, so all of them are pivots at once: they count in ``taken`` and
     in ``n_cols`` and are left empty, and no other entry of theirs is
     built.  The rank is unchanged.
+
+    What no bidegree changes, the two layers and the cofactors with
+    their masks, comes from the map's frame (_block_frame), so past its
+    entries a block costs one dict lookup per cofactor.
     """
-    i = 1 if which == "right" else 0
-    a, p = spec.wedge_support, spec.top - i
-    source, target = spec.supports[i], spec.supports[i + 1]
-    cols = _buckets(a, source, p, ab)
-    row_buckets = list(_buckets(a, target, p - 1, ab))
-    if not row_buckets:
-        return SparseMatrixFp(0, sum(len(bucket) for _, bucket in cols), {},
-                              {}, prime)
-    reach, coreach = _reach(a, source, target)
+    col_get, row_get, sources, targets = _block_frame(spec, which)
+    x, y = ab
     row_of: dict[int, int] = {}
     forced: set[int] = set()
-    for d, bucket in row_buckets:
+    for dx, dy, free_mask in targets:
+        bucket = row_get((x - dx, y - dy))
+        if not bucket:
+            continue
         row_of.update(zip(bucket, count(len(row_of))))
-        free_mask = coreach[d]
         for w in bucket:
             free = free_mask & ~w
             if free and not free & (free - 1):
                 forced.add(w | free)
+    if not row_of:
+        return SparseMatrixFp(0, sum(len(col_get((x - cx, y - cy), ()))
+                                     for cx, cy, _ in sources), {}, {},
+                              prime)
     rows: dict[int, dict[int, int]] = {}
     col_rows: dict[int, set[int]] = {}
     minus = prime.p - 1
     j = 0
-    for c, bucket in cols:
-        hit_mask = reach[c]
-        for w in bucket:
+    for cx, cy, hit_mask in sources:
+        for w in col_get((x - cx, y - cy), ()):
             if w in forced:
                 j += 1
                 continue

@@ -78,12 +78,10 @@ def is_integer_text(text: str) -> bool:
 
 
 def parse_int(text: str) -> int:
-    """int(text), refused unless is_integer_text(text); text that int()
-    refuses keeps int()'s error."""
-    value = int(text)
+    """int(text), refused with one message unless is_integer_text(text)."""
     if not is_integer_text(text):
         raise ValueError(f"{text!r} is not an integer")
-    return value
+    return int(text)
 
 
 def is_prime(n: int) -> bool:
@@ -356,13 +354,22 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _env_workers() -> int:
+    """BETTI_WORKERS, or one worker per usable CPU where it is unset or 0;
+    text that is not an integer is refused, naming the variable."""
+    try:
+        workers = parse_int(os.environ.get("BETTI_WORKERS", "0"))
+    except ValueError as exc:
+        raise ValueError(f"BETTI_WORKERS: {exc}") from None
+    return workers or _usable_cpus()
+
+
 @dataclass(frozen=True)
 class ComputeBudget:
     """Worker and memory limits for batched rank jobs; BETTI_WORKERS=0,
     like no value, means one worker per usable CPU."""
 
-    max_workers: int = field(default_factory=lambda: parse_int(
-        os.environ.get("BETTI_WORKERS", "0")) or _usable_cpus())
+    max_workers: int = field(default_factory=_env_workers)
     memory_cap: int | None = None
 
     def __post_init__(self):

@@ -67,9 +67,17 @@ class PointSet:
     def _members(self) -> frozenset[Point]:
         return frozenset(self.points)
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self.points)
+
+    def __hash__(self) -> int:
+        # every cache keyed by a support or a spec hashes it per lookup
+        return self._hash
+
     def __reduce__(self):
-        # the points alone: the member set is rebuilt where it is tested,
-        # not pickled with every spec sent to a worker
+        # the points alone: the member set and the hash are rebuilt where
+        # they are used, not pickled with every spec sent to a worker
         return PointSet, (self.points,)
 
     def __contains__(self, pt) -> bool:

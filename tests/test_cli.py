@@ -167,6 +167,30 @@ def test_invalid_input_exits_2(runner, args):
         assert r.stderr == VERTEX_ERRORS[cmd]
 
 
+@pytest.mark.parametrize("env, args, message", [
+    ({"BETTI_WORKERS": "abc"}, ("oracle-check", "--model", "Upsilon"),
+     "BETTI_WORKERS: 'abc' is not an integer"),
+    ({"BETTI_WORKERS": "1_0"}, ("oracle-check", "--model", "Upsilon"),
+     "BETTI_WORKERS: '1_0' is not an integer"),
+    ({"BETTI_WORKERS": ""}, ("table", "--model", "Sigma"),
+     "BETTI_WORKERS: '' is not an integer"),
+    ({}, ("table", "--model", "Sigma", "--primes", "4_0009,3"),
+     "--primes: '4_0009' is not an integer"),
+    ({}, ("table", "--model", "Sigma", "--primes", "3,abc"),
+     "--primes: 'abc' is not an integer"),
+    ({}, ("oracle-check", "--model", "Upsilon", "--primes", "3 4"),
+     "--primes: modulus 4 is not prime"),
+    ({}, ("table", "--model", "Sigma", "--prime", "4"),
+     "--prime: modulus 4 is not prime"),
+])
+def test_integer_errors_name_their_input(runner, env, args, message):
+    """Any text that is not an integer gets one message, prefixed by
+    the option or variable it came from."""
+    r = runner.invoke(main, list(args), env=env, catch_exceptions=False)
+    assert r.exit_code == 2
+    assert r.stderr == f"error: {message}\n"
+
+
 def test_table_multi_prime_agreement(runner):
     r = invoke(runner, "table", "--model", "Upsilon_2",
                "--primes", "2,3,40009")

@@ -20,9 +20,10 @@ from polybetti.engine import (AppendLog, BlockFailed, EngineOptions,
                               compute_plan, effective_plans, options_key,
                               plan_strategy, polygon_key, run_audits,
                               strand_value, verify_kp1)
-from polybetti.koszul import (choose_removal, coboundary_matrix,
-                              middle_profile, peak_block, reduced_supports,
-                              strand_spec, support_window, verify_plan,
+from polybetti.koszul import (_block_frame, choose_removal,
+                              coboundary_matrix, middle_profile, peak_block,
+                              reduced_supports, strand_spec, support_window,
+                              twisted_quadratic_spec, verify_plan,
                               wedge_basis)
 from polybetti.linalg import ComputeBudget, PrimeModulus
 from polybetti.polygon import (AffineUnimodularMap, from_vertices,
@@ -249,6 +250,27 @@ def test_plans_are_made_once_and_only_for_computed_strands(prime):
         for strand in computed:
             choose_removal(poly, strand)
         assert choose_removal.cache_info().misses == len(computed)
+
+
+def test_each_map_builds_its_block_frame_once(prime, built_blocks):
+    """Every block of one map shares one frame: a serial entry misses
+    _block_frame once, and a mirror complex, whose batch ranks both of
+    its maps, twice."""
+    poly = named_polygon("Upsilon_3")
+    serial = ComputeBudget(max_workers=1)
+    with call_scope():
+        _block_frame.cache_clear()
+        strand_value(poly, "b", 2, prime, budget=serial)
+        info, entry = _block_frame.cache_info(), len(built_blocks())
+        assert info.misses == 1
+        assert info.hits + info.misses == entry > 1
+        _block_frame.cache_clear()
+        engine._orbit_cohomology(poly, twisted_quadratic_spec(poly, 2), prime,
+                                 rank_left=True, budget=serial)
+        info, mirror = _block_frame.cache_info(), built_blocks()[entry:]
+        assert info.misses == 2
+        assert info.hits + info.misses == len(mirror)
+        assert {which for *_, which, _, _ in mirror} == {"right", "left"}
 
 
 def removal_candidates(poly):

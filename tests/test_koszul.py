@@ -2,9 +2,12 @@
 from __future__ import annotations
 
 import json
+import pickle
 import random
+from dataclasses import replace
 from functools import cache
 from itertools import combinations, permutations
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +19,9 @@ from conftest import REFERENCE_TABLES
 from entry_blocks import to_dense
 from polybetti.corpus import build_corpus, removal_corpus
 from polybetti.engine import BlockTask
-from polybetti.koszul import (ComplexSpec, _deflate, _mask_layer,
-                              _wedge_layers, basis_dimension_polynomial,
+from polybetti.koszul import (ComplexSpec, _block_frame, _deflate,
+                              _mask_layer, _wedge_layers,
+                              basis_dimension_polynomial,
                               choose_removal, coboundary_matrix,
                               enumerate_bidegrees, middle_profile,
                               pair_criterion_by_enumeration, peak_block,
@@ -30,6 +34,7 @@ from polybetti.linalg import (ComputeBudget, PrimeModulus, dense_rank_mod,
                               rank, rank_batch)
 from polybetti.polygon import (PointSet, from_vertices, lawrence_prism,
                                named_polygon, order_key, parse_polygon)
+from polybetti.scope import call_scope
 
 
 def spec_for(poly, kind, ell):
@@ -487,26 +492,38 @@ def test_positions_past_the_last_column_still_build():
         strand_spec(poly, "b", 0)
 
 
+def test_pickled_spec_keeps_its_size_after_hashing_and_framing():
+    """The hashes a spec's point sets cache, and the frames built from
+    it, stay out of the pickle that carries it to a worker."""
+    ref = strand_spec(named_polygon("Upsilon_3"), "b", 2)
+    spec = replace(ref, wedge_support=PointSet(ref.wedge_support.points),
+                   supports=tuple(PointSet(s.points) for s in ref.supports))
+    sets = (spec.wedge_support, *spec.supports)
+    before = pickle.dumps(spec)
+    with call_scope():
+        hash(spec)
+        for which in ("right", "left"):
+            _block_frame(spec, which)
+        assert all("_hash" in vars(s) for s in sets)
+        after = pickle.dumps(spec)
+    assert len(after) == len(before)
+    restored = pickle.loads(after)
+    assert restored == spec and hash(restored) == hash(spec)
+
+
 def test_quotient_gives_the_same_profile_totals():
-    # removal changes block shapes, not the cohomology; as a cheap proxy
-    # check the Euler characteristic per bidegree region stays consistent
+    """Each term's profile counts, summed over bidegrees, are the size of
+    its whole space, (top - i)-subsets of the wedge support times the
+    coefficient support, before and after the removal shrinks both."""
     poly = named_polygon("2*Sigma")
     plan = choose_removal(poly, "b")
     full = strand_spec(poly, "b", 2)
     red = strand_spec(poly, "b", 2, plan)
-
-    def euler(spec):
-        left = term_profile(spec, 0)
-        mid = middle_profile(spec)
-        right = term_profile(spec, 1)
-        keys = set(left) | set(mid) | set(right)
-        # alternating sum over the three displayed terms only; this is
-        # not an invariant by itself, so compare map ranks instead
-        return {k: (mid.get(k, 0), left.get(k, 0), right.get(k, 0))
-                for k in keys}
-
-    assert euler(full)  # both specs are nonempty and well formed
-    assert euler(red)
+    assert len(red.wedge_support) == len(full.wedge_support) - len(plan)
+    for spec in (full, red):
+        for i in range(3):
+            assert sum(term_profile(spec, i).values()) == comb(
+                len(spec.wedge_support), spec.top - i) * len(spec.supports[i])
     assert sum(middle_profile(red).values()) <= sum(
         middle_profile(full).values())
 

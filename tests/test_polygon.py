@@ -19,7 +19,8 @@ from polybetti.polygon import (AffineUnimodularMap, DimensionError,
                                convex_hull, dilate, from_vertices,
                                interior_hull, lattice_width,
                                lattice_width_data, lawrence_prism,
-                               named_polygon, parse_polygon, prune_vertex,
+                               named_polygon, order_key, parse_polygon,
+                               prune_vertex,
                                sigma_point, standard_triangle,
                                symmetry_group, upsilon_indexed,
                                upsilon_triangle, _reduced_basis, _width)
@@ -377,6 +378,19 @@ def test_point_set_pickles_its_points_alone():
     restored = pickle.loads(after)
     assert restored == points
     assert all(pt in restored for pt in points)
+
+
+def test_equal_point_sets_hash_alike():
+    """Each point set caches its hash; equal sets built apart, or
+    unpickled, hash alike and find each other as keys."""
+    pts = list(named_polygon("Upsilon_4").points)
+    built = [PointSet.of(pts), PointSet.of(reversed(pts)),
+             PointSet(tuple(sorted(pts, key=order_key))),
+             pickle.loads(pickle.dumps(PointSet.of(pts)))]
+    assert all(s == built[0] for s in built)
+    assert len({hash(s) for s in built}) == 1
+    keyed = {built[0]: "found"}
+    assert all(keyed[s] == "found" for s in built)
 
 
 def test_all_pairs_unimodular_detection(models):

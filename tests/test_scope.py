@@ -45,7 +45,7 @@ def test_every_functools_cache_in_the_package_is_scoped():
         found |= {id(obj) for obj in vars(module).values()
                   if hasattr(obj, "cache_clear")}
     assert found == {id(f) for f in scope._CACHES}
-    assert len(scope._CACHES) == 12
+    assert len(scope._CACHES) == 13
 
 
 def _table(workers):
@@ -207,7 +207,7 @@ def test_pool_workers_hold_bounded_caches_across_a_campaign(
     """verify-kp1 keeps one pool across its files, and its workers fill
     caches as they build blocks: before each file after the first, no
     worker holds more entries in any cache than it did at its first
-    probe, apart from the two bounded caches that building uses."""
+    probe, apart from the three bounded caches that building uses."""
     # distinct keys, so every file is verified; unbounded, _reach would
     # hold more than 16 entries in a worker by the last of these 30
     polys = list({engine.polygon_key(p): p
@@ -236,8 +236,10 @@ def test_pool_workers_hold_bounded_caches_across_a_campaign(
         start = first.setdefault(pid, caches)
         assert caches.get("_mask_layer", 0) <= 4
         assert caches.get("_reach", 0) <= 16
+        assert caches.get("_block_frame", 0) <= 2
         assert all(n <= start.get(name, 0) for name, n in caches.items()
-                   if name not in ("_mask_layer", "_reach")), caches
+                   if name not in ("_mask_layer", "_reach", "_block_frame")
+                   ), caches
     assert len(first) <= 2          # one pool served every file
 
 
